@@ -9,9 +9,11 @@ the entry point that lets the vector engine share trace generation
 across a shard), reports the wall-clock per engine and the vector/fast
 speedup, and cross-checks the engines' agreement metrics cell by cell.
 
-The artifact records whether the optional numba accelerator was present;
-the checked-in ``BENCH_vector.json`` is measured on the **pure-numpy**
-path, the one CI exercises.
+The vector engine runs first, so it pays the process-wide scheduler
+solve memos cold (as any fresh study process does) and ``fast`` finds
+them warm: the reported speedup errs low.  The artifact records its
+provenance (git commit, CPU count, Python and numpy versions); the
+checked-in ``BENCH_vector.json`` is the full grid, not ``--quick``.
 
 Usage::
 
@@ -25,8 +27,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
+import subprocess
 import sys
 import time
+
+import numpy as np
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
@@ -36,7 +42,6 @@ from repro.experiments.parallel import available_cpus  # noqa: E402
 from repro.experiments.registry import PAPER_MECHANISMS  # noqa: E402
 from repro.experiments.runner import RunSpec, execute_run_specs  # noqa: E402
 from repro.experiments.scenario import paper_roadside_scenario  # noqa: E402
-from repro.experiments.vector import numba_available  # noqa: E402
 
 #: The agreement metrics cross-checked between the engines.
 METRICS = ("mean_zeta", "mean_phi", "probed_per_epoch")
@@ -81,9 +86,8 @@ def _metric(result, name):
 def _warmup(engine):
     """One untimed tiny run so one-off setup stays out of the timings.
 
-    Both engines get the identical warmup (import costs, and — when the
-    optional numba accelerator is present — the vector engine's JIT
-    compilation, which would otherwise land inside the timed region).
+    Both engines get the identical warmup (import costs, which would
+    otherwise land inside the timed region).
     """
     scenario = paper_roadside_scenario(
         phi_max_divisor=1000.0, zeta_target=TARGETS[0], epochs=1, seed=1,
@@ -91,6 +95,20 @@ def _warmup(engine):
     execute_run_specs(
         [RunSpec(scenario=scenario, mechanism="SNIP-AT", engine=engine)]
     )
+
+
+def _git_commit():
+    """The checkout's HEAD commit (``-dirty`` with local edits), or None
+    outside a git checkout."""
+    try:
+        out = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True, text=True, check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.stdout.strip()
 
 
 def main(argv=None) -> int:
@@ -117,13 +135,10 @@ def main(argv=None) -> int:
             engine, divisors=PAPER_DIVISORS, targets=targets,
             seeds=seeds, epochs=epochs,
         )
-        for engine in ("fast", "vector")
+        for engine in ("vector", "fast")
     }
     total = len(shards["fast"])
-    print(
-        f"engine bench: {total} runs/engine, epochs={epochs}, "
-        f"numba={'yes' if numba_available() else 'no'}"
-    )
+    print(f"engine bench: {total} runs/engine, epochs={epochs}")
 
     seconds = {}
     results = {}
@@ -153,7 +168,9 @@ def main(argv=None) -> int:
         "jobs": 1,
         "available_cpus": available_cpus(),
         "quick": args.quick,
-        "numba": numba_available(),
+        "git_commit": _git_commit(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
         "seconds": {name: round(value, 4) for name, value in seconds.items()},
         "speedup_vector_vs_fast": speedup,
         "max_abs_delta": {

@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, Sequence
 from ..errors import ConfigurationError
 from ..mobility.profiles import SlotProfile
 from ..units import require_positive
-from .optimizer import TwoStepOptimizer
+from .optimizer import solve_profile
 from .schedulers.at import at_duty_cycle_for_target
 from .snip_model import SnipModel, upsilon
 
@@ -106,9 +106,7 @@ def analyze_snip_opt(
     profile: SlotProfile, model: SnipModel, *, zeta_target: float, phi_max: float
 ) -> AnalysisPoint:
     """SNIP-OPT's predicted (ζ, Φ): the two-step optimum."""
-    optimizer = TwoStepOptimizer.from_profile(profile, model)
-    result = optimizer.solve(phi_max, zeta_target)
-    plan = result.plan
+    plan = solve_profile(profile, model, phi_max, zeta_target).plan
     return AnalysisPoint("SNIP-OPT", zeta_target, plan.capacity, plan.energy)
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, InfeasibleError
@@ -314,3 +315,27 @@ class TwoStepOptimizer:
             return self._knee(index) if spec.rate > 0 else 0.0
         duty = math.sqrt(spec.rate * self.model.t_on / (2.0 * lam))
         return min(1.0, max(self._knee(index), duty))
+
+
+def solve_profile(
+    profile: SlotProfile, model: SnipModel, phi_max: float, zeta_target: float
+) -> OptimizationResult:
+    """The two-step optimum for *profile*, memoized per process.
+
+    Equivalent to ``TwoStepOptimizer.from_profile(profile, model)
+    .solve(phi_max, zeta_target)``.  The result is immutable and depends
+    only on its four arguments, so SNIP-OPT scheduler builds and
+    analytical predictions share one bounded memo; failures are never
+    cached.  ``phi_max`` and ``zeta_target`` are validated before the
+    lookup.
+    """
+    require_positive("phi_max", phi_max)
+    require_positive("zeta_target", zeta_target)
+    return _solve_profile(profile, model, phi_max, zeta_target)
+
+
+@lru_cache(maxsize=256)
+def _solve_profile(
+    profile: SlotProfile, model: SnipModel, phi_max: float, zeta_target: float
+) -> OptimizationResult:
+    return TwoStepOptimizer.from_profile(profile, model).solve(phi_max, zeta_target)

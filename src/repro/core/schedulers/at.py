@@ -13,14 +13,15 @@ by solving the closed-form model at construction time.
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import lru_cache
+from typing import List, Tuple
 
 from ...errors import ConfigurationError
 from ...mobility.profiles import SlotProfile
 from ...node.sensor import SensorNode
 from ...radio.duty_cycle import DutyCycleConfig
 from ...units import require_positive
-from ..snip_model import SnipModel, upsilon
+from ..snip_model import SnipModel, upsilon_unchecked
 from .base import Scheduler, SchedulerDecision
 
 
@@ -33,18 +34,25 @@ def at_duty_cycle_for_target(
     continuous and increasing in d; solve by bisection (the linear
     closed form only holds below every slot's knee).
 
+    The solve depends only on ``(profile, Ton, ζtarget)`` and is
+    memoized on that key (bounded; failures are never cached), so every
+    scheduler build and prediction of one grid shares it.
+
     Raises:
         ConfigurationError: if even ``d = 1`` cannot reach the target.
     """
     require_positive("zeta_target", zeta_target)
+    return _solve_at(profile, model.t_on, zeta_target)
+
+
+@lru_cache(maxsize=256)
+def _solve_at(profile: SlotProfile, t_on: float, zeta_target: float) -> float:
+    terms = _capacity_terms(profile, t_on)
 
     def capacity(duty: float) -> float:
         return sum(
-            profile.expected_contacts(i)
-            * profile.mean_lengths[i]
-            * upsilon(duty, profile.mean_lengths[i], model.t_on)
-            for i in range(profile.slot_count)
-            if profile.rate(i) > 0
+            weight * upsilon_unchecked(duty, length, t_on)
+            for weight, length in terms
         )
 
     if capacity(1.0) < zeta_target - 1e-9:
@@ -60,6 +68,22 @@ def at_duty_cycle_for_target(
         else:
             hi = mid
     return hi
+
+
+def _capacity_terms(profile: SlotProfile, t_on: float) -> List[Tuple[float, float]]:
+    """Validated ``(E[contacts_i] · L_i, L_i)`` for every slot with contacts.
+
+    The bisection's duty-cycles all lie in (0, 1], so once the lengths
+    and ``Ton`` pass here the unchecked Υ is safe inside the loop.
+    """
+    terms = []
+    for i in range(profile.slot_count):
+        if profile.rate(i) > 0:
+            length = profile.mean_lengths[i]
+            require_positive("contact_length", length)
+            require_positive("t_on", t_on)
+            terms.append((profile.expected_contacts(i) * length, length))
+    return terms
 
 
 class SnipAtScheduler(Scheduler):

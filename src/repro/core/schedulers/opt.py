@@ -12,7 +12,7 @@ from __future__ import annotations
 from ...mobility.profiles import SlotProfile
 from ...node.sensor import SensorNode
 from ...radio.duty_cycle import DutyCycleConfig
-from ..optimizer import OptimizationResult, SlotPlan, TwoStepOptimizer
+from ..optimizer import OptimizationResult, SlotPlan, solve_profile
 from ..snip_model import SnipModel
 from .base import Scheduler, SchedulerDecision
 
@@ -34,8 +34,9 @@ class SnipOptScheduler(Scheduler):
         self.model = model
         self.zeta_target = zeta_target
         self.phi_max = phi_max
-        optimizer = TwoStepOptimizer.from_profile(profile, model)
-        self.result: OptimizationResult = optimizer.solve(phi_max, zeta_target)
+        self.result: OptimizationResult = solve_profile(
+            profile, model, phi_max, zeta_target
+        )
         self.plan: SlotPlan = self.result.plan
         self._configs = [
             DutyCycleConfig(t_on=model.t_on, duty_cycle=d) if d > 0 else None

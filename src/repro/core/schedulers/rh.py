@@ -15,7 +15,7 @@ weight (§VI-C).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from ...errors import ConfigurationError
 from ...mobility.contact import Contact
@@ -66,6 +66,9 @@ class SnipRhScheduler(Scheduler):
         self._rush_flags = tuple(profile.rush_flags)
         if not any(self._rush_flags):
             raise ConfigurationError("SNIP-RH requires at least one rush-hour slot")
+        # (mean contact length, its config): the EWMA moves only at
+        # probes, while the config is read on every rush interval.
+        self._config_memo: Optional[Tuple[float, DutyCycleConfig]] = None
 
     # ------------------------------------------------------------------
     # policy
@@ -81,10 +84,18 @@ class SnipRhScheduler(Scheduler):
         return SchedulerDecision(self.duty_cycle_config())
 
     def duty_cycle_config(self) -> DutyCycleConfig:
-        """Current ``d_rh = Ton / mean(Tcontact)`` as a radio config."""
+        """Current ``d_rh = Ton / mean(Tcontact)`` as a radio config.
+
+        Memoized on the contact-length estimate, so it is rebuilt (and
+        revalidated) only after the EWMA moves.
+        """
         mean_length = self.contact_length_ewma.value
-        duty = self.model.knee(mean_length)
-        return DutyCycleConfig(t_on=self.model.t_on, duty_cycle=duty)
+        memo = self._config_memo
+        if memo is None or memo[0] != mean_length:
+            duty = self.model.knee(mean_length)
+            config = DutyCycleConfig(t_on=self.model.t_on, duty_cycle=duty)
+            memo = self._config_memo = (mean_length, config)
+        return memo[1]
 
     def data_threshold(self) -> float:
         """Buffered data required before SNIP activates (condition 2)."""

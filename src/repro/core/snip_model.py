@@ -39,6 +39,15 @@ def upsilon(duty_cycle: float, contact_length: float, t_on: float) -> float:
         t_on: the radio on-period Ton in seconds.
     """
     _validate(duty_cycle, contact_length, t_on)
+    return upsilon_unchecked(duty_cycle, contact_length, t_on)
+
+
+def upsilon_unchecked(duty_cycle: float, contact_length: float, t_on: float) -> float:
+    """:func:`upsilon` without argument validation.
+
+    For inner loops whose arguments were validated once up front, such
+    as the SNIP-AT bisection over a fixed set of slots.
+    """
     t_cycle = t_on / duty_cycle
     if t_cycle >= contact_length:
         return (contact_length / (2.0 * t_on)) * duty_cycle

@@ -23,8 +23,8 @@ names:
   slower; use short horizons);
 * ``"vector"`` — :class:`~repro.experiments.vector.VectorEngine`, a
   numpy batch evaluator resolving the fast runner's inner loops as
-  array kernels (optional numba acceleration; statistically equivalent
-  to ``"fast"`` under the agreement gate);
+  array kernels (equal to ``"fast"`` on the gated metrics: measured
+  deltas are exactly 0.0);
 * a ``"fleet"`` adapter wrapping per-node
   :class:`~repro.network.runner.NetworkRunner` execution is planned.
 

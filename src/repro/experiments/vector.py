@@ -18,24 +18,21 @@ resolves the same semantics as whole-array kernels:
   contacts* and it can only activate inside rush-hour slots; the engine
   walks just the rush intervals (a ~6x smaller loop with no per-interval
   object allocation), calls the real scheduler's EWMA hooks at probes,
-  and resolves everything outside rush hours in bulk.
+  re-reads its threshold and memoized config only after them, and
+  resolves everything outside rush hours in bulk.
 * Any other scheduler type falls back — loudly — to the exact
   :class:`~repro.experiments.runner.FastRunner`.
 
 Unprobed contacts, arrivals, per-epoch Φ, and buffer levels are
-aggregated as array reductions.  The per-contact probe search also has
-an optional `numba <https://numba.pydata.org/>`_ ``@njit(parallel=True)``
-kernel behind a **soft dependency**: when numba is not importable the
-pure-numpy path runs (and is what CI exercises); ``VectorEngine`` never
-requires it unless constructed with ``numba=True``.
+aggregated as array reductions; the probe search is pure numpy.
 
-Equivalence with ``"fast"`` is statistical, not asserted: the paired
-fast-vs-vector agreement grid (``repro-snip run --spec
-examples/vector_gate.json --gate TOL``) must pass the CI gate with two
-or more replicates.  The engine reproduces the fast runner's arithmetic
-(same ``TIME_EPSILON`` comparisons, same anchor/clip rules) so the
-per-cell deltas are dominated by float association order and sit many
-orders of magnitude below the gate tolerance.
+Equivalence with ``"fast"`` is exact on the gated metrics: the engine
+reproduces the fast runner's arithmetic (same ``TIME_EPSILON``
+comparisons, same anchor/clip rules, probes accumulated in the same
+order), and the fast-vs-vector deltas are exactly 0.0.  The tests
+assert this cell by cell (including the seed-0 golden sweep), and CI
+runs the paired agreement grid (``repro-snip run --spec
+examples/vector_gate.json --gate TOL``) with two replicates.
 
 Batch evaluation: :meth:`VectorEngine.run_batch` takes a whole shard of
 :class:`~repro.experiments.runner.RunSpec` s and shares the expensive
@@ -50,7 +47,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,80 +68,11 @@ from .registry import engine_factories, mechanism_factories
 from .runner import FastRunner, RunResult, RunSpec, generate_trace
 from .scenario import Scenario
 
-__all__ = ["VectorEngine", "numba_available"]
+__all__ = ["VectorEngine"]
 
 #: Budget-exhaustion tolerance, mirroring
 #: :attr:`repro.node.sensor.ProbingAccount.exhausted`.
 _EXHAUSTED_EPSILON = 1e-12
-
-
-# ----------------------------------------------------------------------
-# soft numba dependency
-# ----------------------------------------------------------------------
-def _import_numba():
-    """The numba module, or None when it is not importable.
-
-    Resolved at call time (not import time) so tests can monkeypatch
-    ``sys.modules`` and engines constructed afterwards see the change.
-    """
-    try:
-        import numba  # noqa: PLC0415 - soft dependency, resolved lazily
-    except ImportError:
-        return None
-    return numba
-
-
-def numba_available() -> bool:
-    """True when the optional numba accelerator can be imported."""
-    return _import_numba() is not None
-
-
-#: Compiled probe-search kernels, one per (fake or real) numba module.
-_KERNEL_CACHE: Dict[int, object] = {}
-
-
-def _numba_probe_search(numba_mod):
-    """Compile (once per numba module) the scalar probe-search kernel."""
-    key = id(numba_mod)
-    kernel = _KERNEL_CACHE.get(key)
-    if kernel is None:
-        njit = numba_mod.njit
-        prange = numba_mod.prange
-        eps = TIME_EPSILON
-
-        @njit(parallel=True, cache=False)
-        def kernel(starts, ends, k0, active, active_until, anchor, cycle, t1):
-            n = starts.shape[0]
-            n_intervals = t1.shape[0]
-            probe_k = np.full(n, -1, np.int64)
-            probe_b = np.full(n, np.nan)
-            for j in prange(n):
-                k = k0[j]
-                query = starts[j]
-                while k < n_intervals:
-                    window = starts[j] if starts[j] > query else query
-                    if active[k]:
-                        phase = anchor[k] % cycle[k]
-                        if window <= phase:
-                            beacon = phase
-                        else:
-                            index = np.ceil((window - phase - eps) / cycle[k])
-                            if index < 0.0:
-                                index = 0.0
-                            beacon = phase + index * cycle[k]
-                        if beacon < ends[j] and beacon < active_until[k]:
-                            probe_k[j] = k
-                            probe_b[j] = beacon
-                            break
-                    if ends[j] <= t1[k] + eps:
-                        break
-                    query = t1[k]
-                    k += 1
-            return probe_k, probe_b
-
-        _KERNEL_CACHE[key] = kernel
-        kernel = _KERNEL_CACHE[key]
-    return kernel
 
 
 def _probe_search_numpy(starts, ends, k0, active, active_until, anchor, cycle, t1):
@@ -199,18 +127,20 @@ class _ProbeBook:
     Probes must be applied in resolution order (ascending contact index:
     contacts never overlap, and a deferred straddler always resolves
     before any later contact) so the fluid FIFO buffer drains exactly as
-    in the fast runner.
+    in the fast runner.  The per-epoch accumulators are Python lists:
+    one probe is a handful of scalar updates, which numpy element access
+    would make several times slower for the same float results.
     """
 
     def __init__(self, scenario: Scenario, link: LinkModel, epochs: int) -> None:
         self.rate = scenario.data_rate
         self.link = link
         self.uploaded_cumulative = 0.0
-        self.zeta = np.zeros(epochs)
-        self.uploaded = np.zeros(epochs)
-        self.probed_n = np.zeros(epochs, dtype=np.int64)
-        self.delay_weight = np.zeros(epochs)
-        self.max_delay = np.zeros(epochs)
+        self.zeta = [0.0] * epochs
+        self.uploaded = [0.0] * epochs
+        self.probed_n = [0] * epochs
+        self.delay_weight = [0.0] * epochs
+        self.max_delay = [0.0] * epochs
 
     def probe(
         self, end: float, beacon: float, interval_end: float, epoch: int
@@ -276,44 +206,20 @@ def _memoized_trace(scenario: Scenario) -> ContactTrace:
 class VectorEngine:
     """Vectorized batch evaluator behind the ``"vector"`` registry name.
 
-    Args:
-        numba: ``None`` (default) auto-detects the optional numba
-            accelerator and uses it when importable; ``True`` requires
-            it (:class:`~repro.errors.ConfigurationError` when absent);
-            ``False`` forces the pure-numpy probe-search path.
-
-    Any other keyword raises :class:`~repro.errors.ConfigurationError`
-    (engines resolve by name from study files, so silent typos in the
-    options dict must fail fast).
+    The engine takes no options; any keyword raises
+    :class:`~repro.errors.ConfigurationError` (engines resolve by name
+    from study files, so silent typos in the options dict must fail
+    fast).
     """
 
     name = "vector"
 
-    def __init__(self, numba: Optional[bool] = None, **options: object) -> None:
+    def __init__(self, **options: object) -> None:
         if options:
             raise ConfigurationError(
                 f"unknown vector engine option(s) {sorted(options)}; "
-                "known: ['numba']"
+                "the vector engine takes no options"
             )
-        if numba not in (None, True, False):
-            raise ConfigurationError(
-                f"numba option must be True, False or None, got {numba!r}"
-            )
-        module = None
-        if numba is not False:
-            module = _import_numba()
-            if numba is True and module is None:
-                raise ConfigurationError(
-                    "vector engine was constructed with numba=True but "
-                    "numba is not importable; install numba or pass "
-                    "numba=None for the pure-numpy fallback"
-                )
-        self._numba = module
-
-    @property
-    def numba_enabled(self) -> bool:
-        """True when the compiled probe-search kernel is in use."""
-        return self._numba is not None
 
     # ------------------------------------------------------------------
     # Engine protocol
@@ -428,14 +334,20 @@ class VectorEngine:
         lengths = np.array([c.length for c in contacts], dtype=float)
         ends = starts + lengths
         k0 = np.searchsorted(t1, starts, side="right")
-        probe_k, probe_b = self._probe_search(
+        probe_k, probe_b = _probe_search_numpy(
             starts, ends, k0, active, active_until, anchor, cycle, t1
         )
 
         book = _ProbeBook(scenario, link, epochs)
-        for j in np.nonzero(probe_k >= 0)[0]:
-            k = int(probe_k[j])
-            book.probe(float(ends[j]), float(probe_b[j]), float(t1[k]), int(epoch_idx[k]))
+        hits = np.nonzero(probe_k >= 0)[0]
+        hit_k = probe_k[hits]
+        for end, beacon, interval_end, epoch in zip(
+            ends[hits].tolist(),
+            probe_b[hits].tolist(),
+            t1[hit_k].tolist(),
+            epoch_idx[hit_k].tolist(),
+        ):
+            book.probe(end, beacon, interval_end, epoch)
         return self._assemble(
             scenario, scheduler, trace, starts, lengths, probe_k,
             t1, epoch_idx, epochs, phi, book,
@@ -517,17 +429,6 @@ class VectorEngine:
             streak_start >= 0, t0[np.maximum(streak_start, 0)], 0.0
         )
 
-    def _probe_search(self, starts, ends, k0, active, active_until, anchor, cycle, t1):
-        if self._numba is not None:
-            kernel = _numba_probe_search(self._numba)
-            return kernel(
-                starts, ends, k0.astype(np.int64),
-                active, active_until, anchor, cycle, t1,
-            )
-        return _probe_search_numpy(
-            starts, ends, k0, active, active_until, anchor, cycle, t1
-        )
-
     # ------------------------------------------------------------------
     # adaptive (feedback) kernel: SNIP-RH
     # ------------------------------------------------------------------
@@ -541,7 +442,9 @@ class VectorEngine:
         just the rush intervals — with the real scheduler's
         ``duty_cycle_config`` / ``data_threshold`` / ``on_probe`` driving
         the decisions, for bit-faithful learning dynamics — and every
-        other contact resolves as a bulk miss afterwards.
+        other contact resolves as a bulk miss afterwards.  The threshold
+        and the learned config are re-read only after ``on_probe``, the
+        one call that moves them.
         """
         link = LinkModel()
         rate = scenario.data_rate
@@ -556,23 +459,31 @@ class VectorEngine:
         starts = np.array([c.start for c in contacts], dtype=float)
         lengths = np.array([c.length for c in contacts], dtype=float)
         ends = starts + lengths
-        probed_mask = np.zeros(n_contacts, dtype=bool)
-        probe_interval = np.full(n_contacts, -1, dtype=np.int64)
+        # Python floats index and compare faster than numpy scalars in
+        # this per-interval loop, with identical values.
+        starts_at = starts.tolist()
+        ends_at = ends.tolist()
+        probed_js: List[int] = []
+        probed_ks: List[int] = []
 
         book = _ProbeBook(scenario, link, epochs)
         phi = np.zeros(epochs)
         spent = 0.0
         current_epoch = 0
-        anchor: Optional[float] = None
+        anchor = 0.0
         config = None
         pending: Optional[int] = None
         cursor = 0
         previous_k = -2
+        threshold = scheduler.data_threshold()
+        learned = None  # scheduler.duty_cycle_config(), read lazily
 
-        for k in walk:
-            time = float(t0[k])
-            interval_end = float(t1[k])
-            epoch = int(epoch_idx[k])
+        for k, time, interval_end, epoch in zip(
+            walk.tolist(),
+            t0[walk].tolist(),
+            t1[walk].tolist(),
+            epoch_idx[walk].tolist(),
+        ):
             if epoch != current_epoch:
                 # Epoch rollover(s): Φ is the energy spent that epoch.
                 phi[current_epoch] = spent
@@ -581,91 +492,91 @@ class VectorEngine:
             if previous_k != k - 1:
                 # Skipped intervals are inactive (not rush): the fast
                 # runner would have reset the train there.
-                anchor = None
                 config = None
             previous_k = k
-            if pending is not None and ends[pending] <= time + TIME_EPSILON:
+            if pending is not None and ends_at[pending] <= time + TIME_EPSILON:
                 # Resolved as a miss inside a skipped interval.
                 pending = None
-            while cursor < n_contacts and starts[cursor] < time:
+            while cursor < n_contacts and starts_at[cursor] < time:
                 # Contacts that arrived in skipped intervals: unprobed;
                 # one may still straddle into this interval as pending.
-                if ends[cursor] > time + TIME_EPSILON:
+                if ends_at[cursor] > time + TIME_EPSILON:
                     pending = cursor
                 cursor += 1
 
             # --- scheduler.decide(time, node), inlined for SNIP-RH ---
             level = max(0.0, rate * time - book.uploaded_cumulative)
             remaining = max(0.0, phi_max - spent)
-            if level < scheduler.data_threshold():
-                decision_config = None
-            elif remaining <= _EXHAUSTED_EPSILON:
-                decision_config = None
-            else:
-                decision_config = scheduler.duty_cycle_config()
-
-            if decision_config is None:
-                anchor = None
+            if level < threshold or remaining <= _EXHAUSTED_EPSILON:
                 config = None
                 active_until = time
                 have_schedule = False
-                cycle = phase = 0.0
             else:
-                if decision_config != config:
+                if learned is None:
+                    learned = scheduler.duty_cycle_config()
+                if learned != config:
                     anchor = time
-                    config = decision_config
-                full_cost = decision_config.duty_cycle * (interval_end - time)
+                    config = learned
+                duty = learned.duty_cycle
+                full_cost = duty * (interval_end - time)
                 if full_cost <= remaining + TIME_EPSILON:
                     active_until = interval_end
                     charge = min(full_cost, remaining)
                 else:
-                    active_until = time + remaining / decision_config.duty_cycle
+                    active_until = time + remaining / duty
                     charge = remaining
                 spent += charge
                 have_schedule = True
-                cycle = decision_config.t_cycle
+                cycle = learned.t_cycle
                 phase = anchor % cycle
                 if active_until < interval_end - TIME_EPSILON:
                     # Budget ran dry mid-interval; the train stops.
-                    anchor = None
                     config = None
 
-            def resolve(j: int, query: float) -> bool:
-                """Probe/miss/defer contact *j*; True when resolved."""
+            # Probe, miss or defer the pending straddler (beacons before
+            # this interval do not exist for it), then this interval's
+            # arrivals.
+            j, query = pending, time
+            pending = None
+            while j is not None or (
+                cursor < n_contacts and starts_at[cursor] < interval_end
+            ):
+                if j is None:
+                    j = cursor
+                    cursor += 1
+                    query = starts_at[j]
+                end = ends_at[j]
+                probed = False
                 if have_schedule:
-                    window = starts[j] if starts[j] > query else query
+                    start = starts_at[j]
+                    window = start if start > query else query
                     if window <= phase:
                         beacon = phase
                     else:
                         beacon = phase + max(
-                            0.0,
-                            np.ceil((window - phase - TIME_EPSILON) / cycle),
+                            0, math.ceil((window - phase - TIME_EPSILON) / cycle)
                         ) * cycle
-                    if beacon < ends[j] and beacon < active_until:
+                    if beacon < end and beacon < active_until:
                         probed_seconds, uploaded = book.probe(
-                            float(ends[j]), float(beacon), interval_end, epoch
+                            end, beacon, interval_end, epoch
                         )
-                        probed_mask[j] = True
-                        probe_interval[j] = k
+                        probed_js.append(j)
+                        probed_ks.append(k)
                         scheduler.on_probe(
                             beacon, contacts[j], probed_seconds, uploaded
                         )
-                        return True
-                return ends[j] <= interval_end + TIME_EPSILON
-
-            if pending is not None:
-                if resolve(pending, time):
-                    pending = None
-            while cursor < n_contacts and starts[cursor] < interval_end:
-                j = cursor
-                cursor += 1
-                if not resolve(j, float(starts[j])):
+                        threshold = scheduler.data_threshold()
+                        learned = None
+                        probed = True
+                if not probed and end > interval_end + TIME_EPSILON:
                     pending = j
+                j = None
         phi[current_epoch] = spent
 
+        probe_k = np.full(n_contacts, -1, dtype=np.int64)
+        probe_k[probed_js] = probed_ks
         return self._assemble(
-            scenario, scheduler, trace, starts, lengths,
-            np.where(probed_mask, probe_interval, -1),
+            scenario, scheduler, trace, starts, lengths, probe_k,
             t1, epoch_idx, epochs, phi, book,
         )
 
@@ -748,8 +659,8 @@ class VectorEngine:
         node.buffer.upload(book.uploaded_cumulative)
         node.ledger.record(RadioState.LISTEN, float(np.sum(phi)))
         node.ledger.record(RadioState.TRANSMIT, book.uploaded_cumulative)
-        node.probed_contacts = int(book.probed_n.sum())
-        node.probed_time = float(book.zeta.sum())
+        node.probed_contacts = sum(book.probed_n)
+        node.probed_time = float(np.sum(book.zeta))
         node.missed_contacts = int(missed.sum())
 
         return RunResult(

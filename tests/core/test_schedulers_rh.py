@@ -93,6 +93,48 @@ class TestDutyCycleSelection:
         assert scheduler.duty_cycle_config().duty_cycle == 1.0
 
 
+class TestDutyCycleMemo:
+    """``duty_cycle_config`` is memoized on the contact-length EWMA."""
+
+    def test_repeated_reads_share_one_config(self):
+        scheduler = make_scheduler()
+        assert scheduler.duty_cycle_config() is scheduler.duty_cycle_config()
+
+    def test_config_follows_on_probe(self):
+        scheduler = make_scheduler(initial_contact_length=2.0, ewma_weight=0.5)
+        before = scheduler.duty_cycle_config()
+        scheduler.on_probe(0.0, Contact(0.0, 8.0), 7.0, 1.0)
+        after = scheduler.duty_cycle_config()
+        assert after.duty_cycle != before.duty_cycle
+        assert after.duty_cycle == MODEL.knee(scheduler.contact_length_ewma.value)
+
+    def test_config_follows_ewma_reset(self):
+        scheduler = make_scheduler(initial_contact_length=2.0)
+        assert scheduler.duty_cycle_config().duty_cycle == pytest.approx(0.01)
+        scheduler.contact_length_ewma.reset(4.0)
+        assert scheduler.duty_cycle_config().duty_cycle == pytest.approx(0.005)
+        scheduler.contact_length_ewma.reset(2.0)
+        assert scheduler.duty_cycle_config().duty_cycle == pytest.approx(0.01)
+
+    def test_failures_are_not_memoized(self):
+        scheduler = make_scheduler()
+        scheduler.contact_length_ewma.reset(None)
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match="contact_length"):
+                scheduler.duty_cycle_config()
+        scheduler.contact_length_ewma.reset(4.0)
+        assert scheduler.duty_cycle_config().duty_cycle == pytest.approx(0.005)
+
+    def test_instances_never_share_memo_state(self):
+        first = make_scheduler(initial_contact_length=2.0, ewma_weight=1.0)
+        second = make_scheduler(initial_contact_length=2.0, ewma_weight=1.0)
+        assert first.duty_cycle_config() == second.duty_cycle_config()
+        first.on_probe(0.0, Contact(0.0, 4.0), 3.5, 1.0)
+        assert first.duty_cycle_config().duty_cycle == pytest.approx(0.02 / 4.5)
+        assert second.duty_cycle_config().duty_cycle == pytest.approx(0.01)
+        assert first.duty_cycle_config() is not second.duty_cycle_config()
+
+
 class TestDataThreshold:
     def test_threshold_floors_at_minimum(self):
         scheduler = make_scheduler(min_threshold=0.5)

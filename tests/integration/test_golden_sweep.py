@@ -5,7 +5,9 @@ implementation that predates the parallel orchestration layer (one
 ``FastRunner`` per cell, one shared scenario seed).  The rewrite must
 preserve them bit-for-bit — for the historical serial path and for the
 process-pool path alike — so any change to seeding, sharding, or
-aggregation that alters seed behaviour fails loudly here.
+aggregation that alters seed behaviour fails loudly here.  The
+``"vector"`` engine reproduces the fast runner's arithmetic exactly, so
+it must hit the same values with no tolerance at all.
 """
 
 from __future__ import annotations
@@ -64,6 +66,16 @@ def assert_matches_golden(sweep):
 def test_serial_sweep_matches_golden():
     sweep = sweep_zeta_targets(paper_default_scenario(), PAPER_ZETA_TARGETS)
     assert_matches_golden(sweep)
+
+
+def test_vector_sweep_matches_golden_exactly():
+    sweep = sweep_zeta_targets(
+        paper_default_scenario(), PAPER_ZETA_TARGETS, engine="vector"
+    )
+    for (mechanism, metric), golden in GOLDEN.items():
+        assert sweep.series(metric)[mechanism] == golden, (
+            f"vector {mechanism} {metric} differs from the pinned seed-0 series"
+        )
 
 
 def test_parallel_sweep_matches_golden():
