@@ -4,8 +4,8 @@ The paper simulates two weeks in COOJA with normal-jittered contact
 processes (cv = 0.1) and plots per-epoch averages.  This bench runs the
 same grid as one replicated sweep — three seed replicates per
 (mechanism, ζtarget) cell (the paper itself notes "a lot of variance in
-simulation results") — through the shared ``sweep_grid`` harness in
-:mod:`grid_common`, which covers **both** paper budgets in one grid
+simulation results") — through the shared ``run_study`` harness in
+:mod:`grid_common`, which covers **both** paper budgets in one study
 (Fig. 8 reads the other slice from the same memoized run): once
 in-process and once on a 4-worker streaming pool, asserted
 byte-identical, with the measured wall-clock speedup reported alongside

@@ -1,6 +1,6 @@
 """Fig. 8 — simulation results, Φmax = Tepoch/100.
 
-The loose-budget slice of the same shared two-budget ``sweep_grid`` run
+The loose-budget slice of the same shared two-budget ``run_study`` study
 as Fig. 7 (:mod:`grid_common`; a memoized lookup when Fig. 7 ran
 first): serial and 4-worker streaming executions must agree
 byte-for-byte and the pool path must actually be taken.  Shape pinned:

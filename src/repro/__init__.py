@@ -56,7 +56,6 @@ from .experiments import (
     FileQueueTransport,
     GridResult,
     MicroEngine,
-    MicroRunner,
     NamedFactory,
     PAPER_ENGINES,
     PAPER_MECHANISMS,
@@ -72,7 +71,6 @@ from .experiments import (
     StudyResult,
     StudySpec,
     Transport,
-    agreement_grid,
     engine_factories,
     mechanism_factories,
     node_factories,
@@ -80,8 +78,6 @@ from .experiments import (
     resolve_engine,
     resolve_transport,
     run_study,
-    sweep_grid,
-    sweep_zeta_targets,
     transport_factories,
 )
 from .mobility import (
@@ -142,7 +138,6 @@ __all__ = [
     "FileQueueTransport",
     "GridResult",
     "MicroEngine",
-    "MicroRunner",
     "NamedFactory",
     "PAPER_ENGINES",
     "PAPER_MECHANISMS",
@@ -158,7 +153,6 @@ __all__ = [
     "StudyResult",
     "StudySpec",
     "Transport",
-    "agreement_grid",
     "engine_factories",
     "mechanism_factories",
     "node_factories",
@@ -166,8 +160,6 @@ __all__ = [
     "resolve_engine",
     "resolve_transport",
     "run_study",
-    "sweep_grid",
-    "sweep_zeta_targets",
     "transport_factories",
     # mobility
     "Contact",

@@ -54,10 +54,8 @@ ENGINE_MAP_MODULE = "repro.experiments.engine"
 #: ``literal-choices`` rule (all return live registry names).
 REGISTRY_CHOICE_HELPERS = frozenset({
     "available_engines",
-    "engine_names",
     "transport_names",
     "available_scenarios",
-    "scenario_names",
 })
 
 

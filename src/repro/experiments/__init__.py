@@ -9,14 +9,19 @@
   enumerates every radio wake-up (the COOJA-fidelity substitute), used
   to validate the fast engine and equation 1;
 * :mod:`~repro.experiments.metrics` — ζ/Φ/ρ extraction and aggregation;
-* :mod:`~repro.experiments.sweep` — parameter sweeps for figures and
-  ablations (including the full mechanism × ζtarget × Φmax paper grid),
-  with seed replication, confidence intervals, and streaming progress;
+* :mod:`~repro.experiments.spec` — declarative :class:`StudySpec`
+  studies and :func:`run_study`, the single way to run the mechanism ×
+  ζtarget × Φmax paper grid (with seed replication, an engine axis, and
+  streaming progress);
+* :mod:`~repro.experiments.sweep` — the grid result types
+  (:class:`SweepResult`, :class:`GridResult`) with confidence
+  intervals and JSON/CSV export;
 * :mod:`~repro.experiments.engine` — the unified
   :class:`~repro.experiments.engine.Engine` protocol and named engine
   resolution (one run API across the fast, micro, and future engines);
-* :mod:`~repro.experiments.agreement` — replicated micro-vs-fast
-  agreement grids that make the engine-equivalence claim statistical;
+* :mod:`~repro.experiments.agreement` — paired per-cell deltas of
+  multi-engine studies, which make the engine-equivalence claim
+  statistical;
 * :mod:`~repro.experiments.parallel` — deterministic process-pool
   orchestration of grid shards, blocking or streaming, with optional
   shard batching;
@@ -45,7 +50,6 @@ from .engine import (
     Engine,
     PAPER_ENGINES,
     available_engines,
-    engine_names,
     resolve_engine,
 )
 from .runner import (
@@ -57,12 +61,11 @@ from .runner import (
     execute_run_spec,
     generate_trace,
 )
-from .micro import MicroEngine, MicroRunner
+from .micro import MicroEngine
 from .agreement import (
     AGREEMENT_METRICS,
     AgreementPoint,
     AgreementResult,
-    agreement_grid,
 )
 from .parallel import (
     Executor,
@@ -77,14 +80,12 @@ from .parallel import (
 from .transport import (
     BUILTIN_TRANSPORTS,
     FileQueueTransport,
-    PoolTransport,
-    SerialTransport,
     Transport,
     resolve_transport,
     transport_names,
     validate_transport,
 )
-from .sweep import GridResult, SweepResult, sweep_grid, sweep_zeta_targets
+from .sweep import GridResult, SweepResult
 from .spec import (
     NetworkSection,
     StudyDocument,
@@ -111,18 +112,15 @@ __all__ = [
     "NamedFactory",
     "engine_factories",
     "available_engines",
-    "engine_names",
     "resolve_engine",
     "mechanism_factories",
     "node_factories",
     "default_factories",
     "execute_run_spec",
     "generate_trace",
-    "MicroRunner",
     "AGREEMENT_METRICS",
     "AgreementPoint",
     "AgreementResult",
-    "agreement_grid",
     "Executor",
     "ParallelExecutor",
     "ParallelFallbackWarning",
@@ -131,8 +129,6 @@ __all__ = [
     "StreamingExecutor",
     "BUILTIN_TRANSPORTS",
     "FileQueueTransport",
-    "PoolTransport",
-    "SerialTransport",
     "Transport",
     "resolve_transport",
     "transport_factories",
@@ -140,8 +136,6 @@ __all__ = [
     "validate_transport",
     "cell_seed",
     "replicate_seed",
-    "sweep_zeta_targets",
-    "sweep_grid",
     "GridResult",
     "SweepResult",
     "NetworkSection",

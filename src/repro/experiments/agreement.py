@@ -13,16 +13,15 @@ deltas carry Student-t confidence intervals
 (:func:`repro.experiments.stats.estimates_from_runs` /
 :func:`~repro.experiments.stats.interval_from_samples`).
 
-:func:`agreement_grid` is now a thin compatibility wrapper over the
-declarative study layer: it builds a two-engine
-:class:`~repro.experiments.spec.StudySpec` and hands it to
-:func:`~repro.experiments.spec.run_study`, which flattens the grid into
-pure :class:`~repro.experiments.runner.RunSpec` shards — the engine
-name is just one more spec field — and executes it through the same
-executor/streaming machinery as :func:`repro.experiments.sweep.sweep_grid`,
-so the assembled result is byte-identical for jobs=1, jobs=N, or any
-adversarial completion order, and micro cells (orders of magnitude
-slower; keep horizons short) interleave with fast cells on the pool.
+A :class:`~repro.experiments.spec.StudySpec` listing two or more
+engines *is* such a grid: :func:`~repro.experiments.spec.run_study`
+flattens it into pure :class:`~repro.experiments.runner.RunSpec` shards
+— the engine name is just one more shard field — and assembles one
+:class:`AgreementResult` per candidate engine from the types defined
+here.  Reassembly is by shard index, so the result is byte-identical for
+jobs=1, jobs=N, or any adversarial completion order, and micro cells
+(orders of magnitude slower; keep horizons short) interleave with fast
+cells on the pool.
 
 CLI: ``repro-snip agree`` (also ``python -m repro agree``); the gate
 variant used in CI is :meth:`AgreementResult.gate_violations` /
@@ -33,23 +32,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
-from .parallel import Executor
-from .registry import PAPER_MECHANISMS
 from .reporting import format_csv
 from .runner import RunResult
-from .scenario import Scenario
 from .stats import IntervalEstimate, estimates_from_runs, interval_from_samples
-from .sweep import ProgressCallback, _finite_or_none
+from .sweep import _finite_or_none
 
 __all__ = [
     "AGREEMENT_METRICS",
     "AGREEMENT_EXPORT_COLUMNS",
     "AgreementPoint",
     "AgreementResult",
-    "agreement_grid",
 ]
 
 #: The per-cell metrics whose candidate-minus-baseline deltas are
@@ -162,7 +157,8 @@ class AgreementResult:
     """A full two-engine agreement grid.
 
     Points are ordered Φmax-outermost, then ζtarget, then mechanism
-    (matching the shard flattening of :func:`agreement_grid`).
+    (matching the shard flattening of
+    :func:`~repro.experiments.spec.run_study`).
     """
 
     points: List[AgreementPoint]
@@ -318,92 +314,3 @@ class AgreementResult:
     def __len__(self) -> int:
         """Number of (Φmax, ζtarget, mechanism) cells."""
         return len(self.points)
-
-
-def agreement_grid(
-    base: Scenario,
-    zeta_targets: Sequence[float],
-    phi_maxes: Sequence[float],
-    *,
-    engines: Tuple[str, str] = ("fast", "micro"),
-    mechanisms: Optional[Sequence[str]] = None,
-    n_replicates: int = 1,
-    replicate_seeds: Optional[Sequence[int]] = None,
-    executor: Optional[Executor] = None,
-    progress: Optional[ProgressCallback] = None,
-    transport: Optional[str] = None,
-    transport_options: Optional[Mapping[str, object]] = None,
-    jobs: int = 1,
-) -> AgreementResult:
-    """Run a replicated paired two-engine grid through the executor.
-
-    Every ``(mechanism, ζtarget, Φmax, replicate)`` cell is executed
-    once per engine, and both engine runs of a replicate share that
-    replicate's derived seed — identical contact processes, so the
-    per-cell deltas measure the engines, not the traces.  All five axes
-    are flattened up front into pure
-    :class:`~repro.experiments.runner.RunSpec` shards (Φmax outermost,
-    then ζtarget, mechanism, replicate, engine) on the seeding contract
-    of :mod:`repro.experiments.parallel`; reassembly is by shard index,
-    so the result is byte-identical for any worker count or execution
-    order.
-
-    Args:
-        base: scenario template; its seed anchors replicate 0 and its
-            ``epochs`` bounds every run — keep it short (1–2 epochs):
-            half the shards run the micro engine.
-        zeta_targets: the ζtarget sweep values.
-        phi_maxes: the Φmax budgets, in seconds; must be distinct.
-        engines: ``(baseline, candidate)`` engine-registry names,
-            distinct; default ``("fast", "micro")``.  Unknown names
-            fail fast here, before any shard runs.
-        mechanisms: registry mechanism names (default: the paper's
-            three).
-        n_replicates: paired seed replicates per cell (two or more make
-            the delta CIs finite).
-        replicate_seeds: explicit per-replicate seeds overriding the
-            derivation.
-        executor: shard mapper; default serial in-process.  An explicit
-            executor wins over *transport*.
-        progress: optional streaming observer (specs carry ``.engine``,
-            so a CLI can label each completed cell).
-        transport: execution backend by transport-registry name
-            (``"serial"``, ``"pool"``, ``"file-queue"``, ...), resolved
-            with *jobs* and *transport_options* exactly like a study
-            file's execution section.
-        transport_options: strict per-transport options dict.
-        jobs: worker processes when resolving by name.
-
-    Returns:
-        An :class:`AgreementResult` with per-cell paired delta CIs.
-    """
-    # Thin builder over the declarative study layer: a two-engine axis
-    # on a StudySpec *is* an agreement grid (run_study pairs the deltas
-    # automatically), so this wrapper only translates arguments and
-    # selects the candidate's AgreementResult out of the StudyResult.
-    from .spec import StudySpec, run_study
-
-    if len(tuple(engines)) != 2:
-        raise ConfigurationError(
-            f"agreement needs exactly two distinct engines, got {engines!r}"
-        )
-    names = tuple(mechanisms) if mechanisms is not None else PAPER_MECHANISMS
-    spec = StudySpec(
-        name="agreement-grid",
-        zeta_targets=tuple(zeta_targets),
-        phi_maxes=tuple(phi_maxes),
-        epochs=base.epochs,
-        seed=base.seed,
-        mechanisms=names,
-        engines=tuple(engines),
-        replicates=n_replicates,
-        replicate_seeds=(
-            tuple(replicate_seeds) if replicate_seeds is not None else None
-        ),
-        jobs=jobs,
-        transport=transport,
-        transport_options=dict(transport_options or {}),
-        with_predictions=False,
-    )
-    study = run_study(spec, base=base, executor=executor, progress=progress)
-    return study.agreements[spec.engines[1]]

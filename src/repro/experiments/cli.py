@@ -67,7 +67,7 @@ from ..analysis.findings import LINT_FORMATS
 from ..core.analysis import evaluate_schedulers, rush_hour_gain_surface
 from ..errors import ConfigurationError, ReproError
 from ..scenarios import available_scenarios
-from ..units import DAY
+from ..units import DAY, require_positive
 from .agreement import AGREEMENT_METRICS, AgreementResult
 from .engine import PAPER_ENGINES, available_engines
 from .registry import node_factories
@@ -79,7 +79,6 @@ from .reporting import (
 )
 from .scenario import PAPER_ZETA_TARGETS, paper_roadside_scenario
 from .spec import NetworkSection, StudySpec, run_study
-from .sweep import sweep_zeta_targets
 
 
 def _study_transport(spec: StudySpec):
@@ -658,15 +657,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Run the fast simulator over the grid and print Fig. 7/8 series."""
-    scenario = paper_roadside_scenario(
-        phi_max_divisor=args.budget_divisor, epochs=args.epochs, seed=args.seed
-    )
-    sweep = sweep_zeta_targets(
-        scenario,
-        args.targets,
-        n_replicates=args.replicates,
+    phi_max = DAY / require_positive("budget_divisor", args.budget_divisor)
+    spec = StudySpec(
+        name="simulate",
+        zeta_targets=tuple(args.targets),
+        phi_maxes=(phi_max,),
+        epochs=args.epochs,
+        seed=args.seed,
+        replicates=args.replicates,
         jobs=args.jobs,
     )
+    sweep = run_study(spec).grid().budget(phi_max)
     _print_budget_tables(args.targets, args.epochs, args.budget_divisor, sweep)
     return 0
 

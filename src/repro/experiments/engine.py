@@ -1,16 +1,6 @@
 """The unified :class:`Engine` protocol and named engine resolution.
 
-Before this module existed the repository had three divergent run entry
-points: :class:`~repro.experiments.runner.FastRunner` (construct, then
-``.run()``), :class:`~repro.experiments.micro.MicroRunner` (a second
-constructor shape), and :class:`~repro.network.runner.NetworkRunner`
-(its own fleet API).  Only the fast path could flow through the
-:class:`~repro.experiments.runner.RunSpec`/executor machinery, so the
-paper's equivalence claim — the fast contact-driven engine reproduces
-the cycle-accurate micro engine — could not be validated statistically
-on the replicated grid.
-
-Now every simulation backend is an **engine**: an object exposing
+Every simulation backend is an **engine**: an object exposing
 ``run(scenario, scheduler, *, trace=None, streams=None) -> RunResult``
 and registered under a name in :data:`engine_factories` (a
 :class:`~repro.experiments.registry.FactoryRegistry`).  The built-in
@@ -32,11 +22,10 @@ Because engines resolve **by name**, a :class:`RunSpec` carrying
 ``engine="micro"`` crosses a process boundary as a plain string and the
 worker re-resolves it on its side — exactly the contract the mechanism
 registry already established for scheduler factories.  This is what
-lets :func:`~repro.experiments.sweep.sweep_grid` grow an engine axis,
-:func:`~repro.experiments.agreement.agreement_grid` run replicated
-micro-vs-fast comparisons through the process pool, and a
-:class:`~repro.experiments.spec.StudySpec` list any number of engines
-(two or more pair automatically into per-cell delta CIs).
+lets a :class:`~repro.experiments.spec.StudySpec` list any number of
+engines — two or more pair automatically into per-cell delta CIs, so
+replicated micro-vs-fast comparisons run through the process pool like
+any other grid.
 """
 
 from __future__ import annotations
@@ -135,6 +124,3 @@ def available_engines() -> list:
         importlib.import_module(module)
     return engine_factories.names()
 
-
-#: Backwards-compatible alias (pre-lint name for the same derivation).
-engine_names = available_engines

@@ -13,14 +13,11 @@ the engine-agreement ablation, and the replicated agreement grid
 and the fast engine.
 
 :class:`MicroEngine` is the ``"micro"`` entry of the engine registry
-(:data:`repro.experiments.registry.engine_factories`) and the supported
-entry point; the historical constructor-shaped :class:`MicroRunner` is
-kept as a deprecated shim.
+(:data:`repro.experiments.registry.engine_factories`).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -190,46 +187,6 @@ class MicroEngine:
 
 
 engine_factories.register("micro", MicroEngine)
-
-
-class MicroRunner:
-    """Deprecated constructor-shaped entry point for the micro engine.
-
-    Kept so downstream scripts migrate loudly instead of breaking:
-    construction emits a :class:`DeprecationWarning` pointing at the
-    engine registry.  New code should resolve the engine by name::
-
-        from repro.experiments.engine import resolve_engine
-
-        result = resolve_engine("micro").run(scenario, scheduler)
-
-    (or call :class:`MicroEngine` directly), which is the shape that
-    flows through ``RunSpec``, the executors, and the agreement grid.
-    """
-
-    def __init__(
-        self,
-        scenario: Scenario,
-        scheduler: Scheduler,
-        *,
-        trace: Optional[ContactTrace] = None,
-    ) -> None:
-        warnings.warn(
-            "MicroRunner(scenario, scheduler).run() is deprecated; use the "
-            "engine registry instead: resolve_engine('micro').run(scenario, "
-            "scheduler, trace=...) — see repro.experiments.engine",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.scenario = scenario
-        self.scheduler = scheduler
-        self._trace_override = trace
-
-    def run(self) -> RunResult:
-        """Delegate to :class:`MicroEngine` (the supported path)."""
-        return MicroEngine().run(
-            self.scenario, self.scheduler, trace=self._trace_override
-        )
 
 
 # ----------------------------------------------------------------------

@@ -358,9 +358,7 @@ class ParallelExecutor:
 
     Usage::
 
-        grid = sweep_grid(
-            base, targets, phi_maxes, executor=ParallelExecutor(jobs=4)
-        )
+        study = run_study(spec, executor=ParallelExecutor(jobs=4))
 
     Determinism is inherited from the sharding contract (module
     docstring): because every shard is pure and results are reassembled

@@ -1,12 +1,8 @@
 """Declarative study specifications: one description for every experiment.
 
 The paper's evaluation is one object — a grid of mechanism × ζtarget ×
-Φmax × replicate under the §VII-A scenario — but the codebase used to
-describe it three different ways: :func:`~repro.experiments.sweep.sweep_grid`,
-:func:`~repro.experiments.agreement.agreement_grid`, and
-:class:`~repro.network.runner.NetworkRunner` each took overlapping
-keyword soups, and the CLI re-plumbed every axis per subcommand.  This
-module makes the study itself **data**:
+Φmax × replicate under the §VII-A scenario — so this module makes the
+study itself **data**:
 
 * :class:`StudySpec` — a frozen, picklable, JSON-round-trippable
   description of a whole study: scenario overrides (ζtargets, Φmax
@@ -17,15 +13,14 @@ module makes the study itself **data**:
   strings, exactly like the :class:`~repro.experiments.runner.RunSpec`
   layer underneath it.  Shipping a study to another machine is a file
   copy.
-* :func:`run_study` — the single entry point that subsumes
-  ``sweep_grid`` (one engine listed), ``agreement_grid`` (two or more
-  engines: per-cell deltas become paired automatically, replicate seeds
-  shared between engines), and per-node ``NetworkRunner`` fan-out (a
-  ``network`` section), streaming cells through the existing
-  :meth:`~repro.experiments.parallel.Executor.imap` contract.  The
-  historical functions remain as thin compatibility wrappers over this
-  one orchestration path, so every determinism guarantee (byte-identical
-  for jobs=1/N/shuffled) is inherited, not re-proven.
+* :func:`run_study` — the single entry point for every study: a grid
+  (one engine listed), a paired agreement grid (two or more engines:
+  per-cell deltas become paired automatically, replicate seeds shared
+  between engines), or per-node ``NetworkRunner`` fan-out (a
+  ``network`` section), streaming cells through the
+  :meth:`~repro.experiments.parallel.Executor.imap` contract, so every
+  determinism guarantee (byte-identical for jobs=1/N/shuffled) holds on
+  one orchestration path.
 * :class:`StudyResult` / :class:`StudyDocument` — the assembled rich
   results (per-engine :class:`~repro.experiments.sweep.GridResult`,
   paired :class:`~repro.experiments.agreement.AgreementResult` per
@@ -33,20 +28,21 @@ module makes the study itself **data**:
   and their serialized, re-loadable document form.
 
 CLI: ``repro-snip run --spec study.json [--set key=value]`` executes a
-spec file with dotted-path overrides; the legacy ``grid`` / ``agree`` /
-``network`` subcommands construct specs (``--emit-spec PATH`` prints the
-equivalent file for any invocation).
+spec file with dotted-path overrides; the ``simulate`` / ``grid`` /
+``agree`` / ``network`` subcommands construct specs (``--emit-spec
+PATH`` prints the equivalent file for ``grid``/``agree``/``network``).
 
-Sharding/seeding semantics are unchanged from
-:mod:`repro.experiments.parallel`: the study flattens Φmax outermost,
-then ζtarget, mechanism, replicate, and engine innermost, so a
-single-engine study is shard-for-shard identical to the historical
-``sweep_grid`` and a two-engine study to ``agreement_grid``.
+Sharding/seeding semantics are those of
+:mod:`repro.experiments.parallel`: the study flattens scenario
+outermost, then Φmax, ζtarget, mechanism, replicate, and engine
+innermost.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -64,10 +60,10 @@ from ..scenarios import DEFAULT_SCENARIO, ScenarioRef, materialize_scenario
 from ..units import DAY
 from .agreement import AgreementPoint, AgreementResult
 from .engine import resolve_engine
-from .parallel import Executor, ParallelExecutor
+from .parallel import Executor, replicate_seed
 from .registry import PAPER_MECHANISMS, mechanism_factories, node_factories
 from .transport import resolve_transport, validate_transport
-from .runner import RunSpec, SchedulerFactory
+from .runner import RunSpec
 from .scenario import PAPER_ZETA_TARGETS, Scenario, paper_roadside_scenario
 from .sweep import (
     GRID_EXPORT_COLUMNS,
@@ -77,7 +73,6 @@ from .sweep import (
     _assemble_sweep,
     _finite_or_none,
     _predictions_for,
-    _resolve_seeds,
     _stream_results,
 )
 
@@ -262,15 +257,17 @@ class StudySpec:
             )
         if not self.zeta_targets:
             raise ConfigurationError("zeta_targets must be non-empty")
-        if any(target <= 0 for target in self.zeta_targets):
+        if not all(math.isfinite(t) and t > 0 for t in self.zeta_targets):
             raise ConfigurationError(
-                f"zeta_targets must be positive, got {list(self.zeta_targets)}"
+                f"zeta_targets must be positive finite numbers, "
+                f"got {list(self.zeta_targets)}"
             )
         if not self.phi_maxes:
             raise ConfigurationError("phi_maxes must be non-empty")
-        if any(phi_max <= 0 for phi_max in self.phi_maxes):
+        if not all(math.isfinite(p) and p > 0 for p in self.phi_maxes):
             raise ConfigurationError(
-                f"phi_maxes must be positive, got {list(self.phi_maxes)}"
+                f"phi_maxes must be positive finite numbers, "
+                f"got {list(self.phi_maxes)}"
             )
         if len(set(self.phi_maxes)) != len(self.phi_maxes):
             raise ConfigurationError(
@@ -463,8 +460,28 @@ class StudySpec:
         return tuple(ref.label for ref in self.scenarios)
 
     def resolved_seeds(self) -> List[int]:
-        """The per-replicate scenario seeds this study will use."""
-        return _resolve_seeds(self.seed, self.replicates, self.replicate_seeds)
+        """The per-replicate scenario seeds this study will use.
+
+        Explicit seeds must be distinct: a repeated seed re-runs one
+        contact process, so paired delta CIs would collapse to ± 0 and
+        fake the replication the agreement gate requires.  The check
+        runs here — at load time via :meth:`from_dict` and before any
+        shard via :func:`run_study` — not at construction, so a spec can
+        still serve as a shape template (``total_runs``) before its
+        seeds are chosen.
+        """
+        if self.replicate_seeds is None:
+            return [replicate_seed(self.seed, r) for r in range(self.replicates)]
+        repeated = sorted(
+            seed
+            for seed, count in Counter(self.replicate_seeds).items()
+            if count > 1
+        )
+        if repeated:
+            raise ConfigurationError(
+                f"replicate_seeds must be distinct; repeated: {repeated}"
+            )
+        return list(self.replicate_seeds)
 
     def build_transport(self, *, with_cache: bool = True) -> Optional[Executor]:
         """The executor this spec's execution section describes.
@@ -620,6 +637,7 @@ class StudySpec:
             kwargs["network"] = NetworkSection(**dict(network))
         spec = cls(**kwargs)
         spec.validate_registry_names()
+        spec.resolved_seeds()  # repeated explicit seeds fail at load time
         return spec
 
     def validate_registry_names(self) -> None:
@@ -1000,27 +1018,22 @@ def run_study(
     *,
     executor: Optional[Executor] = None,
     progress: Optional[ProgressCallback] = None,
-    factories: Optional[Mapping[str, SchedulerFactory]] = None,
-    base: Optional[Scenario] = None,
 ) -> StudyResult:
     """Execute one :class:`StudySpec` end to end.
 
-    The single orchestration path behind
-    :func:`~repro.experiments.sweep.sweep_grid` (one engine),
-    :func:`~repro.experiments.agreement.agreement_grid` (two engines),
-    and the fleet demo (a ``network`` section): the study flattens into
-    pure :class:`~repro.experiments.runner.RunSpec` shards (scenario
+    The single orchestration path for every study: a grid (one engine),
+    a paired agreement grid (two or more engines), and the fleet demo (a
+    ``network`` section).  The study flattens into pure
+    :class:`~repro.experiments.runner.RunSpec` shards (scenario
     outermost, then Φmax, ζtarget, mechanism, replicate, engine
-    innermost — single-scenario studies are therefore shard-for-shard
-    identical to the historical flattening) on the seeding contract of
-    :mod:`repro.experiments.parallel`, streams
-    them through the executor's
-    :meth:`~repro.experiments.parallel.Executor.imap`, and reassembles
-    by shard index — byte-identical for any worker count or completion
-    order.  Replicate seeds are shared across engines, so multi-engine
-    studies are *paired*: per-cell candidate−baseline deltas (computed
-    automatically into ``result.agreements``) measure the engines, not
-    the traces.
+    innermost) on the seeding contract of
+    :mod:`repro.experiments.parallel`, streams them through the
+    executor's :meth:`~repro.experiments.parallel.Executor.imap`, and
+    reassembles by shard index — byte-identical for any worker count or
+    completion order.  Replicate seeds are shared across engines, so
+    multi-engine studies are *paired*: per-cell candidate−baseline
+    deltas (computed automatically into ``result.agreements``) measure
+    the engines, not the traces.
 
     Args:
         spec: the study description.  Registry names are resolved before
@@ -1040,18 +1053,6 @@ def run_study(
             once per completed run.  For network studies the observer
             instead receives ``(node_id, result, completed, total)``,
             one call per finished node.
-        factories: **in-process escape hatch** — mechanism name →
-            scheduler factory overriding registry resolution, for
-            callers holding factories that are not registered (closures,
-            test doubles).  Such a study is no longer serializable as
-            pure data; prefer registering by name.
-        base: **in-process escape hatch** — a full
-            :class:`~repro.experiments.scenario.Scenario` template
-            replacing the spec-derived paper scenario (its seed/epochs
-            win over the spec's), for callers sweeping custom scenarios.
-            Mutually exclusive with a non-default ``axes.scenarios``
-            (named scenarios *are* the serializable way to sweep custom
-            workloads); such a combination raises.
 
     Returns:
         A :class:`StudyResult` with one grid per engine, paired
@@ -1064,42 +1065,20 @@ def run_study(
         with _StudyExecutor(spec, executor) as resolved:
             return _run_network_study(spec, resolved, progress)
 
+    # Unknown names and repeated seeds fail fast, before any shard runs.
     for engine_name in spec.engines:
-        resolve_engine(engine_name)  # unknown engines fail fast, parent-side
-    if factories is not None:
-        factories = dict(factories)
-        unknown = [name for name in spec.mechanisms if name not in factories]
-        if unknown:
-            raise ConfigurationError(
-                f"spec mechanisms {unknown} missing from the factories override"
-            )
-    else:
-        for name in spec.mechanisms:
-            mechanism_factories.resolve(name)  # fail fast, parent-side
+        resolve_engine(engine_name)
+    for name in spec.mechanisms:
+        mechanism_factories.resolve(name)
+    seeds = spec.resolved_seeds()
 
-    # The scenario axis, outermost.  The `base=` escape hatch replaces
-    # the whole axis with one anonymous template (ref None, so its cells
-    # fall back to materialized-scenario cache fingerprints); otherwise
-    # every axis entry materializes through the registry with the
-    # spec's epochs/seed applied — for the default axis this equals
-    # spec.base_scenario() field-for-field, keeping legacy studies
-    # byte-identical.
-    if base is not None:
-        if not spec.has_default_scenarios:
-            raise ConfigurationError(
-                "the base= scenario override and a non-default "
-                "axes.scenarios are mutually exclusive; register the "
-                "custom workload as a named scenario instead"
-            )
-        templates: List[Tuple[Optional[ScenarioRef], Scenario]] = [(None, base)]
-        anchor_seed = base.seed
-    else:
-        templates = [
-            (ref, materialize_scenario(ref, epochs=spec.epochs, seed=spec.seed))
-            for ref in spec.scenarios
-        ]
-        anchor_seed = spec.seed
-    seeds = _resolve_seeds(anchor_seed, spec.replicates, spec.replicate_seeds)
+    # The scenario axis, outermost: every entry materializes through the
+    # registry with the spec's epochs/seed applied (for the default axis
+    # this equals spec.base_scenario() field-for-field).
+    templates = [
+        (ref, materialize_scenario(ref, epochs=spec.epochs, seed=spec.seed))
+        for ref in spec.scenarios
+    ]
     names = list(spec.mechanisms)
     engines = spec.engines
     targets = spec.zeta_targets
@@ -1119,11 +1098,6 @@ def run_study(
                                     scenario=seeded,
                                     mechanism=name,
                                     replicate=index,
-                                    factory=(
-                                        factories[name]
-                                        if factories is not None
-                                        else None
-                                    ),
                                     engine=engine_name,
                                     scenario_ref=ref,
                                 )
@@ -1135,12 +1109,11 @@ def run_study(
     # One GridResult per (scenario, engine): each scenario owns a
     # contiguous result block, inside which the shard list interleaves
     # engines innermost, so engine e's runs are block[e::n_engines] in
-    # exactly the historical sweep_grid flattening (Φmax, ζtarget,
-    # mechanism, replicate).  Single-scenario studies key grids by the
-    # engine name alone (the historical shape); multi-scenario studies
-    # key by "engine@label".  Closed-form predictions depend on the
-    # budget *and* the profile, so they are computed once per
-    # (scenario, Φmax) and shared across engines.
+    # (Φmax, ζtarget, mechanism, replicate) order.  Single-scenario
+    # studies key grids by the engine name alone (the historical shape);
+    # multi-scenario studies key by "engine@label".  Closed-form
+    # predictions depend on the budget *and* the profile, so they are
+    # computed once per (scenario, Φmax) and shared across engines.
     n_engines = len(engines)
     n_scenarios = len(templates)
     multi_scenario = n_scenarios > 1
@@ -1155,9 +1128,7 @@ def run_study(
         # Record the scenario label on results only when the axis is
         # explicit — the implicit paper workload stays untagged so
         # pre-axis artifacts remain byte-identical.
-        tag = None
-        if ref is not None and not spec.has_default_scenarios:
-            tag = ref.label
+        tag = None if spec.has_default_scenarios else ref.label
         predictions_by_budget: Dict[float, Mapping[str, list]] = {}
         for engine_index, engine_name in enumerate(engines):
             engine_results = scenario_results[engine_index::n_engines]

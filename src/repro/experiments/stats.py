@@ -102,8 +102,8 @@ def estimates_from_runs(
 
     Metric names resolve against :class:`RunResult` first and fall back
     to its :class:`~repro.experiments.metrics.RunMetrics`.  This is the
-    aggregation step shared by :func:`replicate` and the replicated
-    sweep path (:func:`repro.experiments.sweep.sweep_zeta_targets`).
+    aggregation step shared by :func:`replicate` and every replicated
+    study cell (:class:`repro.experiments.sweep.SweepPoint`).
     """
     if not runs:
         raise ConfigurationError("need at least one run")

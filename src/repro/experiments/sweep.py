@@ -1,31 +1,16 @@
-"""Parameter sweeps over scenarios and schedulers.
+"""Result types and assembly helpers for :func:`~repro.experiments.spec.run_study`.
 
-The paper's evaluation is a grid: mechanism x ζtarget x Φmax.  This
-module runs that grid on the fast simulator and pairs each simulated
-point with its closed-form prediction so benches can print both (the
-paper presents them as separate analysis and simulation figures).
-
-Two entry points share one sharded code path (both are thin
-compatibility wrappers over :func:`repro.experiments.spec.run_study`,
-the declarative study executor):
-
-* :func:`sweep_zeta_targets` — one Φmax budget, the historical API
-  (Figs. 5/7 or 6/8 individually);
-* :func:`sweep_grid` — the complete paper grid, flattening all four
-  axes (mechanism × ζtarget × Φmax × replicate) into
-  :class:`~repro.experiments.runner.RunSpec` shards; Figs. 5–8 are one
-  call with ``phi_maxes=(Tepoch/1000, Tepoch/100)``.
-
-Both accept ``n_replicates`` (or explicit ``replicate_seeds``) to run
-every cell across independent seeds and annotate each point with
-Student-t confidence intervals, and ``executor`` to scatter the shards
-over a process pool.  When the executor provides the streaming
-:meth:`~repro.experiments.parallel.Executor.imap` path, completed cells
-are reported through the ``progress`` callback as they finish, so a CLI
-or bench can render tables incrementally instead of blocking on the
-slowest cell — the assembled result is byte-identical either way
-because reassembly is by shard index, never completion order.  The full
-sharding/seeding contract is documented in
+The paper's evaluation is a grid: mechanism x ζtarget x Φmax.  A study
+(:class:`~repro.experiments.spec.StudySpec`) runs that grid and this
+module holds what it assembles: one :class:`SweepPoint` per cell,
+pairing the simulated replicates (with Student-t confidence intervals)
+with the cell's closed-form prediction; one :class:`SweepResult` per
+Φmax budget; and the whole-grid :class:`GridResult` with its JSON/CSV
+export.  The helpers here stream shards through an executor —
+reporting each completed cell through a :data:`ProgressCallback` —
+and fold the index-ordered results back into those types, so the
+assembled result is byte-identical for any worker count or completion
+order.  The sharding/seeding contract is documented in
 :mod:`repro.experiments.parallel`.
 """
 
@@ -38,23 +23,18 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, 
 
 from ..core.analysis import AnalysisPoint, evaluate_schedulers
 from ..errors import ConfigurationError
-from .engine import resolve_engine
-from .parallel import Executor, SerialExecutor, replicate_seed
+from .parallel import Executor, SerialExecutor
 from .reporting import format_csv
-from .runner import RunResult, RunSpec, SchedulerFactory, default_factories, execute_run_spec
+from .runner import RunResult, RunSpec, execute_run_spec
 from .scenario import Scenario
 from .stats import IntervalEstimate, estimates_from_runs
 
 __all__ = [
-    "SchedulerFactory",
-    "default_factories",
     "SweepPoint",
     "SweepResult",
     "GridResult",
     "GRID_EXPORT_COLUMNS",
     "ProgressCallback",
-    "sweep_zeta_targets",
-    "sweep_grid",
 ]
 
 #: Streaming observer: ``progress(spec, result, completed, total)`` is
@@ -302,27 +282,6 @@ class GridResult:
         )
 
 
-def _resolve_seeds(
-    base_seed: int,
-    n_replicates: int,
-    replicate_seeds: Optional[Sequence[int]],
-) -> List[int]:
-    """The per-replicate scenario seeds for a sweep."""
-    if replicate_seeds is not None:
-        seeds = [int(seed) for seed in replicate_seeds]
-        if not seeds:
-            raise ConfigurationError("replicate_seeds must be non-empty")
-        if n_replicates not in (1, len(seeds)):
-            raise ConfigurationError(
-                f"n_replicates={n_replicates} conflicts with "
-                f"{len(seeds)} explicit replicate_seeds"
-            )
-        return seeds
-    if n_replicates < 1:
-        raise ConfigurationError(f"n_replicates must be >= 1, got {n_replicates}")
-    return [replicate_seed(base_seed, r) for r in range(n_replicates)]
-
-
 def _stream_results(
     executor: Optional[Executor],
     specs: Sequence[RunSpec],
@@ -396,150 +355,3 @@ def _assemble_sweep(
                 )
             )
     return SweepResult(points=points, zeta_targets=zeta_targets)
-
-
-def sweep_grid(
-    base: Scenario,
-    zeta_targets: Sequence[float],
-    phi_maxes: Sequence[float],
-    *,
-    factories: Optional[Mapping[str, SchedulerFactory]] = None,
-    with_predictions: bool = True,
-    n_replicates: int = 1,
-    replicate_seeds: Optional[Sequence[int]] = None,
-    executor: Optional[Executor] = None,
-    progress: Optional[ProgressCallback] = None,
-    engine: str = "fast",
-    transport: Optional[str] = None,
-    transport_options: Optional[Mapping[str, object]] = None,
-    jobs: int = 1,
-) -> GridResult:
-    """Run the full mechanism × ζtarget × Φmax × replicate paper grid.
-
-    All four axes are flattened up front into pure
-    :class:`~repro.experiments.runner.RunSpec` shards (Φmax outermost,
-    then ζtarget, mechanism, replicate) on the seeding contract of
-    :mod:`repro.experiments.parallel`: every (mechanism, ζtarget, Φmax)
-    cell of replicate *r* shares ``replicate_seed(base.seed, r)``, so
-    mechanisms *and budgets* are compared on identical contact
-    processes, and the assembled grid is byte-identical for any worker
-    count or execution order.
-
-    Args:
-        base: the scenario template; its seed anchors replicate 0 and
-            its own ``phi_max`` is ignored in favour of *phi_maxes*.
-        zeta_targets: the ζtarget sweep values.
-        phi_maxes: the Φmax budgets, in seconds (the paper uses
-            ``Tepoch/1000`` and ``Tepoch/100``).  Must be distinct.
-        factories: mechanism name → scheduler factory (default: the
-            paper's three registry mechanisms).  Custom factories are
-            carried inside each shard; prefer registry-named factories
-            (:mod:`repro.experiments.registry`) — unpicklable closures
-            degrade execution to serial with a
-            :class:`~repro.experiments.parallel.ParallelFallbackWarning`.
-        with_predictions: pair each simulated point with its closed-form
-            prediction where one exists (computed per budget).
-        n_replicates: seed replicates per cell (replicate 0 is
-            ``base.seed`` itself).
-        replicate_seeds: explicit per-replicate seeds overriding the
-            derivation.
-        progress: optional streaming observer; see
-            :data:`ProgressCallback`.
-        executor: shard mapper; default
-            :class:`~repro.experiments.parallel.SerialExecutor`.  An
-            explicit executor wins over *transport*.
-        transport: execution backend by transport-registry name
-            (``"serial"``, ``"pool"``, ``"file-queue"``, ...); resolved
-            with *jobs* and *transport_options* by
-            :func:`~repro.experiments.spec.run_study` exactly like a
-            study file's execution section.  Default: derived from
-            *jobs* (``"pool"`` above 1, else ``"serial"``).
-        transport_options: strict per-transport options dict (e.g. the
-            file queue's ``queue_dir``); unknown keys fail fast.
-        jobs: worker processes when resolving by name (ignored when
-            *executor* is given).
-        engine: simulation backend for every cell, an engine-registry
-            name (``"fast"`` — the default and the historical,
-            byte-identical behaviour — or ``"micro"``; see
-            :mod:`repro.experiments.engine`).  The name rides each
-            :class:`~repro.experiments.runner.RunSpec` across process
-            boundaries; unknown names fail fast here, before any shard
-            runs.  For a paired two-engine comparison use
-            :func:`repro.experiments.agreement.agreement_grid`.
-
-    Returns:
-        A :class:`GridResult` holding one :class:`SweepResult` per
-        budget, in *phi_maxes* order.
-    """
-    # Thin builder over the declarative study layer: describe the grid
-    # as a StudySpec (every axis is data; custom factories ride as the
-    # documented in-process escape hatch) and run it through the single
-    # orchestration path.  `base` overrides the spec-derived scenario so
-    # arbitrary Scenario templates keep working byte-identically.
-    from .spec import StudySpec, run_study
-
-    resolve_engine(engine)  # unknown engines fail fast, parent-side
-    factories = dict(factories) if factories is not None else None
-    names = tuple(factories) if factories is not None else tuple(default_factories())
-    spec = StudySpec(
-        name="sweep-grid",
-        zeta_targets=tuple(zeta_targets),
-        phi_maxes=tuple(phi_maxes),
-        epochs=base.epochs,
-        seed=base.seed,
-        mechanisms=names,
-        engines=(engine,),
-        replicates=n_replicates,
-        replicate_seeds=(
-            tuple(replicate_seeds) if replicate_seeds is not None else None
-        ),
-        jobs=jobs,
-        transport=transport,
-        transport_options=dict(transport_options or {}),
-        with_predictions=with_predictions,
-    )
-    study = run_study(
-        spec, base=base, executor=executor, progress=progress, factories=factories
-    )
-    return study.grid(engine)
-
-
-def sweep_zeta_targets(
-    base: Scenario,
-    zeta_targets: Sequence[float],
-    *,
-    factories: Optional[Mapping[str, SchedulerFactory]] = None,
-    with_predictions: bool = True,
-    n_replicates: int = 1,
-    replicate_seeds: Optional[Sequence[int]] = None,
-    executor: Optional[Executor] = None,
-    progress: Optional[ProgressCallback] = None,
-    engine: str = "fast",
-    transport: Optional[str] = None,
-    transport_options: Optional[Mapping[str, object]] = None,
-    jobs: int = 1,
-) -> SweepResult:
-    """Run the mechanism x ζtarget grid at the scenario's own Φmax.
-
-    The single-budget slice of :func:`sweep_grid` (which see for the
-    argument semantics and the sharding/seeding contract): exactly
-    ``sweep_grid(base, zeta_targets, [base.phi_max], ...)`` followed by
-    selecting that budget, so the historical API and the full paper
-    grid exercise one sharded code path.
-    """
-    grid = sweep_grid(
-        base,
-        zeta_targets,
-        [base.phi_max],
-        factories=factories,
-        with_predictions=with_predictions,
-        n_replicates=n_replicates,
-        replicate_seeds=replicate_seeds,
-        executor=executor,
-        progress=progress,
-        engine=engine,
-        transport=transport,
-        transport_options=transport_options,
-        jobs=jobs,
-    )
-    return grid.budget(base.phi_max)

@@ -101,8 +101,6 @@ from .registry import transport_factories
 __all__ = [
     "BUILTIN_TRANSPORTS",
     "FileQueueTransport",
-    "PoolTransport",
-    "SerialTransport",
     "Transport",
     "release_claimed_ticket",
     "resolve_transport",
@@ -113,14 +111,6 @@ __all__ = [
 
 #: The built-in transport names, cheapest first.
 BUILTIN_TRANSPORTS = ("serial", "pool", "file-queue")
-
-#: The classes behind ``"serial"`` and ``"pool"`` under their transport
-#: names.  The implementations live in (and keep their historical names
-#: in) :mod:`repro.experiments.parallel` — ``SerialExecutor`` and
-#: ``ParallelExecutor`` are the same objects, byte-identical behaviour
-#: included — these aliases are the registry-era spelling.
-SerialTransport = SerialExecutor
-PoolTransport = ParallelExecutor
 
 #: Config keys every transport factory accepts (fed from a StudySpec's
 #: execution section); anything beyond these is a per-transport option.
@@ -246,8 +236,7 @@ def resolve_transport(
     ``transport_options`` dict, validated strictly against the
     factory's signature before construction.  This is the single
     resolution path behind :func:`~repro.experiments.spec.run_study`,
-    the legacy sweep/agreement wrappers, ``NetworkRunner``, and the
-    CLI.
+    ``NetworkRunner``, and the CLI.
     """
     validate_transport(name, options)
     factory = transport_factories.resolve(name)

@@ -49,7 +49,6 @@ __all__ = [
     "available_scenarios",
     "materialize_scenario",
     "resolve_scenario",
-    "scenario_names",
 ]
 
 #: The scenario every pre-existing spec implicitly ran: omitting
@@ -168,9 +167,6 @@ def available_scenarios() -> List[str]:
 
     return scenario_factories.names()
 
-
-#: Alias matching the ``engine_names`` idiom.
-scenario_names = available_scenarios
 
 
 def materialize_scenario(

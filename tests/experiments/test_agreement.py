@@ -1,7 +1,7 @@
 """Unit tests for the replicated two-engine agreement grid.
 
-The contract under test: `agreement_grid` flattens mechanism × ζtarget
-× Φmax × replicate × engine into pure RunSpec shards on the standard
+The contract under test: a two-engine `run_study` flattens mechanism ×
+ζtarget × Φmax × replicate × engine into pure RunSpec shards on the standard
 sharding/seeding contract — paired engines share each replicate's seed,
 reassembly is by shard index, and the assembled result is byte-identical
 for any worker count or execution order.
@@ -16,10 +16,9 @@ from repro.errors import ConfigurationError
 from repro.experiments.agreement import (
     AGREEMENT_EXPORT_COLUMNS,
     AGREEMENT_METRICS,
-    agreement_grid,
 )
 from repro.experiments.parallel import ParallelExecutor, SerialExecutor
-from repro.experiments.scenario import paper_roadside_scenario
+from repro.experiments.spec import StudySpec, run_study
 from repro.units import DAY
 
 TARGETS = (16.0,)
@@ -48,22 +47,34 @@ class ShuffledExecutor:
             yield index, fn(items[index])
 
 
-@pytest.fixture(scope="module")
-def base_scenario():
-    return paper_roadside_scenario(phi_max_divisor=100, epochs=1, seed=11)
-
-
-@pytest.fixture(scope="module")
-def reference(base_scenario):
-    """The serial agreement grid every execution variant must match."""
-    return agreement_grid(
-        base_scenario,
-        TARGETS,
-        PHI_MAXES,
+def agreement_spec(**overrides) -> StudySpec:
+    """A paired fast-vs-micro study (1 epoch, seed 11, no predictions)."""
+    kwargs = dict(
+        zeta_targets=TARGETS,
+        phi_maxes=PHI_MAXES,
+        epochs=1,
+        seed=11,
         mechanisms=MECHANISMS,
-        n_replicates=2,
-        executor=SerialExecutor(),
+        engines=("fast", "micro"),
+        replicates=2,
+        with_predictions=False,
     )
+    kwargs.update(overrides)
+    return StudySpec(**kwargs)
+
+
+def run_agreement(executor=None, progress=None, **overrides):
+    """Run :func:`agreement_spec` and return its micro-vs-fast result."""
+    study = run_study(
+        agreement_spec(**overrides), executor=executor, progress=progress
+    )
+    return study.agreement
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """The serial agreement grid every execution variant must match."""
+    return run_agreement(SerialExecutor())
 
 
 def delta_series(result):
@@ -75,28 +86,14 @@ def delta_series(result):
 
 
 class TestDeterminism:
-    def test_pool_matches_serial(self, base_scenario, reference):
+    def test_pool_matches_serial(self, reference):
         pool = ParallelExecutor(jobs=2)
-        via_pool = agreement_grid(
-            base_scenario,
-            TARGETS,
-            PHI_MAXES,
-            mechanisms=MECHANISMS,
-            n_replicates=2,
-            executor=pool,
-        )
+        via_pool = run_agreement(pool)
         assert pool.last_map_parallel, "agreement grid fell back to serial"
         assert delta_series(via_pool) == delta_series(reference)
 
-    def test_shuffled_matches_serial(self, base_scenario, reference):
-        shuffled = agreement_grid(
-            base_scenario,
-            TARGETS,
-            PHI_MAXES,
-            mechanisms=MECHANISMS,
-            n_replicates=2,
-            executor=ShuffledExecutor(),
-        )
+    def test_shuffled_matches_serial(self, reference):
+        shuffled = run_agreement(ShuffledExecutor())
         assert delta_series(shuffled) == delta_series(reference)
 
 
@@ -159,52 +156,51 @@ class TestEstimates:
 
 
 class TestStreaming:
-    def test_progress_sees_both_engines_every_cell(self, base_scenario):
+    def test_progress_sees_both_engines_every_cell(self):
         seen = []
 
         def observe(spec, result, completed, total):
             seen.append((spec.engine, spec.mechanism, spec.replicate))
 
-        agreement_grid(
-            base_scenario,
-            TARGETS,
-            PHI_MAXES,
-            mechanisms=("SNIP-AT",),
-            n_replicates=2,
-            progress=observe,
-        )
+        run_agreement(progress=observe, mechanisms=("SNIP-AT",))
         assert len(seen) == 4  # 1 cell x 2 replicates x 2 engines
         assert {engine for engine, _m, _r in seen} == {"fast", "micro"}
 
 
 class TestValidation:
-    def test_identical_engines_rejected(self, base_scenario):
+    def test_identical_engines_rejected(self):
         with pytest.raises(ConfigurationError, match="distinct"):
-            agreement_grid(
-                base_scenario, TARGETS, PHI_MAXES, engines=("fast", "fast")
-            )
+            agreement_spec(engines=("fast", "fast"))
 
-    def test_unknown_engine_rejected_before_any_run(self, base_scenario):
+    def test_unknown_engine_rejected_before_any_run(self):
+        calls = []
+
+        class CountingExecutor:
+            """Records every mapped shard (none must arrive)."""
+
+            def map(self, fn, items):
+                calls.extend(items)
+                return [fn(item) for item in items]
+
         with pytest.raises(ConfigurationError, match="warp"):
-            agreement_grid(
-                base_scenario, TARGETS, PHI_MAXES, engines=("fast", "warp")
-            )
+            run_agreement(CountingExecutor(), engines=("fast", "warp"))
+        assert calls == []
 
-    def test_empty_budgets_rejected(self, base_scenario):
+    def test_empty_budgets_rejected(self):
         with pytest.raises(ConfigurationError):
-            agreement_grid(base_scenario, TARGETS, [])
+            agreement_spec(phi_maxes=())
 
-    def test_empty_targets_rejected(self, base_scenario):
+    def test_empty_targets_rejected(self):
         with pytest.raises(ConfigurationError, match="zeta_targets"):
-            agreement_grid(base_scenario, (), PHI_MAXES)
+            agreement_spec(zeta_targets=())
 
     def test_bad_side_rejected(self, reference):
         with pytest.raises(ConfigurationError, match="side"):
             reference.points[0].engine_mean("sideways", "mean_zeta")
 
-    def test_empty_mechanisms_rejected(self, base_scenario):
+    def test_empty_mechanisms_rejected(self):
         with pytest.raises(ConfigurationError):
-            agreement_grid(base_scenario, TARGETS, PHI_MAXES, mechanisms=())
+            agreement_spec(mechanisms=())
 
 
 class TestSerialization:

@@ -14,7 +14,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.engine import (
     PAPER_ENGINES,
-    engine_names,
+    available_engines,
     resolve_engine,
 )
 from repro.experiments.micro import MicroEngine
@@ -22,7 +22,7 @@ from repro.experiments.parallel import ParallelExecutor, ParallelFallbackWarning
 from repro.experiments.registry import engine_factories, mechanism_factories
 from repro.experiments.runner import FastEngine, FastRunner, RunSpec, execute_run_spec
 from repro.experiments.scenario import paper_roadside_scenario
-from repro.experiments.sweep import sweep_grid
+from repro.experiments.spec import StudySpec, run_study
 from repro.units import DAY
 
 
@@ -38,10 +38,24 @@ def at_scheduler(scenario):
     return mechanism_factories.resolve("SNIP-AT")(scenario)
 
 
+def tiny_study(**overrides) -> StudySpec:
+    """The SNIP-AT cell of :func:`tiny_scenario` as a one-cell study."""
+    kwargs = dict(
+        zeta_targets=(16.0,),
+        phi_maxes=(DAY / 100.0,),
+        epochs=1,
+        seed=3,
+        mechanisms=("SNIP-AT",),
+        with_predictions=False,
+    )
+    kwargs.update(overrides)
+    return StudySpec(**kwargs)
+
+
 class TestRegistry:
     def test_paper_engines_registered(self):
         for name in PAPER_ENGINES:
-            assert name in engine_names()
+            assert name in available_engines()
 
     def test_resolve_returns_protocol_shaped_instances(self):
         for name in PAPER_ENGINES:
@@ -141,26 +155,15 @@ class TestWorkerSideResolution:
                 return [fn(item) for item in items]
 
         with pytest.raises(ConfigurationError, match="sloth"):
-            sweep_grid(
-                tiny_scenario(),
-                (16.0,),
-                (DAY / 100.0,),
-                engine="sloth",
-                executor=CountingExecutor(),
+            run_study(
+                tiny_study(engines=("sloth",)), executor=CountingExecutor()
             )
         assert calls == []
 
 
 class TestSweepGridEngineAxis:
     def test_grid_runs_on_micro_engine(self):
-        grid = sweep_grid(
-            tiny_scenario(),
-            (16.0,),
-            (DAY / 100.0,),
-            factories={"SNIP-AT": at_scheduler},
-            with_predictions=False,
-            engine="micro",
-        )
+        grid = run_study(tiny_study(engines=("micro",))).grid()
         assert grid.engine == "micro"
         point = grid.budget(DAY / 100.0).points["SNIP-AT"][0]
         direct = MicroEngine().run(
@@ -169,11 +172,5 @@ class TestSweepGridEngineAxis:
         assert point.zeta == direct.mean_zeta
 
     def test_default_engine_recorded_on_result(self):
-        grid = sweep_grid(
-            tiny_scenario(),
-            (16.0,),
-            (DAY / 100.0,),
-            factories={"SNIP-AT": at_scheduler},
-            with_predictions=False,
-        )
+        grid = run_study(tiny_study()).grid()
         assert grid.engine == "fast"

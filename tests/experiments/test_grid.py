@@ -1,10 +1,10 @@
 """Full-grid determinism: the Φmax axis joins the sharding contract.
 
-``sweep_grid`` flattens mechanism × ζtarget × Φmax × replicate into one
+``run_study`` flattens mechanism × ζtarget × Φmax × replicate into one
 shard list.  The contract under test: the assembled grid is
 byte-identical for jobs=1, jobs=4, and an adversarially shuffled
 execution order — for *every* Φmax budget — and each budget's slice is
-byte-identical to running ``sweep_zeta_targets`` for that budget alone.
+byte-identical to a study of that budget alone.
 Streaming progress must observe every cell exactly once without
 perturbing the result.
 """
@@ -18,12 +18,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.parallel import ParallelExecutor, SerialExecutor
-from repro.experiments.scenario import paper_roadside_scenario
-from repro.experiments.sweep import (
-    GRID_EXPORT_COLUMNS,
-    sweep_grid,
-    sweep_zeta_targets,
-)
+from repro.experiments.spec import StudySpec, run_study
+from repro.experiments.sweep import GRID_EXPORT_COLUMNS
 from repro.units import DAY
 
 TARGETS = (16.0, 48.0)
@@ -56,21 +52,25 @@ class ShuffledStreamingExecutor:
             yield index, fn(items[index])
 
 
-@pytest.fixture(scope="module")
-def base_scenario():
-    return paper_roadside_scenario(phi_max_divisor=1000, epochs=2, seed=9)
+def grid_spec(**overrides) -> StudySpec:
+    """The two-budget grid every test here runs (epochs 2, seed 9)."""
+    kwargs = dict(zeta_targets=TARGETS, phi_maxes=PHI_MAXES, epochs=2, seed=9)
+    kwargs.update(overrides)
+    return StudySpec(**kwargs)
 
 
-@pytest.fixture(scope="module")
-def reference_grid(base_scenario):
-    """The serial (jobs=1) replicated grid every variant must match."""
-    return sweep_grid(
-        base_scenario,
-        TARGETS,
-        PHI_MAXES,
-        n_replicates=2,
-        executor=SerialExecutor(),
+def run_grid(executor=None, progress=None, **overrides):
+    """Run :func:`grid_spec` and return its (single-engine) grid."""
+    study = run_study(
+        grid_spec(**overrides), executor=executor, progress=progress
     )
+    return study.grid()
+
+
+@pytest.fixture(scope="module")
+def reference_grid():
+    """The serial (jobs=1) replicated grid every variant must match."""
+    return run_grid(SerialExecutor(), replicates=2)
 
 
 def assert_identical_grids(grid, reference):
@@ -85,32 +85,22 @@ def assert_identical_grids(grid, reference):
 
 
 class TestGridDeterminism:
-    def test_four_workers_match_serial(self, base_scenario, reference_grid):
+    def test_four_workers_match_serial(self, reference_grid):
         pool = ParallelExecutor(jobs=4)
-        grid = sweep_grid(
-            base_scenario, TARGETS, PHI_MAXES, n_replicates=2, executor=pool
-        )
+        grid = run_grid(pool, replicates=2)
         assert pool.last_map_parallel, "grid silently fell back to serial"
         assert_identical_grids(grid, reference_grid)
 
-    def test_shuffled_execution_matches_serial(self, base_scenario, reference_grid):
-        grid = sweep_grid(
-            base_scenario,
-            TARGETS,
-            PHI_MAXES,
-            n_replicates=2,
-            executor=ShuffledStreamingExecutor(),
-        )
+    def test_shuffled_execution_matches_serial(self, reference_grid):
+        grid = run_grid(ShuffledStreamingExecutor(), replicates=2)
         assert_identical_grids(grid, reference_grid)
 
-    def test_budget_slices_match_standalone_sweeps(
-        self, base_scenario, reference_grid
-    ):
+    def test_budget_slices_match_standalone_sweeps(self, reference_grid):
         # The Φmax axis must not perturb per-budget seeding: each slice
-        # equals the historical single-budget sweep bit-for-bit.
+        # equals a single-budget study bit-for-bit.
         for phi_max in PHI_MAXES:
-            standalone = sweep_zeta_targets(
-                base_scenario.with_budget(phi_max), TARGETS, n_replicates=2
+            standalone = run_grid(phi_maxes=(phi_max,), replicates=2).budget(
+                phi_max
             )
             sliced = reference_grid.budget(phi_max)
             for metric in METRICS:
@@ -125,20 +115,13 @@ class TestGridDeterminism:
 
 
 class TestGridStreaming:
-    def test_progress_sees_every_cell_once(self, base_scenario, reference_grid):
+    def test_progress_sees_every_cell_once(self, reference_grid):
         seen = []
 
         def observe(spec, result, completed, total):
             seen.append((spec, result, completed, total))
 
-        grid = sweep_grid(
-            base_scenario,
-            TARGETS,
-            PHI_MAXES,
-            n_replicates=2,
-            executor=SerialExecutor(),
-            progress=observe,
-        )
+        grid = run_grid(SerialExecutor(), observe, replicates=2)
         total = len(PHI_MAXES) * len(TARGETS) * 3 * 2
         assert len(seen) == total
         assert [entry[2] for entry in seen] == list(range(1, total + 1))
@@ -147,20 +130,14 @@ class TestGridStreaming:
         assert observed_budgets == set(PHI_MAXES)
         assert_identical_grids(grid, reference_grid)
 
-    def test_progress_streams_from_pool(self, base_scenario):
+    def test_progress_streams_from_pool(self):
         completed_counts = []
 
         def observe(spec, result, completed, total):
             completed_counts.append(completed)
 
         pool = ParallelExecutor(jobs=2)
-        sweep_grid(
-            base_scenario,
-            (16.0,),
-            PHI_MAXES,
-            executor=pool,
-            progress=observe,
-        )
+        run_grid(pool, observe, zeta_targets=(16.0,))
         assert pool.last_map_parallel
         assert completed_counts == list(range(1, len(PHI_MAXES) * 3 + 1))
 
@@ -180,13 +157,13 @@ class TestGridResultShape:
         with pytest.raises(ConfigurationError):
             reference_grid.budget(123.456)
 
-    def test_empty_phi_maxes_rejected(self, base_scenario):
+    def test_empty_phi_maxes_rejected(self):
         with pytest.raises(ConfigurationError):
-            sweep_grid(base_scenario, TARGETS, [])
+            grid_spec(phi_maxes=())
 
-    def test_duplicate_phi_maxes_rejected(self, base_scenario):
+    def test_duplicate_phi_maxes_rejected(self):
         with pytest.raises(ConfigurationError):
-            sweep_grid(base_scenario, TARGETS, [DAY / 100, DAY / 100])
+            grid_spec(phi_maxes=(DAY / 100, DAY / 100))
 
 
 class TestGridSerialization:
@@ -214,10 +191,10 @@ class TestGridSerialization:
             assert cell["zeta"] == pytest.approx(point.zeta)
             assert cell["phi"] == pytest.approx(point.phi)
 
-    def test_json_is_strict_for_single_replicate(self, base_scenario):
+    def test_json_is_strict_for_single_replicate(self):
         # 1 replicate => infinite CI half-widths, which strict JSON
         # cannot carry; they must serialize as null, not Infinity.
-        grid = sweep_grid(base_scenario, (16.0,), (DAY / 100.0,))
+        grid = run_grid(zeta_targets=(16.0,), phi_maxes=(DAY / 100.0,))
         document = json.loads(grid.to_json())
         cell = document["cells"][0]
         assert cell["zeta_low"] is None and cell["zeta_high"] is None

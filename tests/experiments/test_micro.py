@@ -5,7 +5,7 @@ import pytest
 from repro.core.schedulers.at import SnipAtScheduler
 from repro.core.schedulers.rh import SnipRhScheduler
 from repro.core.snip_model import upsilon
-from repro.experiments.micro import MicroEngine, MicroRunner, measure_upsilon
+from repro.experiments.micro import MicroEngine, measure_upsilon
 from repro.experiments.scenario import paper_roadside_scenario
 from repro.radio.duty_cycle import DutyCycleConfig
 
@@ -48,30 +48,6 @@ class TestMicroEngine:
         # AT runs all day at d; Phi over the epoch is d * Tepoch.
         expected = scheduler.duty_cycle * 86400.0
         assert result.mean_phi == pytest.approx(expected, rel=0.02)
-
-
-class TestDeprecatedMicroRunner:
-    """Satellite bugfix: the old constructor path warns but still works."""
-
-    def make_scheduler(self, scenario):
-        return SnipAtScheduler(
-            scenario.profile, scenario.model,
-            zeta_target=scenario.zeta_target, phi_max=scenario.phi_max,
-        )
-
-    def test_constructor_emits_deprecation_pointing_at_registry(self):
-        scenario = short_scenario()
-        with pytest.deprecated_call(match="engine registry"):
-            MicroRunner(scenario, self.make_scheduler(scenario))
-
-    def test_deprecated_path_matches_engine(self):
-        scenario = short_scenario()
-        with pytest.deprecated_call():
-            legacy = MicroRunner(scenario, self.make_scheduler(scenario)).run()
-        modern = MicroEngine().run(scenario, self.make_scheduler(scenario))
-        assert legacy.mean_zeta == modern.mean_zeta
-        assert legacy.mean_phi == modern.mean_phi
-        assert legacy.metrics.total_probed == modern.metrics.total_probed
 
 
 class TestMeasureUpsilon:

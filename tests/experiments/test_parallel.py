@@ -26,12 +26,29 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.runner import RunSpec, default_factories, execute_run_spec
 from repro.experiments.scenario import paper_roadside_scenario
-from repro.experiments.sweep import sweep_zeta_targets
+from repro.experiments.spec import StudySpec, run_study
 from repro.mobility.contact import Contact, ContactTrace
 from repro.network.runner import NetworkRunner
+from repro.units import DAY
 
 TARGETS = (16.0, 48.0)
+PHI_MAX = DAY / 100
 METRICS = ("zeta", "phi", "rho")
+
+
+def sweep_spec(**overrides) -> StudySpec:
+    """The one-budget sweep every test here runs (epochs 2, seed 9)."""
+    kwargs = dict(
+        zeta_targets=TARGETS, phi_maxes=(PHI_MAX,), epochs=2, seed=9
+    )
+    kwargs.update(overrides)
+    return StudySpec(**kwargs)
+
+
+def run_sweep(executor=None, **overrides):
+    """Run :func:`sweep_spec` and return its single budget's sweep."""
+    study = run_study(sweep_spec(**overrides), executor=executor)
+    return study.grid().budget(PHI_MAX)
 
 
 class ShuffledExecutor:
@@ -68,11 +85,9 @@ def base_scenario():
 
 
 @pytest.fixture(scope="module")
-def reference_sweep(base_scenario):
+def reference_sweep():
     """The serial (jobs=1) replicated sweep every variant must match."""
-    return sweep_zeta_targets(
-        base_scenario, TARGETS, n_replicates=2, executor=SerialExecutor()
-    )
+    return run_sweep(SerialExecutor(), replicates=2)
 
 
 def assert_identical_series(sweep, reference):
@@ -82,32 +97,21 @@ def assert_identical_series(sweep, reference):
 
 
 class TestSweepDeterminism:
-    def test_default_executor_matches_serial(self, base_scenario, reference_sweep):
-        sweep = sweep_zeta_targets(base_scenario, TARGETS, n_replicates=2)
+    def test_default_executor_matches_serial(self, reference_sweep):
+        sweep = run_sweep(replicates=2)
         assert_identical_series(sweep, reference_sweep)
 
-    def test_four_workers_match_serial(self, base_scenario, reference_sweep):
-        sweep = sweep_zeta_targets(
-            base_scenario,
-            TARGETS,
-            n_replicates=2,
-            executor=ParallelExecutor(jobs=4),
-        )
+    def test_four_workers_match_serial(self, reference_sweep):
+        sweep = run_sweep(ParallelExecutor(jobs=4), replicates=2)
         assert_identical_series(sweep, reference_sweep)
 
-    def test_shuffled_shard_order_matches_serial(
-        self, base_scenario, reference_sweep
-    ):
-        sweep = sweep_zeta_targets(
-            base_scenario, TARGETS, n_replicates=2, executor=ShuffledExecutor()
-        )
+    def test_shuffled_shard_order_matches_serial(self, reference_sweep):
+        sweep = run_sweep(ShuffledExecutor(), replicates=2)
         assert_identical_series(sweep, reference_sweep)
 
-    def test_single_replicate_reproduces_legacy_sweep(self, base_scenario):
-        legacy = sweep_zeta_targets(base_scenario, TARGETS)
-        replicated = sweep_zeta_targets(
-            base_scenario, TARGETS, n_replicates=1, executor=ParallelExecutor(jobs=2)
-        )
+    def test_single_replicate_reproduces_legacy_sweep(self):
+        legacy = run_sweep()
+        replicated = run_sweep(ParallelExecutor(jobs=2), replicates=1)
         assert_identical_series(replicated, legacy)
 
     def test_replicated_points_carry_intervals(self, reference_sweep):
@@ -120,37 +124,49 @@ class TestSweepDeterminism:
         assert interval.low <= point.zeta <= interval.high
         assert reference_sweep.n_replicates == 2
 
-    def test_explicit_replicate_seeds(self, base_scenario):
-        explicit = sweep_zeta_targets(
-            base_scenario, TARGETS, replicate_seeds=(9, 21)
-        )
+    def test_explicit_replicate_seeds(self):
+        explicit = run_sweep(replicate_seeds=(9, 21))
         assert explicit.n_replicates == 2
         # Replicate 0 with seed 9 is exactly the legacy single run.
-        legacy = sweep_zeta_targets(base_scenario, TARGETS)
+        legacy = run_sweep()
         for mechanism, column in explicit.points.items():
             for target_index, point in enumerate(column):
                 legacy_point = legacy.points[mechanism][target_index]
                 assert point.replicates[0].mean_zeta == legacy_point.zeta
 
-    def test_unpicklable_factory_falls_back_serially(self, base_scenario):
+    def test_unpicklable_factory_falls_back_serially(
+        self, base_scenario, reference_sweep
+    ):
         bound = {"count": 0}
 
         def counting_rh(scenario):  # closes over `bound`: not picklable
             bound["count"] += 1
             return default_factories()["SNIP-RH"](scenario)
 
-        with pytest.warns(ParallelFallbackWarning, match="not picklable"):
-            sweep = sweep_zeta_targets(
-                base_scenario,
-                TARGETS,
-                factories={"SNIP-RH": counting_rh},
-                n_replicates=2,
-                executor=ParallelExecutor(jobs=4),
+        seeds = sweep_spec(replicates=2).resolved_seeds()
+        specs = [
+            RunSpec(
+                scenario=base_scenario.with_target(target).with_seed(seed),
+                mechanism="SNIP-RH",
+                replicate=index,
+                factory=counting_rh,
             )
+            for target in TARGETS
+            for index, seed in enumerate(seeds)
+        ]
+        pool = ParallelExecutor(jobs=4)
+        with pytest.warns(ParallelFallbackWarning, match="not picklable"):
+            results = pool.map(execute_run_spec, specs)
         # Ran in-process (the closure observed every cell) and still
-        # produced the full grid.
+        # produced every cell, equal to the registry-resolved study.
+        assert not pool.last_map_parallel
         assert bound["count"] == len(TARGETS) * 2
-        assert set(sweep.points) == {"SNIP-RH"}
+        expected = [
+            run.mean_zeta
+            for point in reference_sweep.points["SNIP-RH"]
+            for run in point.replicates
+        ]
+        assert [result.mean_zeta for result in results] == expected
 
 
 class TestExecutors:
@@ -308,12 +324,9 @@ class TestBatching:
         explicit = ParallelExecutor(jobs=2, batch_size=5)
         assert explicit._effective_batch_size(3) == 5
 
-    def test_batched_sweep_is_byte_identical(self, base_scenario, reference_sweep):
-        sweep = sweep_zeta_targets(
-            base_scenario,
-            TARGETS,
-            n_replicates=2,
-            executor=ParallelExecutor(jobs=2, batch_size="auto"),
+    def test_batched_sweep_is_byte_identical(self, reference_sweep):
+        sweep = run_sweep(
+            ParallelExecutor(jobs=2, batch_size="auto"), replicates=2
         )
         assert_identical_series(sweep, reference_sweep)
 
@@ -377,8 +390,6 @@ class TestReplicateSeeds:
         with pytest.raises(ConfigurationError):
             replicate_seed(1, -1)
 
-    def test_conflicting_replicate_arguments_rejected(self, base_scenario):
+    def test_conflicting_replicate_arguments_rejected(self):
         with pytest.raises(ConfigurationError):
-            sweep_zeta_targets(
-                base_scenario, TARGETS, n_replicates=3, replicate_seeds=(1, 2)
-            )
+            sweep_spec(replicates=3, replicate_seeds=(1, 2))

@@ -248,11 +248,6 @@ class TestRunStudy:
         }
         assert len({json.dumps(v) for v in cells.values()}) > 1
 
-    def test_base_escape_hatch_excludes_the_axis(self):
-        spec = small_spec(scenarios=("diurnal", "flash-crowd"))
-        with pytest.raises(ConfigurationError, match="base"):
-            run_study(spec, base=paper_roadside_scenario(epochs=1))
-
     def test_agreements_are_keyed_per_scenario(self):
         study = run_study(
             small_spec(

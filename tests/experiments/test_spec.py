@@ -4,8 +4,8 @@ The contract under test: a study is pure serializable data —
 ``from_dict(to_dict(s)) == s``, JSON files are byte-stable, bad keys
 and bad registry names fail loudly at load time — and ``run_study`` is
 the single orchestration path: byte-identical across jobs=1/4/shuffled,
-reproducing ``sweep_grid`` exactly with one engine listed and
-``agreement_grid``'s paired deltas with two.
+and every cell equal to its directly executed shard — one engine listed
+or two (paired on shared replicate seeds).
 """
 
 from __future__ import annotations
@@ -16,13 +16,13 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.agreement import agreement_grid
 from repro.experiments.parallel import (
     ParallelExecutor,
     ParallelFallbackWarning,
     SerialExecutor,
 )
-from repro.experiments.registry import PAPER_MECHANISMS
+from repro.experiments.registry import PAPER_MECHANISMS, mechanism_factories
+from repro.experiments.runner import RunSpec, execute_run_spec
 from repro.experiments.scenario import paper_roadside_scenario
 from repro.experiments.spec import (
     NetworkSection,
@@ -30,7 +30,6 @@ from repro.experiments.spec import (
     StudySpec,
     run_study,
 )
-from repro.experiments.sweep import sweep_grid
 from repro.units import DAY
 
 METRICS = ("zeta", "phi", "rho")
@@ -170,6 +169,36 @@ class TestStrictValidation:
         with pytest.raises(ConfigurationError, match="conflicts"):
             small_spec(replicates=3, replicate_seeds=(1, 2))
 
+    def test_duplicate_replicate_seeds(self):
+        # A repeated seed re-runs one contact process: paired delta CIs
+        # would collapse to ± 0 and fake the replication the gate needs.
+        calls = []
+
+        class CountingExecutor:
+            def map(self, fn, items):
+                calls.extend(items)
+                return [fn(item) for item in items]
+
+        spec = small_spec(engines=("fast", "micro"), replicate_seeds=(5, 5))
+        with pytest.raises(ConfigurationError, match=r"repeated: \[5\]"):
+            run_study(spec, executor=CountingExecutor())
+        assert calls == []
+        with pytest.raises(ConfigurationError, match=r"repeated: \[3, 7\]"):
+            StudySpec.from_dict(
+                {"axes": {"replicate_seeds": [7, 3, 7, 1, 3]}}
+            )
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_targets_and_budgets(self, bad):
+        value = float(bad)
+        with pytest.raises(ConfigurationError, match="zeta_targets"):
+            small_spec(zeta_targets=(16.0, value))
+        with pytest.raises(ConfigurationError, match="phi_maxes"):
+            small_spec(phi_maxes=(value,))
+        # NaN never equals itself, so it must not slip past distinctness.
+        with pytest.raises(ConfigurationError, match="phi_maxes"):
+            StudySpec.from_dict({"scenario": {"phi_maxes": [value, value]}})
+
     def test_bad_batch_size(self):
         with pytest.raises(ConfigurationError, match="batch_size"):
             small_spec(batch_size="huge")
@@ -251,21 +280,32 @@ class TestRunStudyDeterminism:
         assert pooled.grid().cell_rows() == reference_study.grid().cell_rows()
 
 
+def direct_run(spec, phi_max, target, mechanism, seed, engine="fast"):
+    """One cell executed as a bare shard on the paper scenario."""
+    base = paper_roadside_scenario(epochs=spec.epochs, seed=spec.seed)
+    scenario = base.with_budget(phi_max).with_target(target).with_seed(seed)
+    return execute_run_spec(
+        RunSpec(scenario=scenario, mechanism=mechanism, engine=engine)
+    )
+
+
 class TestRunStudySubsumesLegacyApis:
     def test_single_engine_study_reproduces_sweep_grid(self, reference_study):
+        # Every cell is its directly executed shard: the paper scenario
+        # at the cell's Φmax/ζtarget, seeded per replicate.
         spec = small_spec()
-        base = paper_roadside_scenario(epochs=spec.epochs, seed=spec.seed)
-        legacy = sweep_grid(
-            base, spec.zeta_targets, spec.phi_maxes, n_replicates=spec.replicates
-        )
         study_grid = reference_study.grid()
         for phi_max in spec.phi_maxes:
-            for metric in METRICS:
-                assert (
-                    study_grid.budget(phi_max).series(metric)
-                    == legacy.budget(phi_max).series(metric)
-                )
-        assert study_grid.cell_rows() == legacy.cell_rows()
+            for mechanism, column in study_grid.budget(phi_max).points.items():
+                for point in column:
+                    observed = [run.mean_zeta for run in point.replicates]
+                    expected = [
+                        direct_run(
+                            spec, phi_max, point.zeta_target, mechanism, seed
+                        ).mean_zeta
+                        for seed in spec.resolved_seeds()
+                    ]
+                    assert observed == expected
 
     def test_two_engine_study_reproduces_agreement_grid(self):
         spec = StudySpec(
@@ -280,16 +320,19 @@ class TestRunStudySubsumesLegacyApis:
             with_predictions=False,
         )
         study = run_study(spec)
-        base = paper_roadside_scenario(epochs=1, seed=11)
-        legacy = agreement_grid(
-            base,
-            spec.zeta_targets,
-            spec.phi_maxes,
-            mechanisms=spec.mechanisms,
-            n_replicates=2,
-        )
         assert study.agreement is not None
-        assert study.agreement.cell_rows() == legacy.cell_rows()
+        seeds = spec.resolved_seeds()
+        for point in study.agreement:
+            for side, engine in (("baseline", "fast"), ("candidate", "micro")):
+                observed = [run.mean_zeta for run in getattr(point, side)]
+                expected = [
+                    direct_run(
+                        spec, point.phi_max, point.zeta_target,
+                        point.mechanism, seed, engine,
+                    ).mean_zeta
+                    for seed in seeds
+                ]
+                assert observed == expected, (point.mechanism, side)
         # And the same study also carries one grid per engine.
         assert set(study.grids) == {"fast", "micro"}
 
@@ -397,23 +440,29 @@ class TestStudyResultSerialization:
 
 class TestFallbackLabelling:
     def test_fallback_warning_names_the_study(self):
-        def closure_factory(scenario):  # unpicklable on purpose
-            from repro.experiments.runner import default_factories
+        # The study labels an unlabelled executor for the whole run...
+        executor = ParallelExecutor(jobs=2)
+        labels = []
+        run_study(
+            small_spec(name="my-labelled-study"),
+            executor=executor,
+            progress=lambda *_: labels.append(executor.label),
+        )
+        assert set(labels) == {"my-labelled-study"}
 
-            return default_factories()["SNIP-RH"](scenario)
+        # ...and a labelled executor names it in any fallback warning.
+        bound = {"factory": mechanism_factories.resolve("SNIP-RH")}
 
-        bound = {"tag": closure_factory}  # force a closure cell below
+        def unpicklable(scenario):  # a closure: cannot cross the pool
+            return bound["factory"](scenario)
 
-        def unpicklable(scenario):
-            return bound["tag"](scenario)
-
-        spec = small_spec(name="my-labelled-study", mechanisms=("custom",))
+        scenario = paper_roadside_scenario(epochs=1, seed=9)
+        shards = [
+            RunSpec(scenario=scenario, mechanism="custom", factory=unpicklable)
+        ] * 2
+        executor.label = "my-labelled-study"
         with pytest.warns(ParallelFallbackWarning, match="my-labelled-study"):
-            run_study(
-                spec,
-                executor=ParallelExecutor(jobs=2),
-                factories={"custom": unpicklable},
-            )
+            executor.map(execute_run_spec, shards)
 
     def test_explicit_label_wins(self):
         executor = ParallelExecutor(jobs=2, label="hand-named")

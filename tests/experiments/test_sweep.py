@@ -1,17 +1,25 @@
-"""Unit tests for the sweep harness."""
+"""Unit tests for the sweep result types a single-budget study assembles."""
 
 import pytest
 
-from repro.experiments.scenario import paper_roadside_scenario
-from repro.experiments.sweep import default_factories, sweep_zeta_targets
+from repro.experiments.spec import StudySpec, run_study
+from repro.units import DAY
+
+PHI_MAX = DAY / 100
+
+
+def run_sweep(**overrides):
+    """One Φmax = Tepoch/100 budget of a small seed-6 study."""
+    kwargs = dict(
+        zeta_targets=(16.0, 48.0), phi_maxes=(PHI_MAX,), epochs=2, seed=6
+    )
+    kwargs.update(overrides)
+    return run_study(StudySpec(**kwargs)).grid().budget(PHI_MAX)
 
 
 @pytest.fixture(scope="module")
 def small_sweep():
-    base = paper_roadside_scenario(
-        phi_max_divisor=100, epochs=2, seed=6
-    )
-    return sweep_zeta_targets(base, (16.0, 48.0))
+    return run_sweep()
 
 
 class TestSweep:
@@ -35,12 +43,11 @@ class TestSweep:
         assert predicted["SNIP-RH"][0] == pytest.approx(16.0, rel=1e-3)
 
     def test_custom_factory_subset(self):
-        base = paper_roadside_scenario(phi_max_divisor=100, epochs=1, seed=6)
-        factories = {"SNIP-AT": default_factories()["SNIP-AT"]}
-        sweep = sweep_zeta_targets(base, (16.0,), factories=factories)
+        sweep = run_sweep(
+            zeta_targets=(16.0,), epochs=1, mechanisms=("SNIP-AT",)
+        )
         assert set(sweep.points) == {"SNIP-AT"}
 
     def test_without_predictions(self):
-        base = paper_roadside_scenario(phi_max_divisor=100, epochs=1, seed=6)
-        sweep = sweep_zeta_targets(base, (16.0,), with_predictions=False)
+        sweep = run_sweep(zeta_targets=(16.0,), epochs=1, with_predictions=False)
         assert sweep.points["SNIP-RH"][0].predicted is None

@@ -35,7 +35,7 @@ from repro.experiments.parallel import (
     ParallelFallbackWarning,
     SerialExecutor,
 )
-from repro.experiments.registry import transport_factories
+from repro.experiments.registry import mechanism_factories, transport_factories
 from repro.experiments.runner import RunSpec, execute_run_spec
 from repro.experiments.scenario import paper_roadside_scenario
 from repro.experiments.spec import StudySpec, run_study
@@ -474,15 +474,16 @@ class TestStudyExecutorLabelRestore:
 
     def test_pool_label_restored_after_shard_error(self):
         executor = ParallelExecutor(jobs=2)
-        spec = tiny_study()
-        # Bypass validation to make a worker-side failure mid-flight.
-        object.__setattr__(spec, "mechanisms", ("SNIP-NOPE",))
-        with pytest.raises(ConfigurationError, match="SNIP-NOPE"):
-            run_study(
-                spec,
-                executor=executor,
-                factories={"SNIP-NOPE": _raise_factory},
-            )
+        # A registered mechanism whose factory fails inside every worker:
+        # the study passes parent-side validation, then fails mid-flight.
+        mechanism_factories.register("SNIP-NOPE", _raise_factory)
+        try:
+            with pytest.raises(ConfigurationError, match="SNIP-NOPE"):
+                run_study(
+                    tiny_study(mechanisms=("SNIP-NOPE",)), executor=executor
+                )
+        finally:
+            mechanism_factories.unregister("SNIP-NOPE")
         assert executor.label is None
 
     def test_file_queue_gets_labelled_too(self):

@@ -26,7 +26,7 @@ import pytest
 
 from repro.core.snip_model import SnipModel
 from repro.errors import ConfigurationError
-from repro.experiments.engine import engine_names, resolve_engine
+from repro.experiments.engine import available_engines, resolve_engine
 from repro.experiments.parallel import ParallelExecutor, SerialExecutor
 from repro.experiments.registry import mechanism_factories
 from repro.experiments.runner import (
@@ -88,7 +88,7 @@ def study_bytes(study) -> bytes:
 
 class TestRegistry:
     def test_vector_engine_registered(self):
-        assert "vector" in engine_names()
+        assert "vector" in available_engines()
 
     def test_resolves_to_fresh_vector_engine_instances(self):
         first = resolve_engine("vector")

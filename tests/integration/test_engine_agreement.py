@@ -10,10 +10,10 @@ import pytest
 
 from repro.core.schedulers.at import SnipAtScheduler
 from repro.core.schedulers.rh import SnipRhScheduler
-from repro.experiments.agreement import agreement_grid
 from repro.experiments.engine import resolve_engine
 from repro.experiments.runner import generate_trace
 from repro.experiments.scenario import paper_roadside_scenario
+from repro.experiments.spec import StudySpec, run_study
 from repro.units import DAY
 
 fast_engine = resolve_engine("fast")
@@ -100,16 +100,17 @@ class TestGoldenAgreementGrid:
 
     @pytest.fixture(scope="class")
     def agreement(self):
-        base = paper_roadside_scenario(
-            phi_max_divisor=100, zeta_target=24.0, epochs=1, seed=5
-        )
-        return agreement_grid(
-            base,
-            (24.0,),
-            (DAY / 100.0,),
+        spec = StudySpec(
+            zeta_targets=(24.0,),
+            phi_maxes=(DAY / 100.0,),
+            epochs=1,
+            seed=5,
             mechanisms=("SNIP-AT", "SNIP-OPT"),
-            n_replicates=2,
+            engines=("fast", "micro"),
+            replicates=2,
+            with_predictions=False,
         )
+        return run_study(spec).agreement
 
     def test_probed_contact_deltas_within_tolerance(self, agreement):
         """Per-epoch probed-contact counts agree to a few contacts."""

@@ -1,6 +1,6 @@
 """Golden regression: the paper-default sweep at seed 0 is pinned.
 
-These values were captured from the serial ``sweep_zeta_targets``
+These values were captured from the serial single-budget sweep
 implementation that predates the parallel orchestration layer (one
 ``FastRunner`` per cell, one shared scenario seed).  The rewrite must
 preserve them bit-for-bit — for the historical serial path and for the
@@ -15,8 +15,9 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.parallel import ParallelExecutor
-from repro.experiments.scenario import PAPER_ZETA_TARGETS, paper_roadside_scenario
-from repro.experiments.sweep import sweep_zeta_targets
+from repro.experiments.scenario import PAPER_ZETA_TARGETS
+from repro.experiments.spec import StudySpec, run_study
+from repro.units import DAY
 
 #: Captured from the pre-parallel implementation: paper scenario,
 #: Φmax = Tepoch/1000, 14 epochs, seed 0, the paper's six ζtargets.
@@ -51,8 +52,19 @@ GOLDEN = {
 }
 
 
-def paper_default_scenario():
-    return paper_roadside_scenario(phi_max_divisor=1000, epochs=14, seed=0)
+PHI_MAX = DAY / 1000
+
+
+def paper_default_sweep(executor=None, **overrides):
+    """The paper scenario's Φmax = Tepoch/1000 sweep, 14 epochs, seed 0."""
+    spec = StudySpec(
+        zeta_targets=PAPER_ZETA_TARGETS,
+        phi_maxes=(PHI_MAX,),
+        epochs=14,
+        seed=0,
+        **overrides,
+    )
+    return run_study(spec, executor=executor).grid().budget(PHI_MAX)
 
 
 def assert_matches_golden(sweep):
@@ -64,14 +76,11 @@ def assert_matches_golden(sweep):
 
 
 def test_serial_sweep_matches_golden():
-    sweep = sweep_zeta_targets(paper_default_scenario(), PAPER_ZETA_TARGETS)
-    assert_matches_golden(sweep)
+    assert_matches_golden(paper_default_sweep())
 
 
 def test_vector_sweep_matches_golden_exactly():
-    sweep = sweep_zeta_targets(
-        paper_default_scenario(), PAPER_ZETA_TARGETS, engine="vector"
-    )
+    sweep = paper_default_sweep(engines=("vector",))
     for (mechanism, metric), golden in GOLDEN.items():
         assert sweep.series(metric)[mechanism] == golden, (
             f"vector {mechanism} {metric} differs from the pinned seed-0 series"
@@ -79,9 +88,4 @@ def test_vector_sweep_matches_golden_exactly():
 
 
 def test_parallel_sweep_matches_golden():
-    sweep = sweep_zeta_targets(
-        paper_default_scenario(),
-        PAPER_ZETA_TARGETS,
-        executor=ParallelExecutor(jobs=2),
-    )
-    assert_matches_golden(sweep)
+    assert_matches_golden(paper_default_sweep(ParallelExecutor(jobs=2)))

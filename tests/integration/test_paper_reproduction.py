@@ -12,7 +12,7 @@ from repro.experiments.scenario import (
     PAPER_ZETA_TARGETS,
     paper_roadside_scenario,
 )
-from repro.experiments.sweep import sweep_zeta_targets
+from repro.experiments.spec import StudySpec, run_study
 from repro.units import DAY
 
 
@@ -99,8 +99,13 @@ class TestFig6LooseBudget:
 @pytest.fixture(scope="module")
 def simulated_sweep():
     """A 4-epoch simulated sweep (short but enough for shape checks)."""
-    base = paper_roadside_scenario(phi_max_divisor=100, epochs=4, seed=13)
-    return sweep_zeta_targets(base, (16.0, 32.0, 56.0))
+    spec = StudySpec(
+        zeta_targets=(16.0, 32.0, 56.0),
+        phi_maxes=(DAY / 100,),
+        epochs=4,
+        seed=13,
+    )
+    return run_study(spec).grid().budget(DAY / 100)
 
 
 class TestFig8Simulation:

@@ -87,6 +87,19 @@ class TestValidationAndErrors:
         assert excinfo.value.payload["type"] == "ConfigurationError"
         assert "bogus_key" in excinfo.value.payload["message"]
 
+    @pytest.mark.parametrize("field", ["zeta_targets", "phi_maxes"])
+    def test_non_finite_value_is_400_and_never_queued(self, client, field):
+        # The client's json.dumps writes NaN/Infinity literals, which the
+        # server's json.loads accepts: the spec itself must refuse them.
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit({"name": "bad", "scenario": {field: [bad]}})
+            assert excinfo.value.status == 400
+            assert excinfo.value.payload["type"] == "ConfigurationError"
+            assert field in excinfo.value.payload["message"]
+        assert client.list_studies() == []
+        assert client.healthz()["queue_depth"] == 0
+
     def test_non_object_body_is_400(self, client):
         with pytest.raises(ServiceError) as excinfo:
             client._request("POST", "/studies", body=None)
