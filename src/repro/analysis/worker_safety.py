@@ -35,7 +35,7 @@ from .rules import (
 #: workers by the transports).
 PICKLED_CONSTRUCTORS = frozenset({"RunSpec", "NamedFactory"})
 
-#: Executor methods whose function argument crosses the pool boundary.
+#: Transport methods whose function argument crosses the pool boundary.
 PICKLED_DISPATCH_METHODS = frozenset({"map", "imap", "submit"})
 
 

@@ -40,7 +40,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
 import time
 import warnings
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -48,6 +47,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from ..errors import ConfigurationError
 from ..experiments.metrics import EpochMetrics, RunMetrics
 from ..experiments.runner import RunResult, RunSpec
+from ..experiments.transport import _atomic_write
 from .keys import CACHE_SCHEMA_VERSION
 
 __all__ = [
@@ -164,32 +164,6 @@ def _payload_checksum(payload: Dict[str, Any]) -> str:
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    """Write *text* to *path* via a same-directory temp file + rename.
-
-    ``os.replace`` is atomic within one filesystem, so readers — and
-    concurrent writers racing on the same entry — only ever observe a
-    complete file or no file, never a torn write.
-    """
-    directory = os.path.dirname(path) or "."
-    descriptor, temp_path = tempfile.mkstemp(
-        dir=directory, prefix=".cache-", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(temp_path, path)
-    # lint: allow[broad-except] -- cleanup-and-reraise: the temp file
-    # must be removed even on KeyboardInterrupt, then the raise
-    # propagates the original failure untouched
-    except BaseException:
-        try:
-            os.unlink(temp_path)
-        except OSError:
-            pass
-        raise
-
-
 class CellCache:
     """A content-addressed, crash-safe store of cell outcomes.
 
@@ -238,17 +212,19 @@ class CellCache:
             os.makedirs(self._cells_dir, exist_ok=True)
             meta_path = os.path.join(self.root, "meta.json")
             if not os.path.exists(meta_path):
-                _atomic_write_text(
+                _atomic_write(
                     meta_path,
-                    json.dumps(
-                        {
-                            "format": CACHE_FORMAT,
-                            "schema_version": CACHE_SCHEMA_VERSION,
-                        },
-                        indent=2,
-                        sort_keys=True,
-                    )
-                    + "\n",
+                    (
+                        json.dumps(
+                            {
+                                "format": CACHE_FORMAT,
+                                "schema_version": CACHE_SCHEMA_VERSION,
+                            },
+                            indent=2,
+                            sort_keys=True,
+                        )
+                        + "\n"
+                    ).encode("utf-8"),
                 )
             if max_bytes is not None or max_age_days is not None:
                 self.gc(max_bytes=max_bytes, max_age_days=max_age_days)
@@ -303,9 +279,11 @@ class CellCache:
             "payload": payload,
             "checksum": _payload_checksum(payload),
         }
-        _atomic_write_text(
+        _atomic_write(
             self._entry_path(key),
-            json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n",
+            (
+                json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n"
+            ).encode("utf-8"),
         )
 
     def invalidate(self, key: str) -> None:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
-from ..experiments.parallel import SerialExecutor
+from ..experiments.parallel import SerialExecutor, Transport
 from ..experiments.runner import RunSpec, execute_run_spec
 from .keys import cache_key
 from .store import CellCache, decode_result, encode_result, validate_cache_options
@@ -43,19 +43,19 @@ from .store import CellCache, decode_result, encode_result, validate_cache_optio
 __all__ = ["CachedTransport", "wrap_with_cache"]
 
 
-class CachedTransport:
+class CachedTransport(Transport):
     """A transport decorator memoizing cell outcomes in a :class:`CellCache`.
 
-    Implements the full streaming transport contract (``map``/``imap``
-    with index reassembly) and forwards the attributes the study layer
+    A :class:`~repro.experiments.parallel.Transport` itself (``imap``
+    with index reassembly) that forwards the attributes the study layer
     reads — ``transport_name``, ``label``, ``last_map_parallel``,
     ``jobs`` — to the wrapped transport, so wrapping is invisible to
-    everything except wall-clock time.  After each ``map``/``imap``,
+    everything except wall-clock time.  After each ``imap``,
     :attr:`last_hits` / :attr:`last_computed` report the partition.
     """
 
     def __init__(self, inner: Any, cache: CellCache) -> None:
-        """Wrap transport *inner* (any Executor) with *cache*."""
+        """Wrap transport *inner* with *cache*."""
         self.inner = inner
         self.cache = cache
         #: Cells served from the cache by the most recent map/imap.
@@ -93,14 +93,6 @@ class CachedTransport:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def map(self, fn: Callable, items: Sequence) -> List:
-        """Apply *fn* to every item; results align with input order."""
-        items = list(items)
-        results: List[Any] = [None] * len(items)
-        for index, result in self.imap(fn, items):
-            results[index] = result
-        return results
-
     def imap(self, fn: Callable, items: Sequence) -> Iterator[Tuple[int, Any]]:
         """Yield ``(index, result)`` pairs: hits first, then computed misses.
 
@@ -116,7 +108,7 @@ class CachedTransport:
         self.last_hits = 0
         self.last_computed = 0
         if fn is not execute_run_spec:
-            yield from self._inner_imap(fn, items)
+            yield from self.inner.imap(fn, items)
             return
         misses: List[Tuple[int, Any, Optional[str]]] = []
         for index, item in enumerate(items):
@@ -139,7 +131,9 @@ class CachedTransport:
 
         self.inner.outcome_sink = sink
         try:
-            pairs = self._inner_imap(execute_run_spec, [item for _, item, _ in misses])
+            pairs = self.inner.imap(
+                execute_run_spec, [item for _, item, _ in misses]
+            )
             for position, value in pairs:
                 index, _, key = misses[position]
                 if key is not None:
@@ -170,14 +164,6 @@ class CachedTransport:
         except (KeyError, TypeError, ValueError):
             self.cache.invalidate(key)
             return None
-
-    def _inner_imap(self, fn: Callable, items: Sequence) -> Iterator[Tuple[int, Any]]:
-        """The inner transport's stream, via ``imap`` or blocking ``map``."""
-        imap = getattr(self.inner, "imap", None)
-        if imap is not None:
-            yield from imap(fn, items)
-        else:
-            yield from enumerate(self.inner.map(fn, items))
 
     def __repr__(self) -> str:
         return f"CachedTransport({self.inner!r}, {self.cache!r})"

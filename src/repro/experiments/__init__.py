@@ -22,11 +22,11 @@
 * :mod:`~repro.experiments.agreement` — paired per-cell deltas of
   multi-engine studies, which make the engine-equivalence claim
   statistical;
-* :mod:`~repro.experiments.parallel` — deterministic process-pool
-  orchestration of grid shards, blocking or streaming, with optional
-  shard batching;
-* :mod:`~repro.experiments.transport` — the pluggable
-  :class:`~repro.experiments.transport.Transport` protocol and named
+* :mod:`~repro.experiments.parallel` — the
+  :class:`~repro.experiments.parallel.Transport` base class and
+  deterministic process-pool orchestration of grid shards, with
+  optional shard batching;
+* :mod:`~repro.experiments.transport` — named
   execution backends (``"serial"``, ``"pool"``, ``"file-queue"``),
   including the directory-backed multi-host work queue;
 * :mod:`~repro.experiments.worker` — the ``python -m repro worker``
@@ -68,12 +68,10 @@ from .agreement import (
     AgreementResult,
 )
 from .parallel import (
-    Executor,
     ParallelExecutor,
     ParallelFallbackWarning,
     SerialExecutor,
     ShardError,
-    StreamingExecutor,
     cell_seed,
     replicate_seed,
 )
@@ -121,12 +119,10 @@ __all__ = [
     "AGREEMENT_METRICS",
     "AgreementPoint",
     "AgreementResult",
-    "Executor",
     "ParallelExecutor",
     "ParallelFallbackWarning",
     "SerialExecutor",
     "ShardError",
-    "StreamingExecutor",
     "BUILTIN_TRANSPORTS",
     "FileQueueTransport",
     "Transport",

@@ -81,17 +81,6 @@ from .scenario import PAPER_ZETA_TARGETS, paper_roadside_scenario
 from .spec import NetworkSection, StudySpec, run_study
 
 
-def _study_transport(spec: StudySpec):
-    """The executor a spec's execution section names (None = in-process).
-
-    Thin alias over :meth:`~repro.experiments.spec.StudySpec.build_transport`
-    (the single derivation `run_study` itself uses); the CLI only needs
-    the instance back for :func:`_report_pool`, and None — the plain
-    serial derivation — is its signal to stay quiet.
-    """
-    return spec.build_transport()
-
-
 def _positive_int(text: str) -> int:
     """argparse type for flags that must be >= 1 (--jobs, --replicates)."""
     value = int(text)
@@ -897,7 +886,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     # `run` honours the spec's whole execution section: the transport
     # name (explicit or derived from jobs), batch size, and options all
     # resolve through the registry.
-    executor = _study_transport(spec)
+    executor = spec.build_transport()
     if spec.is_network:
         # Fleets default to quiet; --progress opts into per-node lines.
         show_progress = args.progress
@@ -984,7 +973,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     )
     if args.emit_spec:
         return _emit_spec(spec, args.emit_spec)
-    executor = _study_transport(spec)
+    executor = spec.build_transport()
     progress = None if args.no_progress else _cell_progress(show_engine=False)
     study = run_study(spec, executor=executor, progress=progress)
     grid = study.grid()
@@ -1026,7 +1015,7 @@ def cmd_agree(args: argparse.Namespace) -> int:
     )
     if args.emit_spec:
         return _emit_spec(spec, args.emit_spec)
-    executor = _study_transport(spec)
+    executor = spec.build_transport()
     progress = None if args.no_progress else _cell_progress(show_engine=True)
     study = run_study(spec, executor=executor, progress=progress)
     agreement = study.agreements[spec.engines[1]]
@@ -1112,7 +1101,7 @@ def cmd_network(args: argparse.Namespace) -> int:
     )
     if args.emit_spec:
         return _emit_spec(spec, args.emit_spec)
-    executor = _study_transport(spec)
+    executor = spec.build_transport()
     study = run_study(spec, executor=executor)
     _print_network_tables(spec, study.network)
     _report_pool("per-node", args.jobs, executor)

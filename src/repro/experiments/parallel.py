@@ -31,51 +31,55 @@ rules make the grid safe to scatter:
    generation never consumes Φmax, so sharing a seed across budgets is
    sound — the budget only changes how the trace is probed.)
 3. **Results are reassembled by shard index, not completion order.**
-   The blocking path (:meth:`Executor.map`) returns results aligned
-   with input order; the streaming path (:meth:`Executor.imap`) yields
-   ``(shard index, result)`` pairs as shards complete, and consumers
-   slot each result into its index before aggregating.  Either way,
-   aggregation never observes scheduling nondeterminism — a table can
-   render incrementally while the assembled grid stays byte-identical.
+   Every transport implements one method, :meth:`Transport.imap`,
+   which yields ``(shard index, result)`` pairs as shards complete;
+   consumers slot each result into its index before aggregating, and
+   :meth:`Transport.map` — defined once, on the base class — is the
+   input-aligned blocking view of the same stream.  Aggregation never
+   observes scheduling nondeterminism — a table can render
+   incrementally while the assembled grid stays byte-identical.
 
 Together these rules give the determinism property the test suite pins
 (`tests/experiments/test_parallel.py`, `tests/experiments/test_grid.py`):
 ``jobs=1``, ``jobs=4``, and an adversarially shuffled execution order
 all produce byte-identical series for every Φmax budget.
 
-Executors
-=========
+Transports
+==========
 
-:class:`SerialExecutor` runs shards in-process (the default everywhere,
-and the reference semantics).  :class:`ParallelExecutor` fans shards
-out to a :class:`concurrent.futures.ProcessPoolExecutor` and
-distinguishes two failure classes:
+:class:`Transport` is the base class of every backend.
+:class:`SerialExecutor` runs shards in-process, lazily, one shard per
+pair pulled (the default everywhere, and the reference semantics).
+Backends that ship shards out of process — :class:`ParallelExecutor`
+here, ``FileQueueTransport`` in :mod:`repro.experiments.transport` —
+share one fallback shell that distinguishes two failure classes:
 
 * **Worker-side shard errors** — the shard function itself raised (a
   buggy scheduler factory, a configuration error inside a cell) —
   propagate to the caller exactly once, immediately.  Completed shards
   are never re-executed: re-running a deterministic failure serially
   would double the wall-clock only to raise the same exception again.
-* **Transport/pool failures** — the pool could not start, a worker
-  process died, a spec or result would not pickle — degrade to the
-  in-process path with a :class:`ParallelFallbackWarning` naming the
-  cause, so ``--jobs 8`` users are never unknowingly running serial.
-  Cells are pure, so only the shards that had not yet completed are
-  re-run, and the assembled answer is identical.
+* **Transport failures** — the pool could not start, a worker process
+  died, a spec or result would not pickle, the queue directory is
+  unwritable — degrade to the in-process path with a
+  :class:`ParallelFallbackWarning` naming the cause, so ``--jobs 8``
+  users are never unknowingly running serial.  Cells are pure, so only
+  the shards not yet yielded are re-run, and the assembled answer is
+  identical.
 
 When per-shard work is tiny (closed-form cells, 1-epoch micro runs),
-per-task pickling dominates the fan-out; ``ParallelExecutor(jobs=...,
-batch_size="auto")`` groups consecutive shards into one pool task to
-amortize it.  Batching changes only the transport granularity — results
-are still reassembled by original shard index, so the assembled answer
-stays byte-identical for any batch size.
+per-task pickling dominates the fan-out; ``batch_size="auto"`` groups
+consecutive shards into one task to amortize it.  Batching changes only
+the transport granularity — results are still reassembled by original
+shard index, so the assembled answer stays byte-identical for any batch
+size.
 
 Scheduler factories that are closures cannot cross a process boundary;
 register them by name in :mod:`repro.experiments.registry` and pass the
 name (or a :class:`~repro.experiments.registry.NamedFactory`) instead —
 workers re-resolve the name on their side of the boundary.
 
-Both executors are also registered **transports**
+Both executors are registered by name
 (:mod:`repro.experiments.transport`): ``"serial"`` and ``"pool"`` in
 :data:`repro.experiments.registry.transport_factories`, next to the
 directory-backed ``"file-queue"`` backend — so a
@@ -84,7 +88,7 @@ backend by name exactly like it selects mechanisms and engines.
 
 Because shards are pure (rule 1), their outcomes are also
 **memoizable**: :class:`repro.cache.transport.CachedTransport`
-decorates any of these executors with a content-addressed cell cache
+decorates any of these transports with a content-addressed cell cache
 (``StudySpec.execution.cache``), serving previously computed shards
 from disk and running only the misses downstream.  The decorator sits
 entirely on top of this module's contract — hits and misses are merged
@@ -99,19 +103,20 @@ import pickle
 import sys
 import traceback
 import warnings
+from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor, as_completed, process
 from dataclasses import dataclass, field
 from multiprocessing import get_all_start_methods, get_context
 from typing import (
     Any,
     Callable,
-    Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
-    Protocol,
     Sequence,
     Tuple,
+    Type,
     TypeVar,
 )
 
@@ -120,19 +125,6 @@ from ..sim.rng import derive_seed
 
 SpecT = TypeVar("SpecT")
 ResultT = TypeVar("ResultT")
-
-#: Exceptions that indicate the *transport* (pool startup, spec/result
-#: pickling, worker process lifetime) failed — never the shard function
-#: itself, whose exceptions are captured worker-side by
-#: :func:`_guarded_shard` and re-raised verbatim in the parent.
-_TRANSPORT_FAILURES = (
-    pickle.PicklingError,
-    TypeError,
-    AttributeError,
-    process.BrokenProcessPool,
-    OSError,
-)
-
 
 class ParallelFallbackWarning(RuntimeWarning):
     """Emitted when :class:`ParallelExecutor` degrades to serial execution.
@@ -167,20 +159,20 @@ def available_cpus() -> int:
 def _validate_batch_size(batch_size: int | str) -> None:
     """Reject anything that is not an int >= 1 or the string ``"auto"``.
 
-    Shared by every transport that batches shards
-    (:class:`ParallelExecutor` here, ``FileQueueTransport`` in
-    :mod:`repro.experiments.transport`), so the accepted ``batch_size``
-    vocabulary cannot drift between backends.
+    Shared by every transport that batches shards and by
+    :class:`~repro.experiments.spec.StudySpec`, so the accepted
+    ``batch_size`` vocabulary cannot drift between backends and specs.
+    ``bool`` is an ``int`` subclass but never a shard count.
     """
-    if isinstance(batch_size, str):
-        if batch_size != "auto":
-            raise ConfigurationError(
-                f'batch_size must be an int >= 1 or "auto", '
-                f"got {batch_size!r}"
-            )
-    elif not isinstance(batch_size, int) or batch_size < 1:
+    if isinstance(batch_size, str) and batch_size == "auto":
+        return
+    if (
+        not isinstance(batch_size, int)
+        or isinstance(batch_size, bool)
+        or batch_size < 1
+    ):
         raise ConfigurationError(
-            f"batch_size must be >= 1, got {batch_size}"
+            f'batch_size must be an int >= 1 or "auto", got {batch_size!r}'
         )
 
 
@@ -212,29 +204,25 @@ def cell_seed(
     return derive_seed(base_seed, mechanism, zeta_target, "replicate", replicate)
 
 
-class Executor(Protocol):
-    """Anything that can map a pure function over a list of shards.
+class Transport(ABC):
+    """One execution backend: the contract every transport satisfies.
 
-    This is the minimum contract: grid consumers probe for the optional
-    streaming extension (:class:`StreamingExecutor`) at runtime and fall
-    back to the blocking :meth:`map` when it is absent, so third-party
-    executors only need this method.
+    Shards are pure (sharding-contract rule 1), so a transport may run
+    them anywhere and in any order; its one required method,
+    :meth:`imap`, yields ``(shard index, result)`` pairs as shards
+    complete, and every consumer slots each result into its index
+    (rule 3), so the assembled answer is byte-identical no matter which
+    backend ran it.  :meth:`map` is the blocking view over that stream.
+    Transports register by name in
+    :data:`repro.experiments.registry.transport_factories` and are
+    constructed from picklable configuration only, so the *description*
+    of how to execute a study travels inside the study file itself.
     """
 
-    def map(
-        self, fn: Callable[[SpecT], ResultT], items: Sequence[SpecT]
-    ) -> List[ResultT]:
-        """Apply *fn* to every item; results align with input order."""
-        ...
+    #: The registry name this transport answers to.
+    transport_name: str
 
-
-class StreamingExecutor(Executor, Protocol):
-    """An executor that can additionally stream results as they complete.
-
-    Both built-in executors implement it; sweeps use it (when present)
-    to drive incremental progress reporting.
-    """
-
+    @abstractmethod
     def imap(
         self, fn: Callable[[SpecT], ResultT], items: Sequence[SpecT]
     ) -> Iterator[Tuple[int, ResultT]]:
@@ -243,30 +231,45 @@ class StreamingExecutor(Executor, Protocol):
         Completion order is unspecified; consumers must reassemble by
         index (sharding-contract rule 3).
         """
-        ...
-
-
-class SerialExecutor:
-    """In-process execution: the reference semantics for every executor."""
-
-    jobs = 1
-
-    #: The transport-registry name this executor answers to
-    #: (:mod:`repro.experiments.transport`).
-    transport_name = "serial"
 
     def map(
         self, fn: Callable[[SpecT], ResultT], items: Sequence[SpecT]
     ) -> List[ResultT]:
-        """Apply *fn* to each item in order, in this process."""
-        return [fn(item) for item in items]
+        """Apply *fn* to every item; results align with input order."""
+        items = list(items)
+        results: List[ResultT] = [None] * len(items)  # type: ignore[list-item]
+        for index, result in self.imap(fn, items):
+            results[index] = result
+        return results
+
+
+def _serial(
+    fn: Callable[[SpecT], ResultT], indexed_items: Iterable[Tuple[int, SpecT]]
+) -> Iterator[Tuple[int, ResultT]]:
+    """Run shards in this process, one per pair pulled: the reference loop.
+
+    :class:`SerialExecutor` streams every workload through it, and the
+    fallback shell runs trivial workloads and every fallback through
+    it.  Because it is lazy, a consumer — a cache storing each miss, a
+    cancellation check in a progress callback — acts on each result
+    before the next shard starts.
+    """
+    for index, item in indexed_items:
+        yield index, fn(item)
+
+
+class SerialExecutor(Transport):
+    """In-process execution: the reference semantics for every executor."""
+
+    jobs = 1
+
+    transport_name = "serial"
 
     def imap(
         self, fn: Callable[[SpecT], ResultT], items: Sequence[SpecT]
     ) -> Iterator[Tuple[int, ResultT]]:
         """Yield ``(index, fn(item))`` pairs lazily, in input order."""
-        for index, item in enumerate(items):
-            yield index, fn(item)
+        return _serial(fn, enumerate(items))
 
     def __repr__(self) -> str:
         return "SerialExecutor()"
@@ -279,6 +282,21 @@ class _ShardOutcome:
     value: Any = None
     error: Optional[BaseException] = None
     traceback_text: str = field(default="", repr=False)
+
+
+class _ShardFailure(Exception):
+    """Internal wrapper carrying a worker-side shard error outcome.
+
+    Backends raise it from :meth:`_FallbackTransport._fan_out` so a
+    shard exception whose *type* overlaps the backend's transport
+    failures (a shard raising ``TypeError`` or ``OSError``, say) can
+    never be mistaken for transport trouble and silently retried — the
+    shell unwraps it and re-raises the original exactly once.
+    """
+
+    def __init__(self, outcome: _ShardOutcome) -> None:
+        super().__init__("worker-side shard error")
+        self.outcome = outcome
 
 
 def _guarded_batch(
@@ -305,15 +323,7 @@ def _guarded_batch(
 
 
 def _rehydrate(failure: _ShardOutcome) -> BaseException:
-    """The shard's exception, annotated with its capture-site traceback.
-
-    Module-level (not a :class:`ParallelExecutor` detail) because every
-    transport that ships :class:`_ShardOutcome` records across a
-    process boundary — the pool here, the file queue in
-    :mod:`repro.experiments.transport` — re-raises failures through the
-    same path, keeping worker-side error semantics identical across
-    backends.
-    """
+    """The shard's exception, annotated with its capture-site traceback."""
     error = failure.error
     assert error is not None
     if failure.traceback_text:
@@ -353,7 +363,164 @@ def _guarded_shard(fn: Callable, item: Any) -> _ShardOutcome:
         return _ShardOutcome(error=exc, traceback_text=text)
 
 
-class ParallelExecutor:
+def _transport_problem(fn: Callable, items: Sequence) -> Optional[str]:
+    """Why *fn* and a sample shard cannot leave this process, or None.
+
+    Only the first item is checked — shard lists are homogeneous in
+    practice (the unpicklable part, e.g. a closure factory, appears in
+    every shard), and pickling the whole workload twice would double
+    the dominant fan-out cost.  A heterogeneous list that slips through
+    is caught as a transport failure mid-run.
+    """
+    try:
+        pickle.dumps(fn)
+    # lint: allow[broad-except] -- a pre-flight probe: any pickling
+    # failure, whatever its type, means the shards cannot be shipped
+    except Exception:
+        return (
+            f"the shard function {getattr(fn, '__name__', fn)!r} is not "
+            "picklable; use a module-level function or a registry name "
+            "(repro.experiments.registry)"
+        )
+    if items:
+        try:
+            pickle.dumps(items[0])
+        # lint: allow[broad-except] -- same pre-flight probe for the
+        # sampled shard payload
+        except Exception:
+            return (
+                "the shards are not picklable (closures as scheduler "
+                "factories? register them by name in "
+                "repro.experiments.registry)"
+            )
+    return None
+
+
+class _FallbackTransport(Transport):
+    """The shell shared by transports that run shards out of process.
+
+    A backend supplies :meth:`_fan_out` — ship the shards, yield
+    ``(index, value)`` pairs as they come back, raise
+    :class:`_ShardFailure` for a shard's own error and anything in
+    :attr:`_FAILURES` for trouble of its own.  The shell owns the rest,
+    so it is identical for every backend: the ``"auto"`` batch policy,
+    the picklability pre-flight, the in-process path for trivial
+    workloads, and the observable fallback — a
+    :class:`ParallelFallbackWarning` naming the cause, then the shards
+    not yet yielded finished in-process.  A shard's own exception is
+    raised exactly once and never triggers the fallback.
+    """
+
+    #: ``batch_size="auto"`` targets this many batches per worker: small
+    #: enough to amortize per-task pickling on tiny shards, large enough
+    #: to keep the workers load-balanced when shard durations vary.
+    AUTO_BATCHES_PER_WORKER = 4
+
+    #: Exceptions meaning the backend itself failed (shard errors arrive
+    #: as :class:`_ShardFailure` instead, whatever their type).
+    _FAILURES: Tuple[Type[BaseException], ...] = ()
+
+    def __init__(
+        self, jobs: int, batch_size: int | str, label: Optional[str] = None
+    ) -> None:
+        if jobs < 1:
+            raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+        _validate_batch_size(batch_size)
+        self.jobs = jobs
+        self.batch_size = batch_size
+        #: Optional workload name included in every fallback warning.
+        #: :func:`repro.experiments.spec.run_study` fills it with the
+        #: study name for the duration of a run when it is unset.
+        self.label = label
+        #: Whether the most recent :meth:`imap` actually fanned out (each
+        #: backend defines what counts) — diagnostic for benches, the
+        #: CLI, and tests; results are identical either way.
+        self.last_map_parallel = False
+
+    def imap(
+        self, fn: Callable[[SpecT], ResultT], items: Sequence[SpecT]
+    ) -> Iterator[Tuple[int, ResultT]]:
+        """Yield ``(shard index, result)`` pairs as the backend finishes them.
+
+        Failure semantics (module docstring): a shard's own exception is
+        re-raised here exactly once — completed shards are never re-run.
+        A transport failure instead finishes the shards not yet yielded
+        in-process and warns with :class:`ParallelFallbackWarning`.
+        """
+        items = list(items)
+        self.last_map_parallel = False
+        if self._in_process_only(len(items)):
+            # Intentionally serial (trivial workload): not a degradation,
+            # so no warning.
+            yield from _serial(fn, enumerate(items))
+            return
+        problem = _transport_problem(fn, items)
+        if problem is not None:
+            self._warn_fallback(problem)
+            yield from _serial(fn, enumerate(items))
+            return
+        yielded = set()
+        failure: Optional[_ShardOutcome] = None
+        stream = self._fan_out(fn, items)
+        try:
+            for index, value in stream:
+                yielded.add(index)
+                yield index, value
+        except _ShardFailure as exc:
+            failure = exc.outcome
+        except self._FAILURES as exc:
+            # Cells are pure, so finishing the shards not yet yielded
+            # in-process gives the identical answer.
+            remaining = [
+                (index, item)
+                for index, item in enumerate(items)
+                if index not in yielded
+            ]
+            self._warn_fallback(
+                f"the transport failed ({type(exc).__name__}: {exc}); "
+                f"finishing {len(remaining)} incomplete shard(s) in-process"
+            )
+            yield from _serial(fn, remaining)
+        finally:
+            stream.close()
+        if failure is not None:
+            raise _rehydrate(failure)
+
+    def _in_process_only(self, n_items: int) -> bool:
+        """Whether a workload of *n_items* is too small to ship at all."""
+        return n_items == 0
+
+    @abstractmethod
+    def _fan_out(
+        self, fn: Callable[[SpecT], ResultT], items: List[SpecT]
+    ) -> Iterator[Tuple[int, ResultT]]:
+        """The backend: ship *items*, yield ``(index, value)`` as they return."""
+
+    def _effective_batch_size(self, n_items: int) -> int:
+        """The shards grouped per task for a workload of *n_items*.
+
+        ``"auto"`` aims for :data:`AUTO_BATCHES_PER_WORKER` batches per
+        worker — enough slack to load-balance uneven shard durations
+        while still amortizing per-task pickling when the grid is much
+        larger than the worker count.
+        """
+        if self.batch_size == "auto":
+            return max(1, n_items // (self.jobs * self.AUTO_BATCHES_PER_WORKER))
+        return int(self.batch_size)
+
+    def _warn_fallback(self, cause: str) -> None:
+        """Emit the (observable) degradation diagnostic."""
+        who = repr(self)
+        if self.label:
+            who += f" [{self.label}]"
+        warnings.warn(
+            f"{who} degraded to serial in-process execution: {cause}",
+            ParallelFallbackWarning,
+            stacklevel=3,
+        )
+
+
+class ParallelExecutor(_FallbackTransport):
     """Process-pool execution with an observable serial fallback.
 
     Usage::
@@ -367,16 +534,22 @@ class ParallelExecutor:
     degrading to the serial path (with a :class:`ParallelFallbackWarning`
     naming the cause); worker-side shard exceptions propagate exactly
     once with no serial re-run of completed shards.
+    :attr:`last_map_parallel` is True only when the whole workload ran
+    on the pool.
     """
 
-    #: ``batch_size="auto"`` targets this many batches per worker: small
-    #: enough to amortize per-task pickling on tiny shards, large enough
-    #: to keep the pool load-balanced when shard durations vary.
-    AUTO_BATCHES_PER_WORKER = 4
-
-    #: The transport-registry name this executor answers to
-    #: (:mod:`repro.experiments.transport`).
     transport_name = "pool"
+
+    #: Pool startup, spec/result pickling, worker process lifetime —
+    #: never the shard function, whose exceptions are captured
+    #: worker-side by :func:`_guarded_shard`.
+    _FAILURES = (
+        pickle.PicklingError,
+        TypeError,
+        AttributeError,
+        process.BrokenProcessPool,
+        OSError,
+    )
 
     def __init__(
         self,
@@ -402,191 +575,41 @@ class ParallelExecutor:
             label: optional workload name included in every
                 :class:`ParallelFallbackWarning` so a degraded run can be
                 traced back to the study/spec that issued it.
-                :func:`repro.experiments.spec.run_study` fills it with
-                the study name when the caller left it unset.
         """
-        if jobs is not None and jobs < 1:
-            raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-        _validate_batch_size(batch_size)
-        self.batch_size = batch_size
-        self.label = label
-        self.jobs = jobs if jobs is not None else available_cpus()
-        #: Whether the most recent :meth:`map`/:meth:`imap` ran entirely
-        #: on the pool (False after any serial fallback, including a
-        #: mid-stream one) — diagnostic for benches, the CLI, and tests;
-        #: results are identical either way.
-        self.last_map_parallel = False
+        super().__init__(
+            jobs if jobs is not None else available_cpus(), batch_size, label
+        )
 
-    def map(
-        self, fn: Callable[[SpecT], ResultT], items: Sequence[SpecT]
-    ) -> List[ResultT]:
-        """Map *fn* over *items* on the pool; serial when that can't work.
+    def _in_process_only(self, n_items: int) -> bool:
+        return self.jobs <= 1 or n_items <= 1
 
-        Implemented over :meth:`imap` so the blocking and streaming
-        paths share one execution, fallback, and error-propagation
-        implementation (and :attr:`last_map_parallel` stays accurate on
-        both).
-        """
-        items = list(items)
-        results: List[ResultT] = [None] * len(items)  # type: ignore[list-item]
-        for index, result in self.imap(fn, items):
-            results[index] = result
-        return results
-
-    def imap(
-        self, fn: Callable[[SpecT], ResultT], items: Sequence[SpecT]
+    def _fan_out(
+        self, fn: Callable[[SpecT], ResultT], items: List[SpecT]
     ) -> Iterator[Tuple[int, ResultT]]:
-        """Yield ``(shard index, result)`` pairs as workers finish shards.
-
-        Failure semantics (module docstring): an exception raised *by
-        the shard function inside a worker* is re-raised here exactly
-        once — completed shards are never re-run, pending shards are
-        cancelled.  A transport/pool failure instead finishes the
-        not-yet-completed shards in-process and warns with
-        :class:`ParallelFallbackWarning`.
-        """
-        items = list(items)
-        self.last_map_parallel = False
-        if self.jobs <= 1 or len(items) <= 1:
-            # Intentionally serial (trivial workload): not a degradation,
-            # so no warning.
-            yield from self._serial_imap(fn, list(enumerate(items)))
-            return
-        problem = self._transport_problem(fn, items)
-        if problem is not None:
-            self._warn_fallback(problem)
-            yield from self._serial_imap(fn, list(enumerate(items)))
-            return
-        pending: Dict[int, SpecT] = dict(enumerate(items))
-        failure: Optional[_ShardOutcome] = None
         batch = self._effective_batch_size(len(items))
         indexed = list(enumerate(items))
         chunks = [indexed[i : i + batch] for i in range(0, len(indexed), batch)]
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(chunks)),
-                mp_context=self._context(),
-                initializer=_init_worker,
-                initargs=(list(sys.path),),
-            ) as pool:
-                futures = {
-                    pool.submit(_guarded_batch, fn, chunk): chunk
-                    for chunk in chunks
-                }
-                try:
-                    for future in as_completed(futures):
-                        for index, outcome in future.result():
-                            if outcome.error is not None:
-                                failure = outcome
-                                break
-                            del pending[index]
-                            yield index, outcome.value
-                        if failure is not None:
-                            for other in futures:
-                                other.cancel()
-                            break
-                except GeneratorExit:
-                    # The consumer abandoned the stream (break, head of a
-                    # pipe, ...): cancel every not-yet-started shard so
-                    # the with-block's shutdown only waits for the few
-                    # already running, not the whole remaining grid.
-                    for other in futures:
-                        other.cancel()
-                    raise
-        except _TRANSPORT_FAILURES as exc:
-            # Pool startup or shard transport failed (resource limits,
-            # dead worker, an unpicklable item past the sampled first):
-            # cells are pure, so finishing the incomplete shards
-            # serially gives the identical answer.
-            self._warn_fallback(
-                f"the process pool failed mid-run "
-                f"({type(exc).__name__}: {exc}); finishing "
-                f"{len(pending)} incomplete shard(s) in-process"
-            )
-            yield from self._serial_imap(
-                fn, [(index, pending[index]) for index in sorted(pending)]
-            )
-            return
-        if failure is not None:
-            raise _rehydrate(failure)
-        self.last_map_parallel = True
-
-    def _serial_imap(
-        self, fn: Callable[[SpecT], ResultT], indexed_items: Sequence[Tuple[int, SpecT]]
-    ) -> Iterator[Tuple[int, ResultT]]:
-        """Run *indexed_items* in-process through the pool's batch path.
-
-        Every serial execution of this executor — a trivial workload, a
-        pre-flight transport problem, or a mid-run pool failure — flows
-        through here, so batching decisions (``batch_size="auto"``
-        included) and shard-error semantics live in exactly one place:
-        :meth:`_effective_batch_size` groups the shards and
-        :func:`_guarded_batch` guards each one, identically to a worker.
-        """
-        batch = self._effective_batch_size(len(indexed_items))
-        for start in range(0, len(indexed_items), batch):
-            chunk = indexed_items[start : start + batch]
-            for index, outcome in _guarded_batch(fn, chunk):
-                if outcome.error is not None:
-                    raise _rehydrate(outcome)
-                yield index, outcome.value
-
-    def _effective_batch_size(self, n_items: int) -> int:
-        """The shards grouped per pool task for a workload of *n_items*.
-
-        ``"auto"`` aims for :data:`AUTO_BATCHES_PER_WORKER` batches per
-        worker — enough slack for the pool to load-balance uneven shard
-        durations while still amortizing per-task pickling when the
-        grid is much larger than the worker count.
-        """
-        if self.batch_size == "auto":
-            return max(1, n_items // (self.jobs * self.AUTO_BATCHES_PER_WORKER))
-        return int(self.batch_size)
-
-    def _warn_fallback(self, cause: str) -> None:
-        """Emit the (observable) degradation diagnostic."""
-        who = f"ParallelExecutor(jobs={self.jobs})"
-        if self.label:
-            who += f" [{self.label}]"
-        warnings.warn(
-            f"{who} degraded to serial in-process execution: {cause}",
-            ParallelFallbackWarning,
-            stacklevel=3,
-        )
-
-    @staticmethod
-    def _transport_problem(fn: Callable, items: Sequence) -> Optional[str]:
-        """Why *fn* and a sample shard cannot cross the pool, or None.
-
-        Only the first item is checked — shard lists are homogeneous in
-        practice (the unpicklable part, e.g. a closure factory, appears
-        in every shard), and pickling the whole workload twice would
-        double the dominant fan-out cost.  A heterogeneous list that
-        slips through is caught by the transport errors handled in
-        :meth:`imap`.
-        """
-        try:
-            pickle.dumps(fn)
-        # lint: allow[broad-except] -- a pre-flight probe: any pickling
-        # failure, whatever its type, means the pool cannot be used
-        except Exception:
-            return (
-                f"the shard function {getattr(fn, '__name__', fn)!r} is not "
-                "picklable; use a module-level function or a registry name "
-                "(repro.experiments.registry)"
-            )
-        if items:
+        with ProcessPoolExecutor(
+            max_workers=min(self.jobs, len(chunks)),
+            mp_context=self._context(),
+            initializer=_init_worker,
+            initargs=(list(sys.path),),
+        ) as pool:
+            futures = [pool.submit(_guarded_batch, fn, chunk) for chunk in chunks]
             try:
-                pickle.dumps(items[0])
-            # lint: allow[broad-except] -- same pre-flight probe for the
-            # sampled shard payload
-            except Exception:
-                return (
-                    "the shards are not picklable (closures as scheduler "
-                    "factories? register them by name in "
-                    "repro.experiments.registry)"
-                )
-        return None
+                for future in as_completed(futures):
+                    for index, outcome in future.result():
+                        if outcome.error is not None:
+                            raise _ShardFailure(outcome)
+                        yield index, outcome.value
+            finally:
+                # A shard error or an abandoned stream (break, head of a
+                # pipe, ...): cancel every not-yet-started batch so the
+                # with-block's shutdown only waits for the few already
+                # running, not the whole remaining grid.
+                for future in futures:
+                    future.cancel()
+        self.last_map_parallel = True
 
     @staticmethod
     def _context():

@@ -23,10 +23,10 @@ Five registries exist, one per factory signature:
   :mod:`repro.experiments.engine`, which owns the protocol and the
   lazy-import resolution helper);
 * :data:`transport_factories` — ``factory(jobs=..., batch_size=...,
-  label=..., **options) -> Transport``, the execution backends shards
-  run on (``"serial"``, ``"pool"``, ``"file-queue"``; see
-  :mod:`repro.experiments.transport`, which owns the protocol, the
-  built-in registrations, and strict option validation);
+  **options) -> Transport``, the execution backends shards run on
+  (``"serial"``, ``"pool"``, ``"file-queue"``; see
+  :mod:`repro.experiments.transport`, which owns the built-in
+  registrations and strict option validation);
 * :data:`scenario_factories` — ``factory(**options) -> Scenario``, the
   named workloads studies sweep as a fifth axis (``"paper-roadside"``,
   ``"diurnal"``, ``"trace-driven"``, ``"mixed-fleet"``,
@@ -165,7 +165,7 @@ node_factories = FactoryRegistry("node scheduler")
 #: modules lazily for workers that have not loaded them yet.
 engine_factories = FactoryRegistry("engine")
 
-#: Execution backends: ``factory(jobs=..., batch_size=..., label=...,
+#: Execution backends: ``factory(jobs=..., batch_size=...,
 #: **options) -> Transport``.  Built-ins (``"serial"``, ``"pool"``,
 #: ``"file-queue"``) register in :mod:`repro.experiments.transport`;
 #: resolve through

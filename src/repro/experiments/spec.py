@@ -18,7 +18,7 @@ study itself **data**:
   per-cell deltas become paired automatically, replicate seeds shared
   between engines), or per-node ``NetworkRunner`` fan-out (a
   ``network`` section), streaming cells through the
-  :meth:`~repro.experiments.parallel.Executor.imap` contract, so every
+  :meth:`~repro.experiments.parallel.Transport.imap` contract, so every
   determinism guarantee (byte-identical for jobs=1/N/shuffled) holds on
   one orchestration path.
 * :class:`StudyResult` / :class:`StudyDocument` — the assembled rich
@@ -60,7 +60,7 @@ from ..scenarios import DEFAULT_SCENARIO, ScenarioRef, materialize_scenario
 from ..units import DAY
 from .agreement import AgreementPoint, AgreementResult
 from .engine import resolve_engine
-from .parallel import Executor, replicate_seed
+from .parallel import Transport, _validate_batch_size, replicate_seed
 from .registry import PAPER_MECHANISMS, mechanism_factories, node_factories
 from .transport import resolve_transport, validate_transport
 from .runner import RunSpec
@@ -96,6 +96,11 @@ PAPER_PHI_MAXES: Tuple[float, ...] = (DAY / 1000.0, DAY / 100.0)
 _DEFAULT_SCENARIOS: Tuple[ScenarioRef, ...] = (ScenarioRef(DEFAULT_SCENARIO),)
 
 
+def _is_int(value: Any) -> bool:
+    """True for a real int: ``bool`` subclasses ``int`` but is no count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class NetworkSection:
     """The fleet fan-out portion of a :class:`StudySpec`.
@@ -115,11 +120,11 @@ class NetworkSection:
     node_factory: str = "SNIP-RH"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.nodes, int) or self.nodes < 1:
+        if not _is_int(self.nodes) or self.nodes < 1:
             raise ConfigurationError(
                 f"network.nodes must be an int >= 1, got {self.nodes!r}"
             )
-        if not isinstance(self.commuters, int) or self.commuters < 1:
+        if not _is_int(self.commuters) or self.commuters < 1:
             raise ConfigurationError(
                 f"network.commuters must be an int >= 1, got {self.commuters!r}"
             )
@@ -250,11 +255,12 @@ class StudySpec:
         object.__setattr__(self, "mechanisms", _as_tuple(self.mechanisms))
         object.__setattr__(self, "engines", _as_tuple(self.engines))
         if self.replicate_seeds is not None:
-            object.__setattr__(
-                self,
-                "replicate_seeds",
-                tuple(int(seed) for seed in self.replicate_seeds),
-            )
+            seeds = tuple(self.replicate_seeds)
+            if not all(_is_int(seed) for seed in seeds):
+                raise ConfigurationError(
+                    f"replicate_seeds must be ints, got {list(seeds)!r}"
+                )
+            object.__setattr__(self, "replicate_seeds", seeds)
         if not self.zeta_targets:
             raise ConfigurationError("zeta_targets must be non-empty")
         if not all(math.isfinite(t) and t > 0 for t in self.zeta_targets):
@@ -273,11 +279,11 @@ class StudySpec:
             raise ConfigurationError(
                 f"phi_maxes must be distinct, got {list(self.phi_maxes)}"
             )
-        if not isinstance(self.epochs, int) or self.epochs < 1:
+        if not _is_int(self.epochs) or self.epochs < 1:
             raise ConfigurationError(
                 f"epochs must be an int >= 1, got {self.epochs!r}"
             )
-        if not isinstance(self.seed, int):
+        if not _is_int(self.seed):
             raise ConfigurationError(f"seed must be an int, got {self.seed!r}")
         if not self.mechanisms:
             raise ConfigurationError("mechanisms must be non-empty")
@@ -295,7 +301,7 @@ class StudySpec:
             raise ConfigurationError(
                 f"engines must be distinct, got {list(self.engines)}"
             )
-        if not isinstance(self.replicates, int) or self.replicates < 1:
+        if not _is_int(self.replicates) or self.replicates < 1:
             raise ConfigurationError(
                 f"replicates must be an int >= 1, got {self.replicates!r}"
             )
@@ -331,19 +337,9 @@ class StudySpec:
                 f"axes.scenarios entries must be distinct, got {labels}"
             )
         object.__setattr__(self, "scenarios", refs)
-        if not isinstance(self.jobs, int) or self.jobs < 1:
+        if not _is_int(self.jobs) or self.jobs < 1:
             raise ConfigurationError(f"jobs must be an int >= 1, got {self.jobs!r}")
-        if isinstance(self.batch_size, str):
-            if self.batch_size != "auto":
-                raise ConfigurationError(
-                    f'batch_size must be an int >= 1 or "auto", '
-                    f"got {self.batch_size!r}"
-                )
-        elif not isinstance(self.batch_size, int) or self.batch_size < 1:
-            raise ConfigurationError(
-                f'batch_size must be an int >= 1 or "auto", '
-                f"got {self.batch_size!r}"
-            )
+        _validate_batch_size(self.batch_size)
         if self.transport is not None and (
             not isinstance(self.transport, str) or not self.transport
         ):
@@ -483,26 +479,25 @@ class StudySpec:
             )
         return list(self.replicate_seeds)
 
-    def build_transport(self, *, with_cache: bool = True) -> Optional[Executor]:
-        """The executor this spec's execution section describes.
+    def build_transport(self) -> Optional[Transport]:
+        """The transport this spec's execution section describes.
 
-        The single derivation shared by :func:`run_study` and the CLI:
-        the plain ``"serial"`` case (no explicit options) returns None —
-        the historical in-process path — and anything else resolves the
-        transport name with the spec's jobs, batch size, and options
-        through :func:`~repro.experiments.transport.resolve_transport`.
+        The one construction path, shared by :func:`run_study`, the CLI,
+        and the service (which pins its transport and cache by
+        replacing those fields first): the plain ``"serial"`` case (no
+        explicit options) returns None — the historical in-process
+        path — and anything else resolves the transport name with the
+        spec's jobs, batch size, and options through
+        :func:`~repro.experiments.transport.resolve_transport`.
 
         When the spec names a ``cache`` directory the resolved
         transport (including the plain-serial None) is decorated with
         :class:`~repro.cache.transport.CachedTransport`, so cells hit
         the content-addressed cache before the inner transport runs.
-        *with_cache=False* skips the decoration — for callers (the
-        service scheduler) that layer their own cache configuration on
-        top of the inner transport.
         """
         name = self.resolved_transport
         if name == "serial" and not self.transport_options:
-            executor: Optional[Executor] = None
+            executor: Optional[Transport] = None
         else:
             executor = resolve_transport(
                 name,
@@ -510,7 +505,7 @@ class StudySpec:
                 batch_size=self.batch_size,
                 options=self.transport_options,
             )
-        if self.cache is None or not with_cache:
+        if self.cache is None:
             return executor
         from ..cache.transport import wrap_with_cache
 
@@ -938,14 +933,12 @@ class StudyDocument:
 class _StudyExecutor:
     """Context manager resolving the transport a study runs on.
 
-    An explicit *executor* wins; otherwise the spec's execution section
-    is resolved **by name** through
-    :func:`repro.experiments.transport.resolve_transport` — the plain
-    ``"serial"`` derivation keeps the historical in-process path (no
-    object constructed at all), anything else builds the named backend
-    from the spec's jobs/batch size/options.  Either way a transport
-    carrying an unset ``label`` is tagged with the study name for the
-    duration of the run, so any
+    An explicit *executor* wins; otherwise
+    :meth:`StudySpec.build_transport` resolves the spec's execution
+    section **by name** — the plain ``"serial"`` derivation keeps the
+    historical in-process path (no object constructed at all).  Either
+    way a transport carrying an unset ``label`` is tagged with the study
+    name for the duration of the run, so any
     :class:`~repro.experiments.parallel.ParallelFallbackWarning` it
     emits names the study that degraded.  Only an *unset* label is ever
     overwritten (an explicit label always wins), and the overwrite is
@@ -954,12 +947,12 @@ class _StudyExecutor:
     across studies never misattributes a later study's warnings.
     """
 
-    def __init__(self, spec: StudySpec, executor: Optional[Executor]) -> None:
+    def __init__(self, spec: StudySpec, executor: Optional[Transport]) -> None:
         self.spec = spec
         self.executor = executor
         self._labelled = False
 
-    def __enter__(self) -> Optional[Executor]:
+    def __enter__(self) -> Optional[Transport]:
         executor = self.executor
         if executor is None:
             executor = self.spec.build_transport()
@@ -982,7 +975,7 @@ class _StudyExecutor:
 
 def _run_network_study(
     spec: StudySpec,
-    executor: Optional[Executor],
+    executor: Optional[Transport],
     progress: Optional[Any] = None,
 ) -> StudyResult:
     """Per-node fleet fan-out: one scheduler per node, shared scenario.
@@ -1016,7 +1009,7 @@ def _run_network_study(
 def run_study(
     spec: StudySpec,
     *,
-    executor: Optional[Executor] = None,
+    executor: Optional[Transport] = None,
     progress: Optional[ProgressCallback] = None,
 ) -> StudyResult:
     """Execute one :class:`StudySpec` end to end.
@@ -1028,7 +1021,7 @@ def run_study(
     outermost, then Φmax, ζtarget, mechanism, replicate, engine
     innermost) on the seeding contract of
     :mod:`repro.experiments.parallel`, streams them through the
-    executor's :meth:`~repro.experiments.parallel.Executor.imap`, and
+    executor's :meth:`~repro.experiments.parallel.Transport.imap`, and
     reassembles by shard index — byte-identical for any worker count or
     completion order.  Replicate seeds are shared across engines, so
     multi-engine studies are *paired*: per-cell candidate−baseline
@@ -1041,10 +1034,9 @@ def run_study(
             :class:`~repro.errors.ConfigurationError` parent-side.
         executor: overrides the spec's execution section (e.g. a
             pre-built pool, or a test's shuffled executor).  When None
-            the spec decides: its ``transport`` name is resolved
-            through :func:`~repro.experiments.transport.resolve_transport`
-            with the spec's jobs, batch size, and ``transport_options``
-            (the null-transport derivation — ``"pool"`` above one job,
+            the spec decides through :meth:`StudySpec.build_transport`:
+            its ``transport`` name is resolved with the spec's jobs,
+            batch size, and ``transport_options`` (the null-transport derivation — ``"pool"`` above one job,
             ``"serial"`` otherwise — reproduces the historical
             behaviour exactly).  Fallback warnings are labelled with
             the study name either way.

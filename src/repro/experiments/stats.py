@@ -16,6 +16,7 @@ from typing import Dict, List, Sequence
 from scipy import stats as scipy_stats
 
 from ..errors import ConfigurationError
+from .parallel import SerialExecutor
 from .runner import RunResult, RunSpec, SchedulerFactory, execute_run_spec
 from .scenario import Scenario
 
@@ -131,8 +132,8 @@ def replicate(
 
     The scheduler factory is invoked fresh per replication so learning
     state never leaks between seeds.  Pass an
-    :class:`~repro.experiments.parallel.ParallelExecutor` to fan the
-    replications out to worker processes (the factory must then be
+    :class:`~repro.experiments.parallel.ParallelExecutor` (or any
+    transport's ``imap``) to fan the replications out to worker processes (the factory must then be
     picklable; unpicklable factories transparently run serially).
     """
     if not seeds:
@@ -146,11 +147,11 @@ def replicate(
         )
         for index, seed in enumerate(seeds)
     ]
-    if executor is None:
-        runs = [execute_run_spec(spec) for spec in specs]
-    else:
-        runs = executor.map(execute_run_spec, specs)
+    executor = executor if executor is not None else SerialExecutor()
+    runs: List[RunResult] = [None] * len(specs)  # type: ignore[list-item]
+    for index, run in executor.imap(execute_run_spec, specs):
+        runs[index] = run
     return ReplicatedResult(
         estimates=estimates_from_runs(runs, metrics=metrics, confidence=confidence),
-        runs=list(runs),
+        runs=runs,
     )

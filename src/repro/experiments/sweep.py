@@ -23,7 +23,7 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, 
 
 from ..core.analysis import AnalysisPoint, evaluate_schedulers
 from ..errors import ConfigurationError
-from .parallel import Executor, SerialExecutor
+from .parallel import SerialExecutor, Transport
 from .reporting import format_csv
 from .runner import RunResult, RunSpec, execute_run_spec
 from .scenario import Scenario
@@ -283,26 +283,19 @@ class GridResult:
 
 
 def _stream_results(
-    executor: Optional[Executor],
+    executor: Optional[Transport],
     specs: Sequence[RunSpec],
     progress: Optional[ProgressCallback],
 ) -> List[RunResult]:
     """Execute *specs*, reassembling by shard index (contract rule 3).
 
-    Uses the executor's streaming ``imap`` when it has one — *progress*
-    then fires per shard as it completes — and falls back to the
-    blocking ``map`` for executors that only implement the protocol's
-    minimum (progress then fires after the barrier, still per shard).
+    Streams through the executor's ``imap``; *progress* fires per shard
+    as it completes.
     """
     executor = executor if executor is not None else SerialExecutor()
     results: List[Optional[RunResult]] = [None] * len(specs)
     completed = 0
-    imap = getattr(executor, "imap", None)
-    if imap is not None:
-        pairs = imap(execute_run_spec, specs)
-    else:
-        pairs = enumerate(executor.map(execute_run_spec, specs))
-    for index, result in pairs:
+    for index, result in executor.imap(execute_run_spec, specs):
         results[index] = result
         completed += 1
         if progress is not None:

@@ -8,11 +8,12 @@ or :class:`~repro.experiments.parallel.ParallelExecutor` in code, so a
 third backend could not exist without editing ``run_study``, the CLI,
 and ``NetworkRunner`` in lockstep.  This module closes that gap:
 
-* :class:`Transport` — the protocol every backend satisfies: the
-  ``map``/``imap`` index-reassembly contract of
-  :mod:`repro.experiments.parallel` (shards are pure, results are
-  slotted by shard index, never by completion order), so the assembled
-  answer is byte-identical no matter which backend ran it.
+* :class:`~repro.experiments.parallel.Transport` — the base class
+  every backend inherits, re-exported here: one required method,
+  ``imap``, yielding ``(shard index, result)`` pairs (shards are pure,
+  results are slotted by shard index, never by completion order), so
+  the assembled answer is byte-identical no matter which backend ran
+  it.
 * :data:`~repro.experiments.registry.transport_factories` — the named
   registry.  Built-ins, registered here at import time: ``"serial"``
   (in-process reference semantics), ``"pool"`` (the process-pool
@@ -71,7 +72,6 @@ import sys
 import tempfile
 import time
 import uuid
-import warnings
 from typing import (
     Any,
     Callable,
@@ -80,21 +80,19 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Protocol,
     Sequence,
     Tuple,
-    runtime_checkable,
 )
 
 from ..errors import ConfigurationError
 from .parallel import (
     ParallelExecutor,
-    ParallelFallbackWarning,
     SerialExecutor,
+    Transport,
+    _FallbackTransport,
+    _ShardFailure,
     _ShardOutcome,
     _guarded_batch,
-    _rehydrate,
-    _validate_batch_size,
 )
 from .registry import transport_factories
 
@@ -114,41 +112,12 @@ BUILTIN_TRANSPORTS = ("serial", "pool", "file-queue")
 
 #: Config keys every transport factory accepts (fed from a StudySpec's
 #: execution section); anything beyond these is a per-transport option.
-_COMMON_CONFIG = ("jobs", "batch_size", "label")
-
-
-@runtime_checkable
-class Transport(Protocol):
-    """One execution backend: the contract every transport satisfies.
-
-    This is exactly the ``map``/``imap`` index-reassembly contract that
-    :class:`~repro.experiments.parallel.SerialExecutor` and
-    :class:`~repro.experiments.parallel.ParallelExecutor` established:
-    shards are pure, so a transport may run them anywhere in any order,
-    but results must be attributable to their input index — the
-    blocking path returns them input-aligned, the streaming path yields
-    ``(index, result)`` pairs — so every consumer reassembles
-    deterministically.  Transports register by name in
-    :data:`repro.experiments.registry.transport_factories` and are
-    constructed from picklable configuration only, so the *description*
-    of how to execute a study travels inside the study file itself.
-    """
-
-    #: The registry name this transport answers to.
-    transport_name: str
-
-    def map(self, fn: Callable, items: Sequence) -> List:
-        """Apply *fn* to every item; results align with input order."""
-        ...
-
-    def imap(self, fn: Callable, items: Sequence) -> Iterator[Tuple[int, Any]]:
-        """Yield ``(shard index, result)`` pairs as shards complete."""
-        ...
+_COMMON_CONFIG = ("jobs", "batch_size")
 
 
 @transport_factories.register("serial")
-def serial_transport(*, jobs: int = 1, batch_size=1, label=None) -> SerialExecutor:
-    """The in-process reference backend (ignores jobs/batch/label).
+def serial_transport(*, jobs: int = 1, batch_size=1) -> SerialExecutor:
+    """The in-process reference backend (ignores jobs and batch size).
 
     Byte-identical to every other transport by the sharding contract;
     the semantics all of them are tested against.
@@ -158,10 +127,10 @@ def serial_transport(*, jobs: int = 1, batch_size=1, label=None) -> SerialExecut
 
 @transport_factories.register("pool")
 def pool_transport(
-    *, jobs: Optional[int] = None, batch_size="auto", label=None
+    *, jobs: Optional[int] = None, batch_size="auto"
 ) -> ParallelExecutor:
     """The process-pool backend (the historical ``--jobs N`` path)."""
-    return ParallelExecutor(jobs=jobs, batch_size=batch_size, label=label)
+    return ParallelExecutor(jobs=jobs, batch_size=batch_size)
 
 
 def transport_names() -> List[str]:
@@ -173,7 +142,7 @@ def transport_option_names(name: str) -> Optional[Tuple[str, ...]]:
     """The per-transport option keys *name* accepts, from its signature.
 
     Everything a factory accepts beyond the common execution config
-    (``jobs``, ``batch_size``, ``label``) is an option settable through
+    (``jobs``, ``batch_size``) is an option settable through
     a spec's ``execution.transport_options`` dict; deriving the set
     from the factory signature means registered third-party transports
     get strict validation for free.  A factory with a ``**kwargs``
@@ -226,22 +195,22 @@ def resolve_transport(
     *,
     jobs: int = 1,
     batch_size="auto",
-    label: Optional[str] = None,
     options: Optional[Mapping[str, Any]] = None,
 ) -> Transport:
     """Build the transport registered under *name* from picklable config.
 
-    *jobs*, *batch_size*, and *label* are the common execution config
+    *jobs* and *batch_size* are the common execution config
     (a spec's ``execution`` section); *options* is the per-transport
     ``transport_options`` dict, validated strictly against the
     factory's signature before construction.  This is the single
     resolution path behind :func:`~repro.experiments.spec.run_study`,
-    ``NetworkRunner``, and the CLI.
+    the service, and the CLI (all through
+    :meth:`~repro.experiments.spec.StudySpec.build_transport`).
     """
     validate_transport(name, options)
     factory = transport_factories.resolve(name)
     extra = dict(options) if options else {}
-    return factory(jobs=jobs, batch_size=batch_size, label=label, **extra)
+    return factory(jobs=jobs, batch_size=batch_size, **extra)
 
 
 # ----------------------------------------------------------------------
@@ -261,14 +230,22 @@ def ensure_queue_layout(queue_dir: str) -> None:
         os.makedirs(os.path.join(queue_dir, subdir), exist_ok=True)
 
 
+#: Suffix of the same-directory temp files :func:`_atomic_write` publishes
+#: through; debris carrying it marks a write that never completed.
+_TEMP_SUFFIX = ".part"
+
+
 def _atomic_write(path: str, data: bytes) -> None:
     """Write *data* to *path* via a same-directory temp file + rename.
 
-    Readers polling the directory can therefore never observe a
-    half-written ticket or result — the rename publishes it whole.
+    ``os.replace`` is atomic within one filesystem, so readers polling
+    the directory — and concurrent writers racing on the same path —
+    only ever observe a complete file or no file, never a torn write.
+    The one helper behind queue tickets, cache entries, and the study
+    store.
     """
     handle, tmp_path = tempfile.mkstemp(
-        dir=os.path.dirname(path), prefix=".tmp-", suffix=".part"
+        dir=os.path.dirname(path) or ".", prefix=".tmp-", suffix=_TEMP_SUFFIX
     )
     try:
         with os.fdopen(handle, "wb") as tmp:
@@ -387,7 +364,7 @@ def local_worker_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
 
 
-class FileQueueTransport:
+class FileQueueTransport(_FallbackTransport):
     """A directory-backed work queue: the first multi-host transport.
 
     The coordinator (this class) groups shards into tickets, enqueues
@@ -416,10 +393,12 @@ class FileQueueTransport:
     naming the cause, matching the pool's observable-fallback policy.
     """
 
-    #: The transport-registry name this backend answers to.
     transport_name = "file-queue"
 
-    AUTO_BATCHES_PER_WORKER = ParallelExecutor.AUTO_BATCHES_PER_WORKER
+    #: Queue trouble — never the shard function's own errors, which are
+    #: captured worker-side by the guarded batch and surface as
+    #: :class:`~repro.experiments.parallel._ShardFailure` instead.
+    _FAILURES = (OSError, pickle.PickleError, ValueError, KeyError, EOFError)
 
     def __init__(
         self,
@@ -427,7 +406,6 @@ class FileQueueTransport:
         queue_dir: Optional[str] = None,
         jobs: int = 1,
         batch_size: int | str = "auto",
-        label: Optional[str] = None,
         workers: Optional[int] = None,
         poll_interval: float = 0.05,
         reclaim_after: float = 60.0,
@@ -447,9 +425,6 @@ class FileQueueTransport:
             batch_size: shards per ticket (``"auto"`` or an int >= 1),
                 same vocabulary and reassembly guarantee as
                 :class:`~repro.experiments.parallel.ParallelExecutor`.
-            label: optional workload name for fallback warnings
-                (:func:`~repro.experiments.spec.run_study` fills in the
-                study name when unset).
             workers: local worker subprocesses to spawn for the
                 duration of each map (terminated afterwards).  Default
                 (None) spawns *jobs* workers; pass 0 when external
@@ -472,9 +447,7 @@ class FileQueueTransport:
                 None waits indefinitely; mostly useful with
                 ``self_process=False``.
         """
-        if jobs < 1:
-            raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-        _validate_batch_size(batch_size)
+        super().__init__(jobs, batch_size)
         if workers is not None and workers < 0:
             raise ConfigurationError(f"workers must be >= 0, got {workers}")
         if poll_interval <= 0:
@@ -491,18 +464,10 @@ class FileQueueTransport:
             )
         self.max_wait = max_wait
         self.queue_dir = queue_dir
-        self.jobs = jobs
-        self.batch_size = batch_size
-        self.label = label
         self.workers = workers
         self.poll_interval = poll_interval
         self.reclaim_after = reclaim_after
         self.self_process = self_process
-        #: Whether the most recent map/imap had at least one ticket
-        #: completed by another process (a spawned or external worker) —
-        #: the multi-host analogue of ``ParallelExecutor``'s pool
-        #: diagnostic.  Results are identical either way.
-        self.last_map_parallel = False
         #: Optional observer ``sink(index, value)`` fed every successful
         #: outcome the moment its ticket is ingested — *before* the
         #: streaming consumer sees it and before queue cleanup deletes
@@ -513,68 +478,24 @@ class FileQueueTransport:
         self.outcome_sink = None
 
     # ------------------------------------------------------------------
-    # the Transport contract
+    # the fallback shell's backend
     # ------------------------------------------------------------------
-    def map(self, fn: Callable, items: Sequence) -> List:
-        """Map *fn* over *items* through the queue; input-order results."""
-        items = list(items)
-        results: List[Any] = [None] * len(items)
-        for index, result in self.imap(fn, items):
-            results[index] = result
-        return results
+    def _fan_out(self, fn: Callable, items: List) -> Iterator[Tuple[int, Any]]:
+        """Enqueue *items* as tickets and stream them back as they complete.
 
-    def imap(self, fn: Callable, items: Sequence) -> Iterator[Tuple[int, Any]]:
-        """Yield ``(shard index, result)`` pairs as tickets complete.
-
-        Failure semantics match the pool: a shard's own exception is
-        re-raised here exactly once (remaining tickets are abandoned
-        and cleaned up; completed shards are never re-run), while
-        queue/transport failures finish the incomplete shards
-        in-process under a
-        :class:`~repro.experiments.parallel.ParallelFallbackWarning`.
+        :attr:`last_map_parallel` ends True when at least one ticket was
+        completed by another process (a spawned or external worker) —
+        the multi-host analogue of the pool's diagnostic.
         """
-        items = list(items)
-        self.last_map_parallel = False
-        if not items:
-            return
-        problem = ParallelExecutor._transport_problem(fn, items)
-        if problem is not None:
-            self._fallback(problem)
-            yield from self._serial(fn, list(enumerate(items)))
-            return
         try:
             session = _QueueSession.open(self)
         except OSError as exc:
-            self._fallback(f"could not set up the queue directory ({exc})")
-            yield from self._serial(fn, list(enumerate(items)))
-            return
-        yielded: set = set()
+            raise OSError(f"could not set up the queue directory ({exc})") from exc
         try:
-            try:
-                pending = session.enqueue(fn, items, self._ticket_size(len(items)))
-                for index, value in self._collect(session, fn, pending):
-                    yielded.add(index)
-                    yield index, value
-            except _ShardFailure as exc:
-                # A shard's own exception: propagate exactly once, no
-                # serial re-run — and never let it be mistaken for a
-                # queue failure below, whatever its type.
-                raise _rehydrate(exc.outcome)
-            except _QUEUE_FAILURES as exc:
-                # Recover from the yielded set, not the pending dict: a
-                # failure *inside* enqueue() leaves pending unassigned,
-                # and every un-yielded shard must still be finished.
-                remaining = [
-                    (index, item)
-                    for index, item in enumerate(items)
-                    if index not in yielded
-                ]
-                self._fallback(
-                    f"the file queue failed mid-run "
-                    f"({type(exc).__name__}: {exc}); finishing "
-                    f"{len(remaining)} incomplete shard(s) in-process"
-                )
-                yield from self._serial(fn, remaining)
+            pending = session.enqueue(
+                fn, items, self._effective_batch_size(len(items))
+            )
+            yield from self._collect(session, fn, pending)
         finally:
             session.close()
 
@@ -592,7 +513,7 @@ class FileQueueTransport:
         Shard errors surface as :class:`_ShardFailure` (so the caller
         can tell them apart from queue failures regardless of the
         underlying exception type); queue trouble propagates as the
-        raw OS/pickle error for :meth:`imap`'s fallback handler.
+        raw OS/pickle error for the fallback shell's handler.
         """
         external_done = 0
         last_progress = time.monotonic()
@@ -654,61 +575,15 @@ class FileQueueTransport:
             if outcome.error is None:
                 sink(index, outcome.value)
 
-    def _serial(
-        self, fn: Callable, indexed_items: Sequence[Tuple[int, Any]]
-    ) -> Iterator[Tuple[int, Any]]:
-        """In-process fallback: the guarded-batch path, no queue."""
-        for index, outcome in _guarded_batch(fn, indexed_items):
-            if outcome.error is not None:
-                raise _rehydrate(outcome)
-            yield index, outcome.value
-
-    def _ticket_size(self, n_items: int) -> int:
-        """Shards per ticket (same ``"auto"`` policy as the pool)."""
-        if self.batch_size == "auto":
-            return max(1, n_items // (self.jobs * self.AUTO_BATCHES_PER_WORKER))
-        return int(self.batch_size)
-
     def _spawn_count(self) -> int:
         """Local worker subprocesses to start per map."""
         return self.workers if self.workers is not None else self.jobs
-
-    def _fallback(self, cause: str) -> None:
-        """Emit the observable serial-degradation diagnostic."""
-        who = f"FileQueueTransport(queue_dir={self.queue_dir!r})"
-        if self.label:
-            who += f" [{self.label}]"
-        warnings.warn(
-            f"{who} degraded to serial in-process execution: {cause}",
-            ParallelFallbackWarning,
-            stacklevel=3,
-        )
 
     def __repr__(self) -> str:
         return (
             f"FileQueueTransport(queue_dir={self.queue_dir!r}, "
             f"jobs={self.jobs}, workers={self._spawn_count()})"
         )
-
-
-#: Exceptions treated as *queue* failures (never the shard function's
-#: own errors, which are captured worker-side by the guarded batch and
-#: surfaced as :class:`_ShardFailure` instead).
-_QUEUE_FAILURES = (OSError, pickle.PickleError, ValueError, KeyError, EOFError)
-
-
-class _ShardFailure(Exception):
-    """Internal wrapper carrying a worker-side shard error outcome.
-
-    Exists so a shard exception whose *type* overlaps with
-    :data:`_QUEUE_FAILURES` (a shard raising ``OSError``, say) can
-    never be mistaken for queue trouble and silently retried — the
-    coordinator unwraps it and re-raises the original exactly once.
-    """
-
-    def __init__(self, outcome: _ShardOutcome) -> None:
-        super().__init__("worker-side shard error")
-        self.outcome = outcome
 
 
 class _QueueSession:
@@ -965,7 +840,6 @@ def file_queue_transport(
     *,
     jobs: int = 1,
     batch_size="auto",
-    label=None,
     queue_dir: Optional[str] = None,
     workers: Optional[int] = None,
     poll_interval: float = 0.05,
@@ -984,7 +858,6 @@ def file_queue_transport(
         queue_dir=queue_dir,
         jobs=jobs,
         batch_size=batch_size,
-        label=label,
         workers=workers,
         poll_interval=poll_interval,
         reclaim_after=reclaim_after,

@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Union
+from typing import Callable, Dict, Mapping, Optional, Union
 
 from ..core.schedulers.base import Scheduler
 from ..errors import ConfigurationError
 from ..experiments.engine import resolve_engine
-from ..experiments.parallel import Executor
+from ..experiments.parallel import SerialExecutor, Transport
 from ..experiments.registry import NamedFactory, node_factories
 from ..experiments.runner import RunResult
 from ..experiments.scenario import Scenario
-from ..experiments.transport import resolve_transport
 from ..mobility.contact import ContactTrace
 
 SchedulerFactory = Callable[[Scenario, str], Scheduler]
@@ -229,23 +228,17 @@ class NetworkRunner:
     def run(
         self,
         *,
-        executor: Optional[Executor] = None,
-        transport: Optional[str] = None,
-        transport_options: Optional[Mapping[str, Any]] = None,
-        jobs: int = 1,
+        executor: Optional[Transport] = None,
         progress: Optional[NodeProgressCallback] = None,
     ) -> NetworkResult:
-        """Run every node; returns the aggregated result.
+        """Run every node on *executor*; returns the aggregated result.
 
-        Execution resolves like everywhere else in the system: pass a
-        pre-built *executor*, or name a *transport* from
-        :data:`repro.experiments.registry.transport_factories`
-        (``"pool"`` with *jobs* workers, ``"file-queue"`` against a
-        shared directory, ...) and it is resolved through
-        :func:`~repro.experiments.transport.resolve_transport` with
-        *transport_options*.  Nodes are independent (each owns its
-        trace and scheduler) and results are reassembled by node index,
-        so the aggregate is identical for any backend, worker count, or
+        *executor* is any transport (in-process when None); a network
+        study builds it from its spec's execution section with
+        :meth:`~repro.experiments.spec.StudySpec.build_transport`, like
+        every other study.  Nodes are independent (each owns its trace
+        and scheduler) and results are reassembled by node index, so
+        the aggregate is identical for any backend, worker count, or
         completion order.  Scheduler factories that cannot be pickled
         (e.g. lambdas) run serially with a
         :class:`~repro.experiments.parallel.ParallelFallbackWarning`;
@@ -256,26 +249,15 @@ class NetworkRunner:
         exactly like grid cells stream through
         :func:`~repro.experiments.spec.run_study`.
         """
-        if executor is None and transport is not None:
-            executor = resolve_transport(
-                transport, jobs=jobs, options=transport_options
-            )
+        executor = executor if executor is not None else SerialExecutor()
         ordered = sorted(self.traces_by_node.items())
         items = [
             (self.scenario, node_id, trace, self.scheduler_factory, self.engine)
             for node_id, trace in ordered
         ]
-        if executor is None:
-            pairs = ((index, _run_node(item)) for index, item in enumerate(items))
-        else:
-            imap = getattr(executor, "imap", None)
-            if imap is not None:
-                pairs = imap(_run_node, items)
-            else:
-                pairs = enumerate(executor.map(_run_node, items))
         results: Dict[int, RunResult] = {}
         completed = 0
-        for index, result in pairs:
+        for index, result in executor.imap(_run_node, items):
             results[index] = result
             completed += 1
             if progress is not None:

@@ -6,7 +6,7 @@ server's pinned ``--transport`` when given, otherwise each spec's own
 ``execution`` section), and drives
 :func:`~repro.experiments.spec.run_study` with a progress callback that
 fans per-cell completions into a per-study :class:`EventLog` — the
-exact ``Executor.imap`` streaming contract the CLI's progress lines
+exact ``Transport.imap`` streaming contract the CLI's progress lines
 ride, re-published as server-sent events.
 
 Because exactly one thread executes studies, the store sees a single
@@ -23,14 +23,15 @@ simply marked cancelled before it ever starts.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from collections import deque
 from typing import Any, Dict, Iterator, List, Mapping, Optional
 
 from ..cache.store import validate_cache_options
-from ..cache.transport import wrap_with_cache
+from ..experiments.parallel import SerialExecutor
 from ..experiments.spec import StudySpec, run_study
-from ..experiments.transport import resolve_transport, validate_transport
+from ..experiments.transport import validate_transport
 from .store import StudyRecord, StudyStore
 
 __all__ = ["EventLog", "StudyCancelled", "StudyScheduler"]
@@ -396,31 +397,25 @@ class StudyScheduler:
     def _build_executor(self, spec: StudySpec):
         """The transport this study runs on (pinned name or spec-derived).
 
-        The server's pinned cache directory (when set) decorates the
-        inner transport and wins over the spec's own ``execution.cache``
-        — one shared cache across every submission is what makes
+        The server's pinned transport and cache directory (when set)
+        replace the spec's own, then the spec builds the transport like
+        any other study.  The replaced spec only builds the transport:
+        the stored spec and the artifact stay the submitted one.  One
+        shared cache across every submission is what makes
         near-duplicate studies cheap.
         """
-        if self.transport is None:
-            # The spec applies its own cache unless the server pins one.
-            executor = spec.build_transport(with_cache=self.cache is None)
-        else:
-            executor = resolve_transport(
-                self.transport,
-                jobs=spec.jobs,
-                batch_size=spec.batch_size,
-                label=spec.name,
-                options=self.transport_options,
+        pinned: Dict[str, Any] = {}
+        if self.transport is not None:
+            pinned.update(
+                transport=self.transport,
+                transport_options=self.transport_options,
             )
-            if self.cache is None and spec.cache is not None:
-                executor = wrap_with_cache(
-                    executor, spec.cache, dict(spec.cache_options)
-                )
         if self.cache is not None:
-            executor = wrap_with_cache(
-                executor, self.cache, dict(self.cache_options)
-            )
-        return executor
+            pinned.update(cache=self.cache, cache_options=self.cache_options)
+        executor = dataclasses.replace(spec, **pinned).build_transport()
+        # None is the plain in-process path; pass it explicitly, or
+        # run_study would rebuild from the submitted spec's own section.
+        return executor if executor is not None else SerialExecutor()
 
     def _finish_events(
         self,

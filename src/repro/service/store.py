@@ -42,7 +42,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import threading
 import time
 from dataclasses import dataclass
@@ -50,6 +49,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..experiments.spec import StudyDocument, StudyResult, StudySpec
+from ..experiments.transport import _atomic_write
 
 __all__ = [
     "STUDY_STATES",
@@ -78,26 +78,6 @@ def study_id_for(spec: StudySpec) -> str:
     """
     digest = hashlib.sha256(spec.to_json().encode("utf-8"))
     return digest.hexdigest()[:_ID_LENGTH]
-
-
-def _atomic_write_text(path: str, text: str) -> None:
-    """Publish *text* at *path* whole, via same-directory temp + rename."""
-    handle, tmp_path = tempfile.mkstemp(
-        dir=os.path.dirname(path), prefix=".tmp-", suffix=".part"
-    )
-    try:
-        with os.fdopen(handle, "w", encoding="utf-8") as tmp:
-            tmp.write(text)
-        os.replace(tmp_path, path)
-    # lint: allow[broad-except] -- cleanup-and-reraise: the temp file is
-    # removed on any failure (KeyboardInterrupt included), then the
-    # original exception propagates untouched
-    except BaseException:
-        try:
-            os.remove(tmp_path)
-        except OSError:
-            pass
-        raise
 
 
 @dataclass
@@ -240,7 +220,7 @@ class StudyStore:
                     return record, True
                 return existing, False
             os.makedirs(self.study_dir(study_id), exist_ok=True)
-            _atomic_write_text(self.spec_path(study_id), spec.to_json())
+            _atomic_write(self.spec_path(study_id), spec.to_json().encode("utf-8"))
             record = StudyRecord(
                 study_id=study_id,
                 state="queued",
@@ -268,11 +248,12 @@ class StudyStore:
         """
         with self._lock:
             text = result.to_json()
-            _atomic_write_text(self.result_path(study_id), text)
+            _atomic_write(self.result_path(study_id), text.encode("utf-8"))
             spec = self.load_spec(study_id)
             if spec.out and spec.out.endswith(".csv"):
-                _atomic_write_text(
-                    self.result_path(study_id, fmt="csv"), result.to_csv()
+                _atomic_write(
+                    self.result_path(study_id, fmt="csv"),
+                    result.to_csv().encode("utf-8"),
                 )
             return self._transition(study_id, "done", finished_at=time.time())
 
@@ -304,9 +285,9 @@ class StudyStore:
             return record
 
     def _write_state(self, record: StudyRecord) -> None:
-        _atomic_write_text(
+        _atomic_write(
             self.state_path(record.study_id),
-            json.dumps(record.to_dict(), indent=2) + "\n",
+            (json.dumps(record.to_dict(), indent=2) + "\n").encode("utf-8"),
         )
 
     # ------------------------------------------------------------------

@@ -72,14 +72,11 @@ class TestSpecWiring:
         )
         assert spec.cache == str(tmp_path / "cc")
 
-    def test_build_transport_decorates_and_with_cache_false_skips(
-        self, tmp_path
-    ):
+    def test_build_transport_decorates_cached_specs_only(self, tmp_path):
         spec = make_spec(cache=str(tmp_path / "cc"))
         transport = spec.build_transport()
         assert isinstance(transport, CachedTransport)
-        assert spec.build_transport(with_cache=False) is None  # plain serial
-        assert make_spec().build_transport() is None
+        assert make_spec().build_transport() is None  # plain serial
 
 
 class TestCliRun:

@@ -27,6 +27,7 @@ from repro.cache.store import (
 from repro.errors import ConfigurationError
 from repro.experiments.runner import RunSpec, execute_run_spec
 from repro.experiments.scenario import paper_roadside_scenario
+from repro.experiments.transport import _TEMP_SUFFIX
 
 KEY_A = "a" * 64
 KEY_B = "b" * 64
@@ -247,7 +248,7 @@ class TestConcurrency:
         debris = [
             name
             for name in os.listdir(os.path.join(cache.root, "cells"))
-            if name.endswith(".tmp")
+            if name.endswith(_TEMP_SUFFIX)
         ]
         assert debris == []
 

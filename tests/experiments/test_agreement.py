@@ -17,7 +17,7 @@ from repro.experiments.agreement import (
     AGREEMENT_EXPORT_COLUMNS,
     AGREEMENT_METRICS,
 )
-from repro.experiments.parallel import ParallelExecutor, SerialExecutor
+from repro.experiments.parallel import ParallelExecutor, SerialExecutor, Transport
 from repro.experiments.spec import StudySpec, run_study
 from repro.units import DAY
 
@@ -26,17 +26,11 @@ PHI_MAXES = (DAY / 100.0,)
 MECHANISMS = ("SNIP-AT", "SNIP-RH")
 
 
-class ShuffledExecutor:
+class ShuffledExecutor(Transport):
     """Runs shards in a scrambled order; results still index-aligned."""
 
     def __init__(self, shuffle_seed: int = 77) -> None:
         self.shuffle_seed = shuffle_seed
-
-    def map(self, fn, items):
-        results = [None] * len(items)
-        for index, result in self.imap(fn, items):
-            results[index] = result
-        return results
 
     def imap(self, fn, items):
         """Yield (index, result) pairs in the scrambled order."""
@@ -175,12 +169,13 @@ class TestValidation:
     def test_unknown_engine_rejected_before_any_run(self):
         calls = []
 
-        class CountingExecutor:
-            """Records every mapped shard (none must arrive)."""
+        class CountingExecutor(Transport):
+            """Records every dispatched shard (none must arrive)."""
 
-            def map(self, fn, items):
-                calls.extend(items)
-                return [fn(item) for item in items]
+            def imap(self, fn, items):
+                for index, item in enumerate(items):
+                    calls.append(item)
+                    yield index, fn(item)
 
         with pytest.raises(ConfigurationError, match="warp"):
             run_agreement(CountingExecutor(), engines=("fast", "warp"))

@@ -18,7 +18,11 @@ from repro.experiments.engine import (
     resolve_engine,
 )
 from repro.experiments.micro import MicroEngine
-from repro.experiments.parallel import ParallelExecutor, ParallelFallbackWarning
+from repro.experiments.parallel import (
+    ParallelExecutor,
+    ParallelFallbackWarning,
+    Transport,
+)
 from repro.experiments.registry import engine_factories, mechanism_factories
 from repro.experiments.runner import FastEngine, FastRunner, RunSpec, execute_run_spec
 from repro.experiments.scenario import paper_roadside_scenario
@@ -147,12 +151,13 @@ class TestWorkerSideResolution:
     def test_sweep_grid_rejects_unknown_engine_before_any_run(self):
         calls = []
 
-        class CountingExecutor:
-            """Records every mapped shard (none must arrive)."""
+        class CountingExecutor(Transport):
+            """Records every dispatched shard (none must arrive)."""
 
-            def map(self, fn, items):
-                calls.extend(items)
-                return [fn(item) for item in items]
+            def imap(self, fn, items):
+                for index, item in enumerate(items):
+                    calls.append(item)
+                    yield index, fn(item)
 
         with pytest.raises(ConfigurationError, match="sloth"):
             run_study(

@@ -17,7 +17,7 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.parallel import ParallelExecutor, SerialExecutor
+from repro.experiments.parallel import ParallelExecutor, SerialExecutor, Transport
 from repro.experiments.spec import StudySpec, run_study
 from repro.experiments.sweep import GRID_EXPORT_COLUMNS
 from repro.units import DAY
@@ -27,7 +27,7 @@ PHI_MAXES = (DAY / 1000.0, DAY / 100.0)
 METRICS = ("zeta", "phi", "rho")
 
 
-class ShuffledStreamingExecutor:
+class ShuffledTransport(Transport):
     """Executes shards in a deterministic but scrambled order, streaming.
 
     Any hidden cross-cell or cross-budget state would surface as a
@@ -36,12 +36,6 @@ class ShuffledStreamingExecutor:
 
     def __init__(self, shuffle_seed: int = 4321) -> None:
         self.shuffle_seed = shuffle_seed
-
-    def map(self, fn, items):
-        results = [None] * len(items)
-        for index, result in self.imap(fn, items):
-            results[index] = result
-        return results
 
     def imap(self, fn, items):
         """Yield (index, result) pairs in the scrambled order."""
@@ -92,7 +86,7 @@ class TestGridDeterminism:
         assert_identical_grids(grid, reference_grid)
 
     def test_shuffled_execution_matches_serial(self, reference_grid):
-        grid = run_grid(ShuffledStreamingExecutor(), replicates=2)
+        grid = run_grid(ShuffledTransport(), replicates=2)
         assert_identical_grids(grid, reference_grid)
 
     def test_budget_slices_match_standalone_sweeps(self, reference_grid):

@@ -13,7 +13,7 @@ import os
 import random
 import warnings
 from collections import Counter
-from typing import Callable, List, Sequence
+from typing import Callable, Sequence
 
 import pytest
 
@@ -22,11 +22,13 @@ from repro.experiments.parallel import (
     ParallelExecutor,
     ParallelFallbackWarning,
     SerialExecutor,
+    Transport,
     replicate_seed,
 )
 from repro.experiments.runner import RunSpec, default_factories, execute_run_spec
 from repro.experiments.scenario import paper_roadside_scenario
 from repro.experiments.spec import StudySpec, run_study
+from repro.experiments.stats import replicate
 from repro.mobility.contact import Contact, ContactTrace
 from repro.network.runner import NetworkRunner
 from repro.units import DAY
@@ -51,24 +53,16 @@ def run_sweep(executor=None, **overrides):
     return study.grid().budget(PHI_MAX)
 
 
-class ShuffledExecutor:
+class ShuffledExecutor(Transport):
     """Executes shards in a deterministic but scrambled order.
 
-    Results are still returned aligned with input order, as the
-    Executor protocol requires; only the *execution* order is
-    adversarial.  Any hidden cross-cell state would surface as a
+    Pairs still carry their shard index, as the Transport contract
+    requires; only the *execution* order is adversarial.  Any hidden cross-cell state would surface as a
     series mismatch against the serial reference.
     """
 
     def __init__(self, shuffle_seed: int = 1234) -> None:
         self.shuffle_seed = shuffle_seed
-
-    def map(self, fn: Callable, items: Sequence) -> List:
-        items = list(items)
-        results: List = [None] * len(items)
-        for index, result in self.imap(fn, items):
-            results[index] = result
-        return results
 
     def imap(self, fn: Callable, items: Sequence):
         """Stream (index, result) pairs in the scrambled execution order."""
@@ -215,6 +209,15 @@ def _square(n: int) -> int:
     return n * n
 
 
+_STARTED: list = []
+
+
+def _record_start(n: int) -> int:
+    """Module-level shard that records that it started (in-process)."""
+    _STARTED.append(n)
+    return n
+
+
 def _record_and_maybe_raise(item):
     """Shard that logs '<pid> <n>' to a file and explodes on n == 3."""
     path, n = item
@@ -265,7 +268,7 @@ class TestShardErrors:
 
 
 class TestStreaming:
-    """Executor.imap yields (index, result) pairs as shards complete."""
+    """Transport.imap yields (index, result) pairs as shards complete."""
 
     def test_parallel_imap_covers_all_indices(self):
         pool = ParallelExecutor(jobs=4)
@@ -273,13 +276,28 @@ class TestStreaming:
         assert sorted(pairs) == [(n, n * n) for n in range(8)]
         assert pool.last_map_parallel
 
-    def test_serial_imap_streams_in_order(self):
+    def test_serial_executor_streams_in_order(self):
         assert list(SerialExecutor().imap(_square, [3, 1])) == [(0, 9), (1, 1)]
 
     def test_imap_trivial_workload_is_serial(self):
         pool = ParallelExecutor(jobs=4)
         assert list(pool.imap(_square, [5])) == [(0, 25)]
         assert not pool.last_map_parallel
+
+    def test_in_process_path_streams_one_shard_at_a_time(self):
+        # jobs=1 with "auto" batching used to run a whole batch (10 of
+        # 40 shards) before the first pair; a consumer (cache store,
+        # cancellation check) must see each result before the next
+        # shard starts.
+        del _STARTED[:]
+        stream = ParallelExecutor(jobs=1, batch_size="auto").imap(
+            _record_start, list(range(40))
+        )
+        assert next(stream) == (0, 0)
+        assert _STARTED == [0]
+        assert next(stream) == (1, 1)
+        assert _STARTED == [0, 1]
+        stream.close()
 
     def test_imap_fallback_still_yields_every_pair(self):
         pool = ParallelExecutor(jobs=4)
@@ -376,6 +394,45 @@ class TestNetworkFanOut:
             assert outcome.phi == other.phi
             assert outcome.delivery_ratio == other.delivery_ratio
         assert serial.fleet_rho == parallel.fleet_rho
+
+
+class ImapOnlyTransport:
+    """A duck-typed transport with ``imap`` and nothing else.
+
+    Yields in reverse order, so a consumer that ignored the shard index
+    would assemble a scrambled result.
+    """
+
+    def imap(self, fn, items):
+        items = list(items)
+        for index in reversed(range(len(items))):
+            yield index, fn(items[index])
+
+
+class TestImapOnlyTransport:
+    """Every consumer needs only ``imap``: no ``map`` fallback anywhere."""
+
+    def test_stats_replicate_accepts_imap_only(self, base_scenario):
+        seeds = (1, 2, 3)
+        factory = default_factories()["SNIP-AT"]
+        serial = replicate(base_scenario, factory, seeds=seeds)
+        streamed = replicate(
+            base_scenario, factory, seeds=seeds, executor=ImapOnlyTransport()
+        )
+        assert [run.mean_zeta for run in streamed.runs] == [
+            run.mean_zeta for run in serial.runs
+        ]
+        assert [run.scenario.seed for run in streamed.runs] == list(seeds)
+
+    def test_network_runner_accepts_imap_only(self, base_scenario):
+        runner = NetworkRunner(
+            base_scenario, TestNetworkFanOut()._traces(), _node_factory
+        )
+        serial = runner.run()
+        streamed = runner.run(executor=ImapOnlyTransport())
+        assert sorted(streamed.outcomes) == sorted(serial.outcomes)
+        for node_id, outcome in serial.outcomes.items():
+            assert streamed.outcomes[node_id].zeta == outcome.zeta
 
 
 class TestReplicateSeeds:

@@ -17,7 +17,7 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.parallel import ParallelExecutor, SerialExecutor
+from repro.experiments.parallel import ParallelExecutor, SerialExecutor, Transport
 from repro.experiments.registry import scenario_factories
 from repro.experiments.runner import RunSpec, generate_trace
 from repro.experiments.scenario import paper_roadside_scenario
@@ -52,20 +52,19 @@ FOUR_SCENARIOS = (
 )
 
 
-class ShuffledExecutor:
+class ShuffledExecutor(Transport):
     """Runs shards in a scrambled order; results still index-aligned."""
 
     def __init__(self, shuffle_seed: int = 4321) -> None:
         self.shuffle_seed = shuffle_seed
 
-    def map(self, fn, items):
+    def imap(self, fn, items):
+        """Yield (index, result) pairs in the scrambled order."""
         items = list(items)
-        results = [None] * len(items)
         order = list(range(len(items)))
         random.Random(self.shuffle_seed).shuffle(order)
         for index in order:
-            results[index] = fn(items[index])
-        return results
+            yield index, fn(items[index])
 
 
 def small_spec(**overrides) -> StudySpec:

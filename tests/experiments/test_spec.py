@@ -20,6 +20,7 @@ from repro.experiments.parallel import (
     ParallelExecutor,
     ParallelFallbackWarning,
     SerialExecutor,
+    Transport,
 )
 from repro.experiments.registry import PAPER_MECHANISMS, mechanism_factories
 from repro.experiments.runner import RunSpec, execute_run_spec
@@ -35,17 +36,11 @@ from repro.units import DAY
 METRICS = ("zeta", "phi", "rho")
 
 
-class ShuffledExecutor:
+class ShuffledExecutor(Transport):
     """Runs shards in a scrambled order; results still index-aligned."""
 
     def __init__(self, shuffle_seed: int = 99) -> None:
         self.shuffle_seed = shuffle_seed
-
-    def map(self, fn, items):
-        results = [None] * len(items)
-        for index, result in self.imap(fn, items):
-            results[index] = result
-        return results
 
     def imap(self, fn, items):
         """Yield (index, result) pairs in the scrambled order."""
@@ -174,10 +169,11 @@ class TestStrictValidation:
         # would collapse to ± 0 and fake the replication the gate needs.
         calls = []
 
-        class CountingExecutor:
-            def map(self, fn, items):
-                calls.extend(items)
-                return [fn(item) for item in items]
+        class CountingExecutor(Transport):
+            def imap(self, fn, items):
+                for index, item in enumerate(items):
+                    calls.append(item)
+                    yield index, fn(item)
 
         spec = small_spec(engines=("fast", "micro"), replicate_seeds=(5, 5))
         with pytest.raises(ConfigurationError, match=r"repeated: \[5\]"):
@@ -206,6 +202,31 @@ class TestStrictValidation:
     def test_network_validation(self):
         with pytest.raises(ConfigurationError, match="nodes"):
             NetworkSection(nodes=0)
+
+    @pytest.mark.parametrize(
+        "document, field",
+        [
+            ({"scenario": {"epochs": True}}, "epochs"),
+            ({"scenario": {"seed": True}}, "seed"),
+            ({"axes": {"replicates": True}}, "replicates"),
+            ({"axes": {"replicate_seeds": [7.9, 3]}}, "replicate_seeds"),
+            ({"axes": {"replicate_seeds": ["3"]}}, "replicate_seeds"),
+            ({"axes": {"replicate_seeds": [True]}}, "replicate_seeds"),
+            ({"execution": {"jobs": True}}, "jobs"),
+            ({"execution": {"batch_size": True}}, "batch_size"),
+            ({"network": {"nodes": True}}, "nodes"),
+            ({"network": {"commuters": True}}, "commuters"),
+        ],
+    )
+    def test_non_integers_rejected_not_coerced(self, document, field):
+        # bool is an int subclass and int() truncates floats: neither
+        # may slip into a spec (and so into its to_json) silently.
+        with pytest.raises(ConfigurationError, match=field):
+            StudySpec.from_dict(document)
+
+    def test_network_section_rejects_bool_nodes(self):
+        with pytest.raises(ConfigurationError, match="network.nodes"):
+            NetworkSection(nodes=True)
 
 
 class TestOverrides:
@@ -356,10 +377,11 @@ class TestRunStudySubsumesLegacyApis:
     def test_unknown_engine_fails_before_any_shard(self):
         calls = []
 
-        class CountingExecutor:
-            def map(self, fn, items):
-                calls.extend(items)
-                return [fn(item) for item in items]
+        class CountingExecutor(Transport):
+            def imap(self, fn, items):
+                for index, item in enumerate(items):
+                    calls.append(item)
+                    yield index, fn(item)
 
         spec = small_spec()
         object.__setattr__(spec, "engines", ("sloth",))

@@ -86,9 +86,9 @@ class TestRegistry:
 
     def test_serial_and_pool_resolve_to_legacy_classes(self):
         assert isinstance(resolve_transport("serial"), SerialExecutor)
-        pool = resolve_transport("pool", jobs=3, batch_size=2, label="x")
+        pool = resolve_transport("pool", jobs=3, batch_size=2)
         assert isinstance(pool, ParallelExecutor)
-        assert (pool.jobs, pool.batch_size, pool.label) == (3, 2, "x")
+        assert (pool.jobs, pool.batch_size) == (3, 2)
 
     def test_file_queue_resolves_with_options(self):
         transport = resolve_transport(
@@ -125,7 +125,7 @@ class TestRegistry:
 
     def test_runtime_registration_resolves(self):
         @transport_factories.register("test-inline")
-        def inline_transport(*, jobs=1, batch_size=1, label=None):
+        def inline_transport(*, jobs=1, batch_size=1):
             """An inline test transport."""
             return SerialExecutor()
 
@@ -320,7 +320,7 @@ class TestFileQueueSemantics:
 
     def test_var_keyword_factory_accepts_any_option(self):
         @transport_factories.register("test-kwargs")
-        def kwargs_transport(*, jobs=1, batch_size=1, label=None, **extras):
+        def kwargs_transport(*, jobs=1, batch_size=1, **extras):
             """A catch-all factory: opts out of strict option checks."""
             assert extras == {"hosts": ["a", "b"]}
             return SerialExecutor()
@@ -342,6 +342,23 @@ class TestFileQueueSemantics:
         with pytest.warns(ParallelFallbackWarning, match="queue directory"):
             results = transport.map(_double, [1, 2, 3])
         assert results == [2, 4, 6]
+
+    def test_fallback_streams_one_shard_at_a_time(self, tmp_path):
+        # The in-process fallback used to run every shard before the
+        # first pair; a cache storing each miss after its yield, or a
+        # cancellation check in a progress callback, saw nothing until
+        # the whole remainder had finished.
+        blocked = tmp_path / "blocked"
+        blocked.write_text("a file, not a directory")
+        del _STARTED[:]
+        transport = FileQueueTransport(queue_dir=str(blocked), workers=0)
+        stream = transport.imap(_record_start, list(range(8)))
+        with pytest.warns(ParallelFallbackWarning, match="queue directory"):
+            assert next(stream) == (0, 0)
+        assert _STARTED == [0]
+        assert next(stream) == (1, 1)
+        assert _STARTED == [0, 1]
+        stream.close()
 
     def test_empty_items(self):
         assert FileQueueTransport(workers=0).map(_double, []) == []
@@ -391,6 +408,13 @@ def _double(value):
 
 
 _FAIL_CALLS = []
+_STARTED = []
+
+
+def _record_start(value):
+    """Module-level shard that records that it started (in-process)."""
+    _STARTED.append(value)
+    return value
 
 
 def _fail_on_two(value):
@@ -449,13 +473,13 @@ class TestWorkerLoop:
         assert "processed 0 ticket(s)" in capsys.readouterr().out
 
 
-class _LabelledBoom:
-    """A labellable executor whose map always raises mid-flight."""
+class _LabelledBoom(Transport):
+    """A labellable transport whose stream always raises mid-flight."""
 
     def __init__(self, label=None):
         self.label = label
 
-    def map(self, fn, items):
+    def imap(self, fn, items):
         raise RuntimeError("boom mid-flight")
 
 

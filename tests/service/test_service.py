@@ -100,6 +100,29 @@ class TestValidationAndErrors:
         assert client.list_studies() == []
         assert client.healthz()["queue_depth"] == 0
 
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("scenario", "epochs", True),
+            ("axes", "replicates", True),
+            ("axes", "replicate_seeds", [7.9]),
+            ("execution", "jobs", True),
+            ("execution", "batch_size", True),
+        ],
+    )
+    def test_non_integer_count_is_400_and_never_queued(
+        self, client, section, field, value
+    ):
+        # JSON true is a Python bool, an int subclass: the spec must
+        # refuse it (and float seeds) instead of coercing silently.
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit({"name": "bad", section: {field: value}})
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["type"] == "ConfigurationError"
+        assert field in excinfo.value.payload["message"]
+        assert client.list_studies() == []
+        assert client.healthz()["queue_depth"] == 0
+
     def test_non_object_body_is_400(self, client):
         with pytest.raises(ServiceError) as excinfo:
             client._request("POST", "/studies", body=None)

@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.spec import StudyDocument, run_study
+from repro.experiments.transport import _TEMP_SUFFIX
 from repro.service.store import (
     STUDY_STATES,
     TERMINAL_STATES,
@@ -188,6 +189,6 @@ class TestAtomicity:
             name
             for _, _, names in os.walk(str(tmp_path))
             for name in names
-            if name.endswith(".part")
+            if name.endswith(_TEMP_SUFFIX)
         ]
         assert leftovers == []
