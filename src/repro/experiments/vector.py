@@ -34,6 +34,24 @@ assert this cell by cell (including the seed-0 golden sweep), and CI
 runs the paired agreement grid (``repro-snip run --spec
 examples/vector_gate.json --gate TOL``) with two replicates.
 
+Shared per-study inputs: most of what a cell needs does not depend on
+its replicate seed, so each is built once per process and shared by
+every cell that asks for the same values.  Every memo is bounded,
+keyed by value (``typed``, so ``60`` and ``60.0`` build separately),
+and hands out read-only arrays or tuples:
+
+* the interval grid, on ``(epoch_length, decision_period, epochs)``,
+  and its slot indices, on the profile's slot geometry (4 entries each);
+* the SNIP-AT/OPT timeline ``(active, active_until, anchor, cycle, Φ)``,
+  on the duty plan, ``Ton``, Φmax and the grid (2 entries: the study
+  order runs the replicates of one timeline back to back, so two
+  entries get all of its reuse);
+* the SNIP-RH walk — the rush intervals as ``(k, t0, t1, epoch)``
+  tuples — on the rush flags and the grid (2 entries);
+* the contact columns of each memoized trace, stored beside it (8
+  traces).  A caller-supplied ``trace=`` is mutable, so its columns are
+  built fresh for every run.
+
 Batch evaluation: :meth:`VectorEngine.run_batch` takes a whole shard of
 :class:`~repro.experiments.runner.RunSpec` s and shares the expensive
 deterministic trace generation between specs that differ only in
@@ -45,9 +63,11 @@ for that is :func:`repro.experiments.runner.execute_run_specs`.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from collections import OrderedDict
-from typing import List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,7 +76,8 @@ from ..core.schedulers.base import Scheduler
 from ..core.schedulers.opt import SnipOptScheduler
 from ..core.schedulers.rh import SnipRhScheduler
 from ..errors import ConfigurationError
-from ..mobility.contact import ContactTrace
+from ..mobility.contact import Contact, ContactTrace
+from ..mobility.traces import TraceFileSource
 from ..node.buffer import DataBuffer
 from ..node.sensor import ProbingAccount, SensorNode
 from ..radio.link import LinkModel
@@ -134,7 +155,7 @@ class _ProbeBook:
 
     def __init__(self, scenario: Scenario, link: LinkModel, epochs: int) -> None:
         self.rate = scenario.data_rate
-        self.link = link
+        self.usable_window = link.usable_window
         self.uploaded_cumulative = 0.0
         self.zeta = [0.0] * epochs
         self.uploaded = [0.0] * epochs
@@ -145,59 +166,281 @@ class _ProbeBook:
     def probe(
         self, end: float, beacon: float, interval_end: float, epoch: int
     ) -> Tuple[float, float]:
-        """Apply one probe; returns ``(probed_seconds, uploaded)``."""
+        """Apply one probe; returns ``(probed_seconds, uploaded)``.
+
+        ``x if x > 0.0 else 0.0`` is ``max(0.0, x)`` bit for bit
+        (-0.0 and NaN included), without the builtin call.
+        """
         probed_seconds = end - beacon
-        window = self.link.usable_window(probed_seconds)
-        level = max(0.0, self.rate * interval_end - self.uploaded_cumulative)
+        window = self.usable_window(probed_seconds)
+        rate = self.rate
+        cumulative = self.uploaded_cumulative
+        level = rate * interval_end - cumulative
+        level = level if level > 0.0 else 0.0
         uploaded = window if window < level else level
         self.zeta[epoch] += probed_seconds
         self.uploaded[epoch] += uploaded
         self.probed_n[epoch] += 1
         if uploaded > 0:
-            oldest_creation = self.uploaded_cumulative / self.rate
-            mean_creation = (
-                self.uploaded_cumulative + uploaded / 2.0
-            ) / self.rate
-            self.delay_weight[epoch] += uploaded * max(0.0, end - mean_creation)
-            self.max_delay[epoch] = max(
-                self.max_delay[epoch], end - oldest_creation
-            )
-        self.uploaded_cumulative += uploaded
+            oldest_creation = cumulative / rate
+            mean_creation = (cumulative + uploaded / 2.0) / rate
+            wait = end - mean_creation
+            self.delay_weight[epoch] += uploaded * (wait if wait > 0.0 else 0.0)
+            delay = end - oldest_creation
+            if delay > self.max_delay[epoch]:
+                self.max_delay[epoch] = delay
+        self.uploaded_cumulative = cumulative + uploaded
         return probed_seconds, uploaded
+
+
+# ----------------------------------------------------------------------
+# seed-independent inputs, shared across the cells of a study
+# ----------------------------------------------------------------------
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+class _Grid(NamedTuple):
+    """Per-interval start/end times and epochs over the whole run."""
+
+    t0: np.ndarray
+    t1: np.ndarray
+    epoch_idx: np.ndarray
+    epochs: int
+    per_epoch: int
+
+
+@lru_cache(maxsize=4, typed=True)
+def _interval_grid(epoch_length: float, period: float, epochs: int) -> _Grid:
+    per_epoch = int(math.ceil((epoch_length - TIME_EPSILON) / period))
+    offsets = np.arange(per_epoch) * period
+    end_offsets = np.minimum(offsets + period, epoch_length)
+    epoch_starts = np.arange(epochs) * epoch_length
+    t0 = (epoch_starts[:, None] + offsets[None, :]).reshape(-1)
+    t1 = (epoch_starts[:, None] + end_offsets[None, :]).reshape(-1)
+    epoch_idx = np.repeat(np.arange(epochs), per_epoch)
+    return _Grid(
+        _read_only(t0), _read_only(t1), _read_only(epoch_idx), epochs, per_epoch
+    )
+
+
+@lru_cache(maxsize=4, typed=True)
+def _slot_indices(
+    slot_epoch_length: float, slot_length: float, slot_count: int, *grid_key
+) -> np.ndarray:
+    """Vectorized :meth:`SlotProfile.slot_index` over the grid's ``t0``."""
+    position = np.mod(_interval_grid(*grid_key).t0, slot_epoch_length)
+    raw = np.floor_divide(position, slot_length).astype(np.int64)
+    return _read_only(np.minimum(raw, slot_count - 1))
+
+
+@lru_cache(maxsize=2, typed=True)
+def _open_loop_timeline(
+    duty_plan, t_on: float, phi_max: float, slot_key, *grid_key
+) -> Tuple[np.ndarray, ...]:
+    """``(active, active_until, anchor, cycle, phi)`` of SNIP-AT (a
+    scalar *duty_plan*) or SNIP-OPT (a per-slot tuple, with *slot_key*
+    the profile's slot geometry) over the whole run."""
+    t0, t1, _, epochs, per_epoch = _interval_grid(*grid_key)
+    if isinstance(duty_plan, tuple):
+        slot = _slot_indices(*slot_key, *grid_key)
+        duty = np.asarray(duty_plan, dtype=float)[slot]
+    else:
+        duty = np.full(t0.shape[0], duty_plan)
+    active, active_until, clipped, phi = _activation(
+        duty, t0, t1, epochs, per_epoch, phi_max
+    )
+    anchor = _anchors(active, clipped, duty, t0)
+    safe_duty = np.where(duty > 0.0, duty, 1.0)
+    cycle = t_on / safe_duty
+    arrays = (active, active_until, anchor, cycle, phi)
+    return tuple(_read_only(array) for array in arrays)
+
+
+def _activation(
+    duty: np.ndarray,
+    t0: np.ndarray,
+    t1: np.ndarray,
+    epochs: int,
+    per_epoch: int,
+    phi_max: float,
+):
+    """Resolve the per-interval energy accrual against the budget.
+
+    Mirrors the fast runner's per-interval charging: full cost
+    ``d * dt`` while it fits inside the remaining budget (within
+    ``TIME_EPSILON``), an exact mid-interval clip at the crossing
+    (``active_until = t + remaining / d``) when the remainder is
+    spendable, and decision-off (``budget``) for the rest of the
+    epoch.  Returns per-interval ``(active, active_until, clipped)``
+    plus per-epoch Φ.
+    """
+    plan = (duty > 0.0).reshape(epochs, per_epoch)
+    dt = (t1 - t0).reshape(epochs, per_epoch)
+    d2 = duty.reshape(epochs, per_epoch)
+    full_cost = np.where(plan, d2 * dt, 0.0)
+    cum = np.cumsum(full_cost, axis=1)
+    over = plan & (cum > phi_max + TIME_EPSILON)
+    cross = np.where(over.any(axis=1), over.argmax(axis=1), per_epoch)
+    k_idx = np.arange(per_epoch)[None, :]
+    fully = plan & (k_idx < cross[:, None])
+    at_cross = plan & (k_idx == cross[:, None])
+    remaining_before = phi_max - (cum - full_cost)
+    clip_ok = at_cross & (remaining_before > _EXHAUSTED_EPSILON)
+    active = (fully | clip_ok).reshape(-1)
+    safe_duty = np.where(duty > 0.0, duty, 1.0)
+    active_until = np.where(
+        fully.reshape(-1),
+        t1,
+        np.where(
+            clip_ok.reshape(-1),
+            t0 + np.maximum(remaining_before.reshape(-1), 0.0) / safe_duty,
+            t0,
+        ),
+    )
+    clipped = clip_ok.reshape(-1) & (active_until < t1 - TIME_EPSILON)
+    phi = np.minimum(cum[:, -1], phi_max)
+    return active, active_until, clipped, phi
+
+
+def _anchors(
+    active: np.ndarray,
+    clipped: np.ndarray,
+    config_key: np.ndarray,
+    t0: np.ndarray,
+) -> np.ndarray:
+    """Per-interval beacon-train anchor times.
+
+    The fast runner re-anchors the train at the first interval of
+    every maximal run of consecutive active intervals with an
+    unchanged configuration, and also after a mid-interval budget
+    clip (the train stops).  Epoch boundaries do *not* reset an
+    uninterrupted train — a free-running radio.
+    """
+    n = active.shape[0]
+    breaks = np.ones(n, dtype=bool)
+    if n > 1:
+        breaks[1:] = (
+            ~active[:-1]
+            | (config_key[1:] != config_key[:-1])
+            | clipped[:-1]
+        )
+    new_streak = active & breaks
+    streak_start = np.where(new_streak, np.arange(n), -1)
+    np.maximum.accumulate(streak_start, out=streak_start)
+    return np.where(
+        streak_start >= 0, t0[np.maximum(streak_start, 0)], 0.0
+    )
+
+
+@lru_cache(maxsize=2, typed=True)
+def _rush_walk(rush_flags: Tuple[bool, ...], slot_key, *grid_key):
+    """SNIP-RH's walked intervals as ``(k, t0, t1, epoch)`` tuples.
+
+    Python numbers index and compare faster than numpy scalars in the
+    per-interval loop, with identical values.
+    """
+    t0, t1, epoch_idx, _, _ = _interval_grid(*grid_key)
+    slot = _slot_indices(*slot_key, *grid_key)
+    walk = np.nonzero(np.asarray(rush_flags, dtype=bool)[slot])[0]
+    return (
+        tuple(walk.tolist()),
+        tuple(t0[walk].tolist()),
+        tuple(t1[walk].tolist()),
+        tuple(epoch_idx[walk].tolist()),
+    )
+
+
+def _grid_key(scenario: Scenario) -> Tuple[float, float, int]:
+    profile = scenario.profile
+    return (profile.epoch_length, scenario.decision_period, scenario.epochs)
+
+
+def _slot_key(profile) -> Tuple[float, float, int]:
+    return (profile.epoch_length, profile.slot_length, profile.slot_count)
+
+
+class _Columns(NamedTuple):
+    """A trace's contacts as columns: arrays for numpy, tuples of
+    Python floats for the scalar SNIP-RH walk."""
+
+    contacts: Tuple[Contact, ...]
+    starts: np.ndarray
+    lengths: np.ndarray
+    ends: np.ndarray
+    starts_at: Tuple[float, ...]
+    ends_at: Tuple[float, ...]
+
+
+def _columns(trace: ContactTrace) -> _Columns:
+    contacts = tuple(trace)
+    starts = np.array([c.start for c in contacts], dtype=float)
+    lengths = np.array([c.length for c in contacts], dtype=float)
+    ends = starts + lengths
+    return _Columns(
+        contacts,
+        _read_only(starts),
+        _read_only(lengths),
+        _read_only(ends),
+        tuple(starts.tolist()),
+        tuple(ends.tolist()),
+    )
 
 
 # ----------------------------------------------------------------------
 # trace memoization (per process)
 # ----------------------------------------------------------------------
-_TRACE_MEMO: "OrderedDict[Tuple[object, ...], ContactTrace]" = OrderedDict()
+_TRACE_MEMO: "OrderedDict[Tuple[object, ...], Tuple[ContactTrace, _Columns]]" = (
+    OrderedDict()
+)
 _TRACE_MEMO_LIMIT = 8
 
 
-def _memoized_trace(scenario: Scenario) -> ContactTrace:
-    """The deterministic trace for *scenario*, cached per process.
+def _file_stamp(source: object) -> Optional[Tuple[int, int]]:
+    """``(st_size, st_mtime_ns)`` of a trace file source's file.
+
+    ``None`` for sources that read no file, and for a file that cannot
+    be stat'ed (generating its trace then raises the real error).
+    """
+    if not isinstance(source, TraceFileSource):
+        return None
+    try:
+        info = os.stat(source.path)
+    except OSError:
+        return None
+    return (info.st_size, info.st_mtime_ns)
+
+
+def _memoized_trace(scenario: Scenario) -> Tuple[ContactTrace, _Columns]:
+    """The deterministic trace for *scenario* and its columns, cached
+    per process.
 
     The contact process depends only on the profile, the trace config,
     the contact source, and the seed — not on ζtarget, Φmax or the
     mechanism — so a grid shard reuses one generation across all cells
-    that share a replicate seed.  Traces are treated as immutable by
-    every engine, so sharing one instance across :class:`RunResult` s
-    is safe.
+    that share a replicate seed.  A file-backed source is also keyed on
+    its file's size and modification time, so an edited file is read
+    again.  Traces are treated as immutable by every engine, so sharing
+    one instance across :class:`RunResult` s is safe.
     """
+    source = scenario.contact_source
     key = (
         scenario.profile,
         scenario.trace_config,
-        scenario.contact_source,
+        source,
         scenario.seed,
+        _file_stamp(source),
     )
-    trace = _TRACE_MEMO.get(key)
-    if trace is None:
+    entry = _TRACE_MEMO.get(key)
+    if entry is None:
         trace = generate_trace(scenario)
-        _TRACE_MEMO[key] = trace
+        entry = _TRACE_MEMO[key] = (trace, _columns(trace))
         while len(_TRACE_MEMO) > _TRACE_MEMO_LIMIT:
             _TRACE_MEMO.popitem(last=False)
     else:
         _TRACE_MEMO.move_to_end(key)
-    return trace
+    return entry
 
 
 # ----------------------------------------------------------------------
@@ -239,23 +482,28 @@ class VectorEngine:
         fall back to the exact :class:`FastRunner` with a
         ``RuntimeWarning``.
         """
+        columns = None
         if trace is None:
             if streams is not None:
                 trace = generate_trace(scenario, streams)
             else:
-                trace = _memoized_trace(scenario)
+                trace, columns = _memoized_trace(scenario)
         if type(scheduler) in (SnipAtScheduler, SnipOptScheduler):
-            return self._run_static(scenario, scheduler, trace)
-        if type(scheduler) is SnipRhScheduler:
-            return self._run_adaptive(scenario, scheduler, trace)
-        warnings.warn(
-            "vector engine has no vectorized kernel for scheduler type "
-            f"{type(scheduler).__name__}; falling back to the exact fast "
-            "runner for this run",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return FastRunner(scenario, scheduler, trace=trace).run()
+            kernel = self._run_static
+        elif type(scheduler) is SnipRhScheduler:
+            kernel = self._run_adaptive
+        else:
+            warnings.warn(
+                "vector engine has no vectorized kernel for scheduler type "
+                f"{type(scheduler).__name__}; falling back to the exact fast "
+                "runner for this run",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            return FastRunner(scenario, scheduler, trace=trace).run()
+        if columns is None:
+            columns = _columns(trace)
+        return kernel(scenario, scheduler, trace, columns)
 
     def run_batch(self, specs: Sequence[RunSpec]) -> List[RunResult]:
         """Evaluate a whole shard of :class:`RunSpec` s.
@@ -279,161 +527,57 @@ class VectorEngine:
         return results
 
     # ------------------------------------------------------------------
-    # interval grid
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _interval_grid(scenario: Scenario):
-        """Per-interval start/end times over all epochs, plus shape."""
-        epoch_length = scenario.profile.epoch_length
-        period = scenario.decision_period
-        epochs = scenario.epochs
-        per_epoch = int(math.ceil((epoch_length - TIME_EPSILON) / period))
-        offsets = np.arange(per_epoch) * period
-        end_offsets = np.minimum(offsets + period, epoch_length)
-        epoch_starts = np.arange(epochs) * epoch_length
-        t0 = (epoch_starts[:, None] + offsets[None, :]).reshape(-1)
-        t1 = (epoch_starts[:, None] + end_offsets[None, :]).reshape(-1)
-        epoch_idx = np.repeat(np.arange(epochs), per_epoch)
-        return t0, t1, epoch_idx, epochs, per_epoch
-
-    @staticmethod
-    def _slot_indices(profile, times: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`SlotProfile.slot_index` over *times*."""
-        position = np.mod(times, profile.epoch_length)
-        raw = np.floor_divide(position, profile.slot_length).astype(np.int64)
-        return np.minimum(raw, profile.slot_count - 1)
-
-    # ------------------------------------------------------------------
     # static (open-loop) kernel: SNIP-AT and SNIP-OPT
     # ------------------------------------------------------------------
     def _run_static(
-        self, scenario: Scenario, scheduler: Scheduler, trace: ContactTrace
+        self,
+        scenario: Scenario,
+        scheduler: Scheduler,
+        trace: ContactTrace,
+        columns: _Columns,
     ) -> RunResult:
-        link = LinkModel()
-        t0, t1, epoch_idx, epochs, per_epoch = self._interval_grid(scenario)
-
-        # Per-interval planned duty-cycle (0 = decision off by plan).
+        grid_key = _grid_key(scenario)
+        t0, t1, epoch_idx, epochs, _ = _interval_grid(*grid_key)
         if type(scheduler) is SnipAtScheduler:
-            duty = np.full(t0.shape[0], scheduler.duty_cycle)
-            t_on = scheduler.model.t_on
+            duty_plan, slot_key = scheduler.duty_cycle, None
         else:
-            slot = self._slot_indices(scheduler.profile, t0)
-            duty_by_slot = np.asarray(scheduler.plan.duty_cycles, dtype=float)
-            duty = duty_by_slot[slot]
-            t_on = scheduler.model.t_on
-
-        active, active_until, clipped, phi = self._activation(
-            duty, t0, t1, epochs, per_epoch, scenario.phi_max
+            duty_plan = tuple(scheduler.plan.duty_cycles)
+            slot_key = _slot_key(scheduler.profile)
+        active, active_until, anchor, cycle, phi = _open_loop_timeline(
+            duty_plan, scheduler.model.t_on, scenario.phi_max, slot_key, *grid_key
         )
-        anchor = self._anchors(active, clipped, duty, t0)
-        safe_duty = np.where(duty > 0.0, duty, 1.0)
-        cycle = t_on / safe_duty
 
-        contacts = list(trace)
-        starts = np.array([c.start for c in contacts], dtype=float)
-        lengths = np.array([c.length for c in contacts], dtype=float)
-        ends = starts + lengths
+        starts, ends = columns.starts, columns.ends
         k0 = np.searchsorted(t1, starts, side="right")
         probe_k, probe_b = _probe_search_numpy(
             starts, ends, k0, active, active_until, anchor, cycle, t1
         )
 
-        book = _ProbeBook(scenario, link, epochs)
+        book = _ProbeBook(scenario, LinkModel(), epochs)
         hits = np.nonzero(probe_k >= 0)[0]
         hit_k = probe_k[hits]
+        probe = book.probe
         for end, beacon, interval_end, epoch in zip(
             ends[hits].tolist(),
             probe_b[hits].tolist(),
             t1[hit_k].tolist(),
             epoch_idx[hit_k].tolist(),
         ):
-            book.probe(end, beacon, interval_end, epoch)
+            probe(end, beacon, interval_end, epoch)
         return self._assemble(
-            scenario, scheduler, trace, starts, lengths, probe_k,
+            scenario, scheduler, trace, columns, probe_k,
             t1, epoch_idx, epochs, phi, book,
-        )
-
-    @staticmethod
-    def _activation(
-        duty: np.ndarray,
-        t0: np.ndarray,
-        t1: np.ndarray,
-        epochs: int,
-        per_epoch: int,
-        phi_max: float,
-    ):
-        """Resolve the per-interval energy accrual against the budget.
-
-        Mirrors the fast runner's per-interval charging: full cost
-        ``d * dt`` while it fits inside the remaining budget (within
-        ``TIME_EPSILON``), an exact mid-interval clip at the crossing
-        (``active_until = t + remaining / d``) when the remainder is
-        spendable, and decision-off (``budget``) for the rest of the
-        epoch.  Returns per-interval ``(active, active_until, clipped)``
-        plus per-epoch Φ.
-        """
-        plan = (duty > 0.0).reshape(epochs, per_epoch)
-        dt = (t1 - t0).reshape(epochs, per_epoch)
-        d2 = duty.reshape(epochs, per_epoch)
-        full_cost = np.where(plan, d2 * dt, 0.0)
-        cum = np.cumsum(full_cost, axis=1)
-        over = plan & (cum > phi_max + TIME_EPSILON)
-        cross = np.where(over.any(axis=1), over.argmax(axis=1), per_epoch)
-        k_idx = np.arange(per_epoch)[None, :]
-        fully = plan & (k_idx < cross[:, None])
-        at_cross = plan & (k_idx == cross[:, None])
-        remaining_before = phi_max - (cum - full_cost)
-        clip_ok = at_cross & (remaining_before > _EXHAUSTED_EPSILON)
-        active = (fully | clip_ok).reshape(-1)
-        safe_duty = np.where(duty > 0.0, duty, 1.0)
-        active_until = np.where(
-            fully.reshape(-1),
-            t1,
-            np.where(
-                clip_ok.reshape(-1),
-                t0 + np.maximum(remaining_before.reshape(-1), 0.0) / safe_duty,
-                t0,
-            ),
-        )
-        clipped = clip_ok.reshape(-1) & (active_until < t1 - TIME_EPSILON)
-        phi = np.minimum(cum[:, -1], phi_max)
-        return active, active_until, clipped, phi
-
-    @staticmethod
-    def _anchors(
-        active: np.ndarray,
-        clipped: np.ndarray,
-        config_key: np.ndarray,
-        t0: np.ndarray,
-    ) -> np.ndarray:
-        """Per-interval beacon-train anchor times.
-
-        The fast runner re-anchors the train at the first interval of
-        every maximal run of consecutive active intervals with an
-        unchanged configuration, and also after a mid-interval budget
-        clip (the train stops).  Epoch boundaries do *not* reset an
-        uninterrupted train — a free-running radio.
-        """
-        n = active.shape[0]
-        breaks = np.ones(n, dtype=bool)
-        if n > 1:
-            breaks[1:] = (
-                ~active[:-1]
-                | (config_key[1:] != config_key[:-1])
-                | clipped[:-1]
-            )
-        new_streak = active & breaks
-        streak_start = np.where(new_streak, np.arange(n), -1)
-        np.maximum.accumulate(streak_start, out=streak_start)
-        return np.where(
-            streak_start >= 0, t0[np.maximum(streak_start, 0)], 0.0
         )
 
     # ------------------------------------------------------------------
     # adaptive (feedback) kernel: SNIP-RH
     # ------------------------------------------------------------------
     def _run_adaptive(
-        self, scenario: Scenario, scheduler: SnipRhScheduler, trace: ContactTrace
+        self,
+        scenario: Scenario,
+        scheduler: SnipRhScheduler,
+        trace: ContactTrace,
+        columns: _Columns,
     ) -> RunResult:
         """Event-driven SNIP-RH: walk rush intervals only.
 
@@ -446,44 +590,40 @@ class VectorEngine:
         and the learned config are re-read only after ``on_probe``, the
         one call that moves them.
         """
-        link = LinkModel()
         rate = scenario.data_rate
         phi_max = scenario.phi_max
-        t0, t1, epoch_idx, epochs, _ = self._interval_grid(scenario)
-        slot = self._slot_indices(scheduler.profile, t0)
-        rush_by_slot = np.asarray(scheduler.rush_flags, dtype=bool)
-        walk = np.nonzero(rush_by_slot[slot])[0]
+        grid_key = _grid_key(scenario)
+        _, t1, epoch_idx, epochs, _ = _interval_grid(*grid_key)
+        walk = _rush_walk(
+            tuple(scheduler.rush_flags), _slot_key(scheduler.profile), *grid_key
+        )
 
-        contacts = list(trace)
+        contacts = columns.contacts
         n_contacts = len(contacts)
-        starts = np.array([c.start for c in contacts], dtype=float)
-        lengths = np.array([c.length for c in contacts], dtype=float)
-        ends = starts + lengths
-        # Python floats index and compare faster than numpy scalars in
-        # this per-interval loop, with identical values.
-        starts_at = starts.tolist()
-        ends_at = ends.tolist()
+        starts_at = columns.starts_at
+        ends_at = columns.ends_at
         probed_js: List[int] = []
         probed_ks: List[int] = []
 
-        book = _ProbeBook(scenario, link, epochs)
+        book = _ProbeBook(scenario, LinkModel(), epochs)
+        probe = book.probe
+        on_probe = scheduler.on_probe
+        data_threshold = scheduler.data_threshold
+        duty_cycle_config = scheduler.duty_cycle_config
         phi = np.zeros(epochs)
         spent = 0.0
         current_epoch = 0
-        anchor = 0.0
+        uploaded_cumulative = 0.0  # book.uploaded_cumulative, refreshed at probes
+        phase = 0.0  # of the beacon train, anchored where it (re)starts
         config = None
         pending: Optional[int] = None
         cursor = 0
         previous_k = -2
-        threshold = scheduler.data_threshold()
-        learned = None  # scheduler.duty_cycle_config(), read lazily
+        threshold = data_threshold()
+        # scheduler.duty_cycle_config() and its duty/cycle, read lazily
+        learned = None
 
-        for k, time, interval_end, epoch in zip(
-            walk.tolist(),
-            t0[walk].tolist(),
-            t1[walk].tolist(),
-            epoch_idx[walk].tolist(),
-        ):
+        for k, time, interval_end, epoch in zip(*walk):
             if epoch != current_epoch:
                 # Epoch rollover(s): Φ is the energy spent that epoch.
                 phi[current_epoch] = spent
@@ -505,30 +645,33 @@ class VectorEngine:
                 cursor += 1
 
             # --- scheduler.decide(time, node), inlined for SNIP-RH ---
-            level = max(0.0, rate * time - book.uploaded_cumulative)
-            remaining = max(0.0, phi_max - spent)
-            if level < threshold or remaining <= _EXHAUSTED_EPSILON:
+            # The buffer level and the remaining budget are clamped at 0
+            # in the fast runner; both comparisons give the same answer
+            # unclamped (threshold > 0, epsilon > 0), and an active
+            # interval has remaining > epsilon, i.e. its clamped value.
+            remaining = phi_max - spent
+            if (
+                rate * time - uploaded_cumulative < threshold
+                or remaining <= _EXHAUSTED_EPSILON
+            ):
                 config = None
-                active_until = time
                 have_schedule = False
             else:
                 if learned is None:
-                    learned = scheduler.duty_cycle_config()
-                if learned != config:
-                    anchor = time
+                    learned = duty_cycle_config()
+                    duty = learned.duty_cycle
+                    cycle = learned.t_cycle
+                if learned is not config and learned != config:
+                    phase = time % cycle
                     config = learned
-                duty = learned.duty_cycle
                 full_cost = duty * (interval_end - time)
                 if full_cost <= remaining + TIME_EPSILON:
                     active_until = interval_end
-                    charge = min(full_cost, remaining)
+                    spent += remaining if remaining < full_cost else full_cost
                 else:
                     active_until = time + remaining / duty
-                    charge = remaining
-                spent += charge
+                    spent += remaining
                 have_schedule = True
-                cycle = learned.t_cycle
-                phase = anchor % cycle
                 if active_until < interval_end - TIME_EPSILON:
                     # Budget ran dry mid-interval; the train stops.
                     config = None
@@ -546,29 +689,27 @@ class VectorEngine:
                     cursor += 1
                     query = starts_at[j]
                 end = ends_at[j]
-                probed = False
                 if have_schedule:
                     start = starts_at[j]
                     window = start if start > query else query
                     if window <= phase:
                         beacon = phase
                     else:
-                        beacon = phase + max(
-                            0, math.ceil((window - phase - TIME_EPSILON) / cycle)
-                        ) * cycle
+                        index = math.ceil((window - phase - TIME_EPSILON) / cycle)
+                        beacon = phase + (index if index > 0 else 0) * cycle
                     if beacon < end and beacon < active_until:
-                        probed_seconds, uploaded = book.probe(
+                        probed_seconds, uploaded = probe(
                             end, beacon, interval_end, epoch
                         )
+                        uploaded_cumulative = book.uploaded_cumulative
                         probed_js.append(j)
                         probed_ks.append(k)
-                        scheduler.on_probe(
-                            beacon, contacts[j], probed_seconds, uploaded
-                        )
-                        threshold = scheduler.data_threshold()
+                        on_probe(beacon, contacts[j], probed_seconds, uploaded)
+                        threshold = data_threshold()
                         learned = None
-                        probed = True
-                if not probed and end > interval_end + TIME_EPSILON:
+                        j = None
+                        continue
+                if end > interval_end + TIME_EPSILON:
                     pending = j
                 j = None
         phi[current_epoch] = spent
@@ -576,7 +717,7 @@ class VectorEngine:
         probe_k = np.full(n_contacts, -1, dtype=np.int64)
         probe_k[probed_js] = probed_ks
         return self._assemble(
-            scenario, scheduler, trace, starts, lengths, probe_k,
+            scenario, scheduler, trace, columns, probe_k,
             t1, epoch_idx, epochs, phi, book,
         )
 
@@ -588,8 +729,7 @@ class VectorEngine:
         scenario: Scenario,
         scheduler: Scheduler,
         trace: ContactTrace,
-        starts: np.ndarray,
-        lengths: np.ndarray,
+        columns: _Columns,
         probe_k: np.ndarray,
         t1: np.ndarray,
         epoch_idx: np.ndarray,
@@ -599,6 +739,7 @@ class VectorEngine:
     ) -> RunResult:
         epoch_length = scenario.profile.epoch_length
         n_intervals = t1.shape[0]
+        starts, lengths, ends = columns.starts, columns.lengths, columns.ends
 
         # Misses: every unprobed contact resolves in the first interval
         # that contains its end (within TIME_EPSILON) — the exact
@@ -606,7 +747,6 @@ class VectorEngine:
         # interval stay pending forever and are never counted missed.
         unprobed = probe_k < 0
         if starts.shape[0]:
-            ends = starts + lengths
             miss_k = np.searchsorted(t1, ends - TIME_EPSILON, side="left")
             considered = starts < t1[-1]
             missable = unprobed & considered & (miss_k < n_intervals)

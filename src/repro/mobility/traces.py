@@ -313,8 +313,11 @@ def _stream_scaled(
 class TraceFileSource:
     """Scenario contact source replaying a trace file deterministically.
 
-    The file is re-streamed on every ``generate`` call (never cached,
-    never fully read past the horizon).  Contacts are clipped against
+    The file is re-streamed on every ``generate`` call (never read past
+    the horizon).  ``generate`` itself keeps nothing, but the vector
+    engine memoizes generated traces per process; it keys file-backed
+    ones on the file's size and modification time as well as on these
+    fields, so an edited file is read again.  Contacts are clipped against
     each other so the replayed trace satisfies the runners' non-overlap
     invariant: a contact starting inside its predecessor is deferred to
     the predecessor's end, and dropped if wholly swallowed.  With

@@ -15,7 +15,12 @@ The contract under test:
   full two-engine study is byte-identical at jobs=1/jobs=4/shuffled
   completion order, and the CI agreement gate passes;
 * :func:`~repro.experiments.runner.execute_run_specs` batch dispatch
-  returns exactly what the per-spec path produces, in spec order.
+  returns exactly what the per-spec path produces, in spec order;
+* the seed-independent kernel inputs (interval grid, slot indices,
+  SNIP-AT/OPT timelines, SNIP-RH walk, contact columns) are built once
+  per study, bounded and read-only, can never change a result (memos
+  cleared before every cell, shuffled order), and an edited trace file
+  is read again.
 """
 
 from __future__ import annotations
@@ -26,8 +31,9 @@ import pytest
 
 from repro.core.snip_model import SnipModel
 from repro.errors import ConfigurationError
+from repro.experiments import vector
 from repro.experiments.engine import available_engines, resolve_engine
-from repro.experiments.parallel import ParallelExecutor, SerialExecutor
+from repro.experiments.parallel import ParallelExecutor, SerialExecutor, Transport
 from repro.experiments.registry import mechanism_factories
 from repro.experiments.runner import (
     FastRunner,
@@ -36,7 +42,11 @@ from repro.experiments.runner import (
     execute_run_specs,
     generate_trace,
 )
-from repro.experiments.scenario import Scenario, paper_roadside_scenario
+from repro.experiments.scenario import (
+    PAPER_ZETA_TARGETS,
+    Scenario,
+    paper_roadside_scenario,
+)
 from repro.experiments.spec import StudySpec, run_study
 from repro.experiments.transport import resolve_transport
 from repro.experiments.vector import VectorEngine
@@ -369,3 +379,164 @@ class TestValidationSurface:
             RunSpec(scenario=scenario, mechanism="SNIP-AT", engine="vector")
         )
         assert list(vector.trace) == list(fast.trace)
+
+
+#: The vector engine's shared per-process inputs, besides _TRACE_MEMO.
+VECTOR_MEMOS = (
+    vector._interval_grid,
+    vector._slot_indices,
+    vector._open_loop_timeline,
+    vector._rush_walk,
+)
+
+
+def clear_vector_memos():
+    """Forget every per-process input the vector engine shares."""
+    for memo in VECTOR_MEMOS:
+        memo.cache_clear()
+    vector._TRACE_MEMO.clear()
+
+
+class ClearingTransport(Transport):
+    """Runs shards in order, clearing the vector memos before each."""
+
+    def imap(self, fn, items):
+        for index, item in enumerate(items):
+            clear_vector_memos()
+            yield index, fn(item)
+
+
+def paper_shaped_study(**overrides) -> StudySpec:
+    """The Fig. 7/8 study shape (3 x 6 x 2 x 3 = 108 vector cells)."""
+    kwargs = dict(
+        name="paper-shaped",
+        zeta_targets=PAPER_ZETA_TARGETS,
+        phi_maxes=(DAY / 1000.0, DAY / 100.0),
+        epochs=2,
+        seed=4,
+        mechanisms=MECHANISMS,
+        engines=("vector",),
+        replicates=3,
+        with_predictions=False,
+    )
+    kwargs.update(overrides)
+    return StudySpec(**kwargs)
+
+
+class TestSharedInputs:
+    """The seed-independent kernel inputs are built once per study, and
+    sharing them can never change a result."""
+
+    def test_paper_study_builds_each_input_once(self, monkeypatch):
+        columns_built = []
+        build_columns = vector._columns
+
+        def counting_columns(trace):
+            columns_built.append(len(trace))
+            return build_columns(trace)
+
+        monkeypatch.setattr(vector, "_columns", counting_columns)
+        clear_vector_memos()
+        spec = paper_shaped_study()
+        assert spec.total_runs == 108
+        run_study(spec, executor=SerialExecutor())
+        # One open-loop timeline per (mechanism, Φmax, ζtarget), not
+        # one per cell (72), and one grid and rush walk per study.
+        assert 0 < vector._open_loop_timeline.cache_info().misses <= 24
+        assert vector._interval_grid.cache_info().misses == 1
+        assert vector._slot_indices.cache_info().misses == 1
+        assert vector._rush_walk.cache_info().misses == 1
+        assert len(columns_built) == 3  # once per replicate trace
+
+    def test_memos_cannot_change_results(self):
+        spec = vector_study(
+            mechanisms=MECHANISMS,
+            phi_maxes=(DAY / 1000.0, DAY / 100.0),
+            epochs=2,
+        )
+        normal = run_study(spec, executor=SerialExecutor())
+        cleared = run_study(spec, executor=ClearingTransport())
+        shuffled = run_study(spec, executor=ShuffledExecutor())
+        assert study_bytes(cleared) == study_bytes(normal)
+        assert study_bytes(shuffled) == study_bytes(normal)
+        assert normal.agreements["vector"].max_abs_delta("mean_zeta") == 0.0
+
+    def test_memoized_arrays_are_read_only(self):
+        scenario = tiny_scenario()
+        grid_key = vector._grid_key(scenario)
+        grid = vector._interval_grid(*grid_key)
+        slot_key = vector._slot_key(scenario.profile)
+        opt = scheduler_for(scenario, "SNIP-OPT")
+        timeline = vector._open_loop_timeline(
+            tuple(opt.plan.duty_cycles), opt.model.t_on, scenario.phi_max,
+            slot_key, *grid_key,
+        )
+        _, columns = vector._memoized_trace(scenario)
+        arrays = (
+            grid.t0, grid.t1, grid.epoch_idx,
+            vector._slot_indices(*slot_key, *grid_key),
+            *timeline,
+            columns.starts, columns.lengths, columns.ends,
+        )
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+        flags = tuple(scenario.profile.rush_flags)
+        walk = vector._rush_walk(flags, slot_key, *grid_key)
+        assert all(isinstance(column, tuple) for column in walk)
+
+    def test_every_memo_is_bounded(self):
+        for memo in VECTOR_MEMOS:
+            assert memo.cache_info().maxsize <= 4
+        assert vector._TRACE_MEMO_LIMIT == 8
+
+    def test_rush_walk_follows_changed_rush_flags(self):
+        scenario = tiny_scenario()
+        flags = [False] * scenario.profile.slot_count
+        flags[9] = flags[10] = flags[15] = True
+        # Walk the profile's own flags first, so a walk memo keyed on
+        # anything but the flags would serve that walk again.
+        VectorEngine().run(scenario, scheduler_for(scenario, "SNIP-RH"))
+        fast_scheduler = scheduler_for(scenario, "SNIP-RH")
+        fast_scheduler.set_rush_flags(flags)
+        fast = FastRunner(scenario, fast_scheduler).run()
+        vector_scheduler = scheduler_for(scenario, "SNIP-RH")
+        vector_scheduler.set_rush_flags(flags)
+        vectorized = VectorEngine().run(scenario, vector_scheduler)
+        assert fast.metrics.total_probed > 0
+        for fast_epoch, vector_epoch in zip(
+            fast.metrics.epochs, vectorized.metrics.epochs
+        ):
+            assert vector_epoch.zeta == fast_epoch.zeta
+            assert vector_epoch.phi == fast_epoch.phi
+            assert vector_epoch.probed_contacts == fast_epoch.probed_contacts
+
+    def test_edited_trace_file_is_read_again(self, tmp_path):
+        # A long-lived process (``repro serve``) must not replay a stale
+        # trace after its file is rewritten under the same path.
+        path = tmp_path / "contacts.csv"
+
+        def write_rows(rows):
+            lines = ["start,end"] + [
+                f"{600 * i + 10},{600 * i + 15}" for i in range(rows)
+            ]
+            path.write_text("\n".join(lines) + "\n")
+
+        scenario = materialize_scenario(
+            ScenarioRef(
+                "trace-driven", {"path": str(path), "repeat_every": DAY}
+            ),
+            epochs=2,
+            seed=3,
+        )
+
+        def arrived(engine):
+            result = execute_run_spec(
+                RunSpec(scenario=scenario, mechanism="SNIP-AT", engine=engine)
+            )
+            return sum(epoch.arrived_contacts for epoch in result.metrics.epochs)
+
+        write_rows(40)
+        assert arrived("fast") == arrived("vector") == 80
+        write_rows(120)
+        assert arrived("fast") == arrived("vector") == 240
