@@ -1,7 +1,7 @@
 """``python -m repro`` — the repro-snip CLI without the console script.
 
 Dispatches to :func:`repro.experiments.cli.main`, so
-``python -m repro agree --jobs 4`` and ``repro-snip agree --jobs 4``
+``python -m repro run --jobs 4`` and ``repro-snip run --jobs 4``
 are the same program.  This is also how file-queue workers start on
 remote hosts — ``python -m repro worker --queue /shared/queue`` needs
 only the installed package, no console script.

@@ -23,9 +23,11 @@ jobs=1, jobs=N, or any adversarial completion order, and micro cells
 (orders of magnitude slower; keep horizons short) interleave with fast
 cells on the pool.
 
-CLI: ``repro-snip agree`` (also ``python -m repro agree``); the gate
-variant used in CI is :meth:`AgreementResult.gate_violations` /
-``repro-snip agree --gate TOL``.
+CLI: ``repro-snip run`` with a spec listing two engines, e.g.
+``repro-snip run --spec examples/agreement_gate.json`` or ``repro-snip
+run --set 'axes.engines=["fast","micro"]'``; the gate variant used in
+CI is :meth:`AgreementResult.gate_violations` / ``repro-snip run
+--gate TOL``.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
+from ..units import require_non_negative
 from .reporting import format_csv
 from .runner import RunResult
 from .stats import IntervalEstimate, estimates_from_runs, interval_from_samples
@@ -244,15 +247,14 @@ class AgreementResult:
         fewer than two replications raises
         :class:`~repro.errors.ConfigurationError` (under the CLI's
         ``--gate`` this surfaces as a nonzero exit).  Run two or more
-        paired replicates to make the gate meaningful.
+        paired replicates to make the gate meaningful.  A NaN or
+        infinite *tolerance* is refused for the same reason: no CI can
+        lie beyond it, so every cell would pass.
 
         Returns one human-readable line per violating (cell, metric),
         empty when the grid passes.
         """
-        if tolerance < 0:
-            raise ConfigurationError(
-                f"gate tolerance must be >= 0, got {tolerance}"
-            )
+        require_non_negative("gate tolerance", tolerance)
         under_replicated = [
             f"{point.mechanism} zeta_target={point.zeta_target:g} "
             f"Phi_max={point.phi_max:g} "

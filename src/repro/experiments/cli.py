@@ -3,43 +3,42 @@
 Examples::
 
     repro-snip analyze --budget-divisor 1000
-    repro-snip simulate --budget-divisor 100 --epochs 14 --seed 3
+    repro-snip run                       # the Fig. 7/8 grid, StudySpec()
+    repro-snip run --jobs 4 --set axes.replicates=3
     repro-snip run --spec examples/paper_study.json --jobs 4 --out grid.json
     repro-snip run --spec study.json --set scenario.epochs=2 --set axes.engines=fast,micro
+    repro-snip run --spec examples/agreement_gate.json --gate 6.0
+    repro-snip run --spec examples/fleet_study.json --jobs 2
+    repro-snip run --scenario diurnal --scenario-option ratio=12
     repro-snip run --spec study.json --transport file-queue
     repro-snip run --spec study.json --cache /var/cellcache   # resumable
     repro-snip cache stats /var/cellcache
     repro-snip worker --queue /shared/queue   # serve file-queue tickets
     repro-snip serve --store /var/studies --port 8321   # HTTP study service
     repro-snip run --spec study.json --server http://127.0.0.1:8321
-    repro-snip grid --budget-divisors 1000 100 --jobs 4 --replicates 3
-    repro-snip grid --scenario diurnal --scenario-option ratio=12
-    repro-snip agree --jobs 4 --replicates 3 --epochs 1 --gate 6.0
-    repro-snip agree --scenario flash-crowd --epochs 1 --gate 6.0
-    repro-snip network --jobs 2 --factory SNIP-RH --engine fast
     repro-snip lint src tests --format github
     repro-snip gain
 
 (Equivalently ``python -m repro <subcommand>``.)  The CLI is a thin
 shell over the declarative study layer
-(:mod:`repro.experiments.spec`): ``run`` executes a serializable
-:class:`~repro.experiments.spec.StudySpec` file — with dotted-path
-``--set section.key=value`` overrides — and the legacy ``grid`` /
-``agree`` / ``network`` subcommands are **spec constructors**: they
-build the equivalent spec from their flags and hand it to
-:func:`~repro.experiments.spec.run_study` (pass ``--emit-spec PATH`` to
-write that spec out instead of running it, turning any legacy
-invocation into a shareable study file).  All of them accept ``--jobs
-N`` to shard over a process pool and ``--transport NAME`` to pick any
-registered execution backend (``serial``, ``pool``, ``file-queue``;
-:mod:`repro.experiments.transport`) — they report whether the
+(:mod:`repro.experiments.spec`): ``run`` is the one way to launch a
+study.  It executes a serializable
+:class:`~repro.experiments.spec.StudySpec` file — or, without
+``--spec``, the default ``StudySpec()`` (the paper's Fig. 7/8 grid) —
+with dotted-path ``--set section.key=value`` overrides; a spec listing
+two or more engines is a paired agreement grid, and one with a
+``network`` section is a fleet study.  ``--emit-spec PATH`` writes the
+effective spec instead of running it.  ``--jobs N`` shards over a
+process pool and ``--transport NAME`` picks any registered execution
+backend (``serial``, ``pool``, ``file-queue``;
+:mod:`repro.experiments.transport`); the run reports whether the
 distributed path was actually taken (a serial fallback also emits a
 :class:`~repro.experiments.parallel.ParallelFallbackWarning` to
-stderr naming the study) — and ``--out PATH`` to write the result as
+stderr naming the study).  ``--out PATH`` writes the study result as
 ``.json`` or ``.csv``.  ``worker`` serves a file-queue directory from
-this or any other host.  ``agree``/``run`` accept ``--gate TOL``, the
-CI agreement gate: exit non-zero when any paired per-cell delta CI
-excludes zero beyond the tolerance.
+this or any other host.  ``--gate TOL`` is the CI agreement gate: exit
+non-zero when any paired per-cell delta CI excludes zero beyond the
+tolerance.
 
 ``run --cache DIR`` (shorthand for ``--set execution.cache=DIR``)
 reuses cell outcomes from a content-addressed cache directory
@@ -67,10 +66,8 @@ from ..analysis.findings import LINT_FORMATS
 from ..core.analysis import evaluate_schedulers, rush_hour_gain_surface
 from ..errors import ConfigurationError, ReproError
 from ..scenarios import available_scenarios
-from ..units import DAY, require_positive
+from ..units import DAY, require_non_negative, require_positive
 from .agreement import AGREEMENT_METRICS, AgreementResult
-from .engine import PAPER_ENGINES, available_engines
-from .registry import node_factories
 from .reporting import (
     format_estimate,
     format_series,
@@ -78,7 +75,7 @@ from .reporting import (
     write_artifact,
 )
 from .scenario import PAPER_ZETA_TARGETS, paper_roadside_scenario
-from .spec import NetworkSection, StudySpec, run_study
+from .spec import StudySpec, run_study
 
 
 def _positive_int(text: str) -> int:
@@ -87,6 +84,18 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for ``--gate``: a non-negative finite number.
+
+    Rejected before the study runs: a NaN or infinite tolerance would
+    make every delta CI pass the gate vacuously.
+    """
+    try:
+        return require_non_negative("gate tolerance", float(text))
+    except (ValueError, ConfigurationError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _override(text: str) -> Tuple[str, object]:
@@ -115,14 +124,7 @@ def _write_output(path: str, result) -> None:
     print(f"wrote {path}")
 
 
-def _emit_spec(spec: StudySpec, path: str) -> int:
-    """Write the constructed spec to *path* instead of running it."""
-    spec.save(path)
-    print(f"wrote spec {path}")
-    return 0
-
-
-def _cell_progress(*, show_engine: bool, show_scenario: bool = False):
+def _cell_progress(*, show_engine: bool, show_scenario: bool):
     """A streaming per-cell progress printer for grid/agreement studies."""
 
     def report_cell(spec, result, completed, total) -> None:
@@ -159,7 +161,7 @@ def _node_progress():
     return report_node
 
 
-def _report_pool(label: str, jobs: int, executor) -> None:
+def _report_pool(jobs: int, executor) -> None:
     """The transport diagnostic line (asserted by the CI smokes).
 
     ``pool used`` means the distributed path was actually taken — for
@@ -171,25 +173,9 @@ def _report_pool(label: str, jobs: int, executor) -> None:
         used = "yes" if getattr(executor, "last_map_parallel", False) else "no"
         name = getattr(executor, "transport_name", type(executor).__name__)
         print(
-            f"{label} fan-out: {jobs} jobs via {name!r} transport, "
+            f"study fan-out: {jobs} jobs via {name!r} transport, "
             f"pool used: {used}"
         )
-
-
-def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
-    """The ``--scenario`` / ``--scenario-option`` pair (run/grid/agree)."""
-    parser.add_argument(
-        "--scenario", default=None, choices=available_scenarios(),
-        help="registry-named workload to run the grid on "
-             "(default: the spec's axes.scenarios, i.e. paper-roadside)",
-    )
-    parser.add_argument(
-        "--scenario-option", dest="scenario_options", action="append",
-        type=_override, default=[], metavar="KEY=VALUE",
-        help="factory option for --scenario (repeatable), e.g. "
-             "--scenario-option 'peaks=[8, 18]' "
-             "--scenario-option ratio=12",
-    )
 
 
 def _scenario_entry(args: argparse.Namespace):
@@ -204,22 +190,6 @@ def _scenario_entry(args: argparse.Namespace):
     if options:
         return {"name": args.scenario, "options": options}
     return args.scenario
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--budget-divisor",
-        type=float,
-        default=1000.0,
-        help="Phi_max = Tepoch / divisor (paper: 1000 or 100)",
-    )
-    parser.add_argument(
-        "--targets",
-        type=float,
-        nargs="+",
-        default=list(PAPER_ZETA_TARGETS),
-        help="zeta_target sweep values in seconds",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,30 +207,28 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser(
         "analyze", help="closed-form results (Figs. 5/6)"
     )
-    _add_common(analyze)
-
-    simulate = sub.add_parser(
-        "simulate", help="fast-simulator results (Figs. 7/8)"
+    analyze.add_argument(
+        "--budget-divisor",
+        type=float,
+        default=1000.0,
+        help="Phi_max = Tepoch / divisor (paper: 1000 or 100)",
     )
-    _add_common(simulate)
-    simulate.add_argument("--epochs", type=int, default=14, help="days to simulate")
-    simulate.add_argument("--seed", type=int, default=1, help="RNG seed")
-    simulate.add_argument(
-        "--replicates", type=_positive_int, default=1,
-        help="seed replicates per grid cell (adds 95%% CIs above 1)",
-    )
-    simulate.add_argument(
-        "--jobs", type=_positive_int, default=1,
-        help="worker processes for the grid (1 = in-process)",
+    analyze.add_argument(
+        "--targets",
+        type=float,
+        nargs="+",
+        default=list(PAPER_ZETA_TARGETS),
+        help="zeta_target sweep values in seconds",
     )
 
     run = sub.add_parser(
         "run",
-        help="execute a declarative StudySpec file (grid, agreement, or fleet)",
+        help="execute a declarative StudySpec (grid, agreement, or fleet)",
     )
     run.add_argument(
-        "--spec", required=True, metavar="PATH",
-        help="StudySpec JSON file to execute",
+        "--spec", default=None, metavar="PATH",
+        help="StudySpec JSON file to execute (default: StudySpec(), "
+             "the paper's Fig. 7/8 grid)",
     )
     run.add_argument(
         "--set", dest="overrides", action="append", type=_override,
@@ -295,9 +263,20 @@ def build_parser() -> argparse.ArgumentParser:
              "(repro-snip serve) instead of executing locally; streams "
              "events and fetches the byte-identical artifact for --out",
     )
-    _add_scenario_flags(run)
     run.add_argument(
-        "--gate", type=float, default=None, metavar="TOL",
+        "--scenario", default=None, choices=available_scenarios(),
+        help="registry-named workload to run the grid on "
+             "(default: the spec's axes.scenarios, i.e. paper-roadside)",
+    )
+    run.add_argument(
+        "--scenario-option", dest="scenario_options", action="append",
+        type=_override, default=[], metavar="KEY=VALUE",
+        help="factory option for --scenario (repeatable), e.g. "
+             "--scenario-option 'peaks=[8, 18]' "
+             "--scenario-option ratio=12",
+    )
+    run.add_argument(
+        "--gate", type=_tolerance, default=None, metavar="TOL",
         help="agreement gate: exit 1 if any paired delta CI excludes "
              "zero beyond TOL (requires a study with >= 2 engines)",
     )
@@ -317,118 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the effective (post---set) spec to PATH and exit",
     )
 
-    grid = sub.add_parser(
-        "grid",
-        help="the full mechanism x zeta_target x Phi_max grid (Figs. 5-8)",
-    )
-    grid.add_argument(
-        "--budget-divisors",
-        type=float,
-        nargs="+",
-        default=[1000.0, 100.0],
-        help="Phi_max = Tepoch / divisor, one per budget (paper: 1000 100)",
-    )
-    grid.add_argument(
-        "--targets",
-        type=float,
-        nargs="+",
-        default=list(PAPER_ZETA_TARGETS),
-        help="zeta_target sweep values in seconds",
-    )
-    grid.add_argument("--epochs", type=int, default=14, help="days to simulate")
-    grid.add_argument("--seed", type=int, default=1, help="RNG seed")
-    grid.add_argument(
-        "--replicates", type=_positive_int, default=1,
-        help="seed replicates per grid cell (adds 95%% CIs above 1)",
-    )
-    grid.add_argument(
-        "--jobs", type=_positive_int, default=1,
-        help="worker processes for the grid (1 = in-process)",
-    )
-    grid.add_argument(
-        "--engine", default="fast", choices=available_engines(),
-        help="engine-registry name every cell runs on (default: fast)",
-    )
-    _add_scenario_flags(grid)
-    grid.add_argument(
-        "--transport", default=None, metavar="NAME",
-        help="transport-registry name the grid executes on "
-             "(default: pool when --jobs > 1, else serial)",
-    )
-    grid.add_argument(
-        "--no-progress", action="store_true",
-        help="suppress the streaming per-cell progress lines",
-    )
-    grid.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write the grid to PATH (.json or .csv by extension)",
-    )
-    grid.add_argument(
-        "--emit-spec", default=None, metavar="PATH",
-        help="write the equivalent StudySpec to PATH and exit",
-    )
-
-    agree = sub.add_parser(
-        "agree",
-        help="replicated micro-vs-fast engine agreement grid",
-    )
-    agree.add_argument(
-        "--budget-divisors",
-        type=float,
-        nargs="+",
-        default=[1000.0, 100.0],
-        help="Phi_max = Tepoch / divisor, one per budget (paper: 1000 100)",
-    )
-    agree.add_argument(
-        "--targets",
-        type=float,
-        nargs="+",
-        default=[16.0, 24.0],
-        help="zeta_target sweep values in seconds (keep the grid small: "
-             "half the cells run the cycle-accurate engine)",
-    )
-    agree.add_argument(
-        "--epochs", type=_positive_int, default=1,
-        help="days per run (micro is ~100x slower; keep the horizon short)",
-    )
-    agree.add_argument("--seed", type=int, default=1, help="RNG seed")
-    agree.add_argument(
-        "--replicates", type=_positive_int, default=2,
-        help="paired seed replicates per cell (>= 2 gives finite delta CIs)",
-    )
-    agree.add_argument(
-        "--jobs", type=_positive_int, default=1,
-        help="worker processes for the grid (1 = in-process)",
-    )
-    agree.add_argument(
-        "--engines", nargs=2, default=list(PAPER_ENGINES),
-        choices=available_engines(),
-        metavar=("BASELINE", "CANDIDATE"),
-        help="engine-registry names to compare (default: fast micro)",
-    )
-    _add_scenario_flags(agree)
-    agree.add_argument(
-        "--transport", default=None, metavar="NAME",
-        help="transport-registry name the grid executes on "
-             "(default: pool when --jobs > 1, else serial)",
-    )
-    agree.add_argument(
-        "--gate", type=float, default=None, metavar="TOL",
-        help="exit 1 if any paired delta CI excludes zero beyond TOL",
-    )
-    agree.add_argument(
-        "--no-progress", action="store_true",
-        help="suppress the streaming per-cell progress lines",
-    )
-    agree.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write the agreement grid to PATH (.json or .csv by extension)",
-    )
-    agree.add_argument(
-        "--emit-spec", default=None, metavar="PATH",
-        help="write the equivalent StudySpec to PATH and exit",
-    )
-
     sub.add_parser("gain", help="the Fig. 4 rush-hour gain surface")
 
     lifetime = sub.add_parser(
@@ -442,36 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--divisors", type=float, nargs="+",
         default=[10000.0, 1000.0, 100.0, 10.0],
         help="Phi_max divisors to tabulate (Phi_max = Tepoch/divisor)",
-    )
-
-    network = sub.add_parser(
-        "network", help="fleet demo: emergent rush hours from commuters"
-    )
-    network.add_argument("--nodes", type=int, default=3, help="sensor sites")
-    network.add_argument("--commuters", type=int, default=60, help="agents")
-    network.add_argument("--days", type=int, default=7, help="days simulated")
-    network.add_argument("--seed", type=int, default=1, help="RNG seed")
-    network.add_argument(
-        "--jobs", type=_positive_int, default=1,
-        help="worker processes for per-node fan-out (1 = in-process)",
-    )
-    network.add_argument(
-        "--factory", default="SNIP-RH", choices=node_factories.names(),
-        help="registry-named per-node scheduler factory",
-    )
-    network.add_argument(
-        "--engine", default="fast",
-        choices=available_engines(),
-        help="registry-named per-node simulation engine",
-    )
-    network.add_argument(
-        "--transport", default=None, metavar="NAME",
-        help="transport-registry name the fleet fans out on "
-             "(default: pool when --jobs > 1, else serial)",
-    )
-    network.add_argument(
-        "--emit-spec", default=None, metavar="PATH",
-        help="write the equivalent StudySpec to PATH and exit",
     )
 
     lint = sub.add_parser(
@@ -641,23 +478,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             )
         )
         print()
-    return 0
-
-
-def cmd_simulate(args: argparse.Namespace) -> int:
-    """Run the fast simulator over the grid and print Fig. 7/8 series."""
-    phi_max = DAY / require_positive("budget_divisor", args.budget_divisor)
-    spec = StudySpec(
-        name="simulate",
-        zeta_targets=tuple(args.targets),
-        phi_maxes=(phi_max,),
-        epochs=args.epochs,
-        seed=args.seed,
-        replicates=args.replicates,
-        jobs=args.jobs,
-    )
-    sweep = run_study(spec).grid().budget(phi_max)
-    _print_budget_tables(args.targets, args.epochs, args.budget_divisor, sweep)
     return 0
 
 
@@ -858,8 +678,8 @@ def _run_remote(spec: StudySpec, args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    """Execute a StudySpec file: the one entry point for every study."""
-    spec = StudySpec.load(args.spec)
+    """Execute a StudySpec: the one entry point for every study."""
+    spec = StudySpec.load(args.spec) if args.spec else StudySpec()
     overrides = dict(args.overrides)
     if args.jobs is not None:
         overrides["execution.jobs"] = args.jobs
@@ -875,7 +695,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     if overrides:
         spec = spec.with_overrides(overrides)
     if args.emit_spec:
-        return _emit_spec(spec, args.emit_spec)
+        spec.save(args.emit_spec)
+        print(f"wrote spec {args.emit_spec}")
+        return 0
     if args.server is not None:
         if args.gate is not None:
             print("--gate is not supported with --server: fetch the "
@@ -939,94 +761,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         # smoke): how much of the study came from the cell cache.
         print(f"cache: {study.cells_cached} hit(s), "
               f"{study.cells_computed} computed")
-    _report_pool("study", spec.jobs, executor)
+    _report_pool(spec.jobs, executor)
     if args.gate is not None:
         if not study.agreements:
             print("--gate requires a study listing >= 2 engines")
             return 2
         return _apply_gate(study.agreements.values(), args.gate)
-    return 0
-
-
-def cmd_grid(args: argparse.Namespace) -> int:
-    """Run the full paper grid, streaming cells, then print per-budget tables.
-
-    A spec constructor: the flags build a
-    :class:`~repro.experiments.spec.StudySpec` (``--emit-spec`` writes
-    it instead of running) executed through
-    :func:`~repro.experiments.spec.run_study`.
-    """
-    entry = _scenario_entry(args)
-    extra = {"scenarios": (entry,)} if entry is not None else {}
-    spec = StudySpec(
-        name="grid",
-        zeta_targets=tuple(args.targets),
-        phi_maxes=tuple(DAY / divisor for divisor in args.budget_divisors),
-        epochs=args.epochs,
-        seed=args.seed,
-        engines=(args.engine,),
-        replicates=args.replicates,
-        jobs=args.jobs,
-        transport=args.transport,
-        out=args.out,
-        **extra,
-    )
-    if args.emit_spec:
-        return _emit_spec(spec, args.emit_spec)
-    executor = spec.build_transport()
-    progress = None if args.no_progress else _cell_progress(show_engine=False)
-    study = run_study(spec, executor=executor, progress=progress)
-    grid = study.grid()
-    if not args.no_progress:
-        print()
-    for divisor, phi_max in zip(args.budget_divisors, spec.phi_maxes):
-        _print_budget_tables(
-            args.targets, args.epochs, divisor, grid.budget(phi_max)
-        )
-    if args.out:
-        _write_output(args.out, grid)
-    _report_pool("grid", args.jobs, executor)
-    return 0
-
-
-def cmd_agree(args: argparse.Namespace) -> int:
-    """Run the replicated two-engine agreement grid and print deltas.
-
-    The headline validation of the fast engine: every cell runs both
-    engines on the same replicate seeds (identical contact traces), and
-    the per-cell candidate−baseline deltas are reported with Student-t
-    confidence intervals.  A spec constructor, like ``grid``.
-    """
-    entry = _scenario_entry(args)
-    extra = {"scenarios": (entry,)} if entry is not None else {}
-    spec = StudySpec(
-        name="agree",
-        zeta_targets=tuple(args.targets),
-        phi_maxes=tuple(DAY / divisor for divisor in args.budget_divisors),
-        epochs=args.epochs,
-        seed=args.seed,
-        engines=tuple(args.engines),
-        replicates=args.replicates,
-        jobs=args.jobs,
-        transport=args.transport,
-        out=args.out,
-        with_predictions=False,
-        **extra,
-    )
-    if args.emit_spec:
-        return _emit_spec(spec, args.emit_spec)
-    executor = spec.build_transport()
-    progress = None if args.no_progress else _cell_progress(show_engine=True)
-    study = run_study(spec, executor=executor, progress=progress)
-    agreement = study.agreements[spec.engines[1]]
-    if not args.no_progress:
-        print()
-    _print_agreement_tables(agreement, args.epochs)
-    if args.out:
-        _write_output(args.out, agreement)
-    _report_pool("agreement", args.jobs, executor)
-    if args.gate is not None:
-        return _apply_gate([agreement], args.gate)
     return 0
 
 
@@ -1057,7 +797,7 @@ def cmd_lifetime(args: argparse.Namespace) -> int:
     model = LifetimeModel(battery=Battery(capacity_mah=args.capacity_mah))
     rows = []
     for divisor in args.divisors:
-        phi_max = DAY / divisor
+        phi_max = DAY / require_positive("divisor", divisor)
         rows.append(
             [
                 f"Tepoch/{divisor:g}",
@@ -1073,38 +813,6 @@ def cmd_lifetime(args: argparse.Namespace) -> int:
             title=f"Node lifetime vs probing budget ({args.capacity_mah:g} mAh)",
         )
     )
-    return 0
-
-
-def cmd_network(args: argparse.Namespace) -> int:
-    """Run the emergent-rush-hour fleet demo and print per-node results.
-
-    A spec constructor: the flags build a network
-    :class:`~repro.experiments.spec.StudySpec` (per-node fan-out rides
-    the study's executor; the registry-named ``--factory`` crosses the
-    process boundary as a name, not a closure).
-    """
-    spec = StudySpec(
-        name="network",
-        zeta_targets=(16.0,),
-        phi_maxes=(DAY / 100.0,),
-        epochs=args.days,
-        seed=args.seed,
-        engines=(args.engine,),
-        jobs=args.jobs,
-        transport=args.transport,
-        network=NetworkSection(
-            nodes=args.nodes,
-            commuters=args.commuters,
-            node_factory=args.factory,
-        ),
-    )
-    if args.emit_spec:
-        return _emit_spec(spec, args.emit_spec)
-    executor = spec.build_transport()
-    study = run_study(spec, executor=executor)
-    _print_network_tables(spec, study.network)
-    _report_pool("per-node", args.jobs, executor)
     return 0
 
 
@@ -1228,13 +936,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
         "analyze": cmd_analyze,
-        "simulate": cmd_simulate,
         "run": cmd_run,
-        "grid": cmd_grid,
-        "agree": cmd_agree,
         "gain": cmd_gain,
         "lifetime": cmd_lifetime,
-        "network": cmd_network,
         "lint": cmd_lint,
         "worker": cmd_worker,
         "serve": cmd_serve,
@@ -1242,9 +946,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ReproError, FileNotFoundError) as exc:
-        # User-input errors (a missing spec file, a bad --set path, an
-        # unknown registry name) are diagnostics, not crashes.
+    except (ReproError, OSError) as exc:
+        # User-input errors (a missing or unreadable spec file, a bad
+        # --set path, an unknown registry name) are diagnostics, not
+        # crashes.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,7 @@ def format_csv(
 
     None cells become empty fields; everything else is written with its
     natural ``str`` form.  Shared by
-    :meth:`~repro.experiments.sweep.GridResult.to_csv` and
+    :meth:`~repro.experiments.spec.StudyResult.to_csv` and
     :meth:`~repro.experiments.agreement.AgreementResult.to_csv` so the
     benches stop hand-rolling tables.
     """

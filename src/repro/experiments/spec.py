@@ -28,9 +28,9 @@ study itself **data**:
   and their serialized, re-loadable document form.
 
 CLI: ``repro-snip run --spec study.json [--set key=value]`` executes a
-spec file with dotted-path overrides; the ``simulate`` / ``grid`` /
-``agree`` / ``network`` subcommands construct specs (``--emit-spec
-PATH`` prints the equivalent file for ``grid``/``agree``/``network``).
+spec file with dotted-path overrides; without ``--spec`` it executes
+the default ``StudySpec()``, and ``--emit-spec PATH`` writes the
+effective spec instead of running it.
 
 Sharding/seeding semantics are those of
 :mod:`repro.experiments.parallel`: the study flattens scenario

@@ -5,8 +5,8 @@ The paper's evaluation is a grid: mechanism x ζtarget x Φmax.  A study
 module holds what it assembles: one :class:`SweepPoint` per cell,
 pairing the simulated replicates (with Student-t confidence intervals)
 with the cell's closed-form prediction; one :class:`SweepResult` per
-Φmax budget; and the whole-grid :class:`GridResult` with its JSON/CSV
-export.  The helpers here stream shards through an executor —
+Φmax budget; and the whole-grid :class:`GridResult` with its
+JSON-clean document form.  The helpers here stream shards through an executor —
 reporting each completed cell through a :data:`ProgressCallback` —
 and fold the index-ordered results back into those types, so the
 assembled result is byte-identical for any worker count or completion
@@ -16,7 +16,6 @@ order.  The sharding/seeding contract is documented in
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -24,7 +23,6 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, 
 from ..core.analysis import AnalysisPoint, evaluate_schedulers
 from ..errors import ConfigurationError
 from .parallel import SerialExecutor, Transport
-from .reporting import format_csv
 from .runner import RunResult, RunSpec, execute_run_spec
 from .scenario import Scenario
 from .stats import IntervalEstimate, estimates_from_runs
@@ -143,7 +141,8 @@ def _finite_or_none(value: Optional[float]) -> Optional[float]:
     return float(value)
 
 
-#: Column order shared by :meth:`GridResult.to_csv` and ``to_json`` cells.
+#: Column order of :meth:`GridResult.cell_rows` records, and so of the
+#: cells in study artifacts (:meth:`~repro.experiments.spec.StudyResult.to_csv`).
 GRID_EXPORT_COLUMNS = (
     "engine", "phi_max", "zeta_target", "mechanism", "n_replicates",
     "zeta", "zeta_low", "zeta_high",
@@ -203,7 +202,7 @@ class GridResult:
     def cell_rows(self) -> List[Dict[str, object]]:
         """One flat record per (Φmax, ζtarget, mechanism) cell.
 
-        The tabular view behind :meth:`to_json` and :meth:`to_csv`
+        The tabular view behind :meth:`to_dict` and the study CSV
         (column order: :data:`GRID_EXPORT_COLUMNS`).  CI bounds are
         None when not finite (single-replicate cells); predictions are
         None for mechanisms without a closed form.
@@ -244,7 +243,7 @@ class GridResult:
         ``n_replicates``, and ``cells`` (the :meth:`cell_rows` records),
         plus ``scenario`` when the grid ran under a named scenario (the
         key is absent otherwise, keeping pre-scenario-axis artifacts
-        byte-identical).  Shared by :meth:`to_json` and
+        byte-identical).  The per-engine entry of
         :meth:`repro.experiments.spec.StudyResult.to_dict`.
         """
         document: Dict[str, object] = {"engine": self.engine}
@@ -257,29 +256,6 @@ class GridResult:
             "cells": self.cell_rows(),
         })
         return document
-
-    def to_json(self, *, indent: int = 2) -> str:
-        """The grid as a strict-JSON document (benches stop hand-rolling)."""
-        return json.dumps(self.to_dict(), indent=indent)
-
-    def to_csv(self) -> str:
-        """The grid as CSV text, one row per cell.
-
-        Columns: :data:`GRID_EXPORT_COLUMNS`, prefixed with a
-        ``scenario`` column when the grid ran under a named scenario;
-        empty cells stand for None (non-finite CI bounds, missing
-        predictions).
-        """
-        columns = GRID_EXPORT_COLUMNS
-        if self.scenario is not None:
-            columns = ("scenario",) + GRID_EXPORT_COLUMNS
-        return format_csv(
-            columns,
-            [
-                [row[column] for column in columns]
-                for row in self.cell_rows()
-            ],
-        )
 
 
 def _stream_results(

@@ -42,9 +42,9 @@ def commuter_fleet_traces(
 ) -> Dict[str, ContactTrace]:
     """Per-node contact traces from a synthetic commuter population.
 
-    The emergent-rush-hour demo scenario behind the ``network`` CLI
-    subcommand and network :class:`~repro.experiments.spec.StudySpec`
-    sections: *nodes* roadside sensors are evenly spaced along a road
+    The emergent-rush-hour demo scenario behind network
+    :class:`~repro.experiments.spec.StudySpec` sections (e.g.
+    ``examples/fleet_study.json``): *nodes* roadside sensors are evenly spaced along a road
     sized to *node_spacing* metres per gap, *commuters* agents make
     their daily trips for *days* days, and each node's contacts are
     extracted from the trips that pass it.  Pure function of its

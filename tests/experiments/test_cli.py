@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.experiments.cli import build_parser, main
@@ -15,13 +17,15 @@ class TestParser:
         assert args.budget_divisor == 1000.0
         assert args.targets == [16.0, 24.0, 32.0, 40.0, 48.0, 56.0]
 
-    def test_simulate_options(self):
-        args = build_parser().parse_args(
-            ["simulate", "--epochs", "3", "--seed", "9", "--budget-divisor", "100"]
+    def test_run_is_the_only_study_command(self):
+        subparsers = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
         )
-        assert args.epochs == 3
-        assert args.seed == 9
-        assert args.budget_divisor == 100.0
+        assert list(subparsers.choices) == [
+            "analyze", "run", "gain", "lifetime", "lint", "worker",
+            "serve", "cache",
+        ]
 
 
 class TestCommands:
@@ -32,12 +36,14 @@ class TestCommands:
         assert "SNIP-RH" in out and "SNIP-OPT" in out and "SNIP-AT" in out
 
     def test_simulate_runs_small_grid(self, capsys):
+        # One budget's simulation tables: the default study narrowed by
+        # --set overrides.
         code = main(
             [
-                "simulate",
-                "--targets", "16",
-                "--epochs", "1",
-                "--budget-divisor", "100",
+                "run",
+                "--set", "scenario.zeta_targets=[16]",
+                "--set", "scenario.epochs=1",
+                "--set", "scenario.phi_maxes=[864]",
             ]
         )
         assert code == 0

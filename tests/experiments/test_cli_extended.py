@@ -1,11 +1,25 @@
-"""Unit tests for the lifetime/network/agree CLI subcommands and plots."""
+"""Unit tests for the lifetime subcommand, each study kind ``run``
+launches (paper grid, agreement grid, fleet), and the ASCII plots."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.experiments.cli import build_parser, main
 from repro.experiments.reporting import ascii_line_plot
+from repro.experiments.spec import NetworkSection, StudySpec
+from repro.units import DAY
+
+#: The shipped fleet study (the emergent-rush-hour network demo).
+FLEET_STUDY = str(
+    Path(__file__).resolve().parents[2] / "examples" / "fleet_study.json"
+)
+
+
+def fleet_run(*extra):
+    """``run`` argv for the shipped fleet study plus *extra* flags."""
+    return ["run", "--spec", FLEET_STUDY, *extra]
 
 
 class TestLifetimeCommand:
@@ -24,17 +38,25 @@ class TestLifetimeCommand:
         main(["lifetime", "--capacity-mah", "1200"])
         assert "1200 mAh" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("divisor", ["0", "inf"])
+    def test_invalid_divisor_is_an_input_error(self, divisor, capsys):
+        assert main(["lifetime", "--divisors", "1000", divisor]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "divisor" in captured.err
+        assert "Tepoch/" not in captured.out
+
 
 class TestNetworkCommand:
+    """The fleet study: ``run --spec examples/fleet_study.json``."""
+
     def test_small_fleet_runs(self, capsys):
         code = main(
-            [
-                "network",
-                "--nodes", "2",
-                "--commuters", "15",
-                "--days", "2",
-                "--seed", "4",
-            ]
+            fleet_run(
+                "--set", "network.nodes=2",
+                "--set", "network.commuters=15",
+                "--set", "scenario.epochs=2",
+                "--set", "scenario.seed=4",
+            )
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -42,21 +64,24 @@ class TestNetworkCommand:
         assert "fleet rho" in out
 
     def test_factory_defaults_to_registry_rh(self):
-        args = build_parser().parse_args(["network"])
-        assert args.factory == "SNIP-RH"
+        spec = StudySpec.load(FLEET_STUDY)
+        assert spec.network == NetworkSection(
+            nodes=3, commuters=60, node_factory="SNIP-RH"
+        )
+        assert spec.zeta_targets == (16.0,)
+        assert spec.phi_maxes == (DAY / 100.0,)
+        assert spec.epochs == 7
 
     def test_jobs_with_registry_factory_takes_pool_path(self, capsys):
-        # The acceptance criterion end-to-end: `network --jobs 2` with a
+        # The acceptance criterion end-to-end: a fleet on --jobs 2 with a
         # registry-named factory must report the pool was actually used.
         code = main(
-            [
-                "network",
-                "--nodes", "2",
-                "--commuters", "10",
-                "--days", "2",
+            fleet_run(
+                "--set", "network.nodes=2",
+                "--set", "network.commuters=10",
+                "--set", "scenario.epochs=2",
                 "--jobs", "2",
-                "--factory", "SNIP-RH",
-            ]
+            )
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -64,19 +89,22 @@ class TestNetworkCommand:
 
 
 class TestGridCommand:
+    """The paper grid: ``run`` without ``--spec`` executes StudySpec()."""
+
     def test_defaults_cover_both_paper_budgets(self):
-        args = build_parser().parse_args(["grid"])
-        assert args.budget_divisors == [1000.0, 100.0]
-        assert args.replicates == 1
-        assert args.jobs == 1
+        args = build_parser().parse_args(["run"])
+        assert args.spec is None
+        spec = StudySpec()
+        assert spec.phi_maxes == (DAY / 1000.0, DAY / 100.0)
+        assert spec.replicates == 1
+        assert spec.jobs == 1
 
     def test_streams_cells_and_prints_per_budget_tables(self, capsys):
         code = main(
             [
-                "grid",
-                "--targets", "16",
-                "--epochs", "1",
-                "--budget-divisors", "1000", "100",
+                "run",
+                "--set", "scenario.zeta_targets=[16]",
+                "--set", "scenario.epochs=1",
             ]
         )
         assert code == 0
@@ -92,10 +120,10 @@ class TestGridCommand:
     def test_no_progress_suppresses_streaming(self, capsys):
         code = main(
             [
-                "grid",
-                "--targets", "16",
-                "--epochs", "1",
-                "--budget-divisors", "100",
+                "run",
+                "--set", "scenario.zeta_targets=[16]",
+                "--set", "scenario.epochs=1",
+                "--set", "scenario.phi_maxes=[864]",
                 "--no-progress",
             ]
         )
@@ -105,24 +133,22 @@ class TestGridCommand:
         assert "Simulation zeta" in out
 
 
+#: The paired micro-vs-fast agreement grid on one small cell column.
+AGREE = [
+    "run",
+    "--set", 'axes.engines=["fast", "micro"]',
+    "--set", "outputs.with_predictions=false",
+    "--set", "scenario.zeta_targets=[16]",
+    "--set", "scenario.phi_maxes=[864]",
+    "--set", "scenario.epochs=1",
+]
+
+
 class TestAgreeCommand:
-    def test_defaults(self):
-        args = build_parser().parse_args(["agree"])
-        assert args.budget_divisors == [1000.0, 100.0]
-        assert args.engines == ["fast", "micro"]
-        assert args.epochs == 1
-        assert args.replicates == 2
+    """The agreement grid: ``run`` with two engines on the axis."""
 
     def test_streams_both_engines_and_prints_delta_tables(self, capsys):
-        code = main(
-            [
-                "agree",
-                "--targets", "16",
-                "--budget-divisors", "100",
-                "--epochs", "1",
-                "--replicates", "2",
-            ]
-        )
+        code = main(AGREE + ["--set", "axes.replicates=2"])
         assert code == 0
         out = capsys.readouterr().out
         # Streaming lines label the engine of each completed run...
@@ -134,15 +160,7 @@ class TestAgreeCommand:
 
     def test_jobs_takes_pool_path(self, capsys):
         code = main(
-            [
-                "agree",
-                "--targets", "16",
-                "--budget-divisors", "100",
-                "--epochs", "1",
-                "--replicates", "2",
-                "--jobs", "2",
-                "--no-progress",
-            ]
+            AGREE + ["--set", "axes.replicates=2", "--jobs", "2", "--no-progress"]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -152,22 +170,17 @@ class TestAgreeCommand:
         json_path = tmp_path / "agree.json"
         csv_path = tmp_path / "agree.csv"
         for path in (json_path, csv_path):
-            code = main(
-                [
-                    "agree",
-                    "--targets", "16",
-                    "--budget-divisors", "100",
-                    "--epochs", "1",
-                    "--replicates", "1",
-                    "--no-progress",
-                    "--out", str(path),
-                ]
-            )
+            code = main(AGREE + ["--no-progress", "--out", str(path)])
             assert code == 0
             assert f"wrote {path}" in capsys.readouterr().out
         document = json.loads(json_path.read_text())
-        assert document["candidate_engine"] == "micro"
-        assert csv_path.read_text().startswith("baseline_engine,")
+        assert document["agreements"]["micro"]["candidate_engine"] == "micro"
+        # The study CSV holds both engines' cells, one row per mechanism.
+        lines = csv_path.read_text().strip().splitlines()
+        assert lines[0].startswith("engine,")
+        assert [line.split(",")[0] for line in lines[1:]] == (
+            ["fast"] * 3 + ["micro"] * 3
+        )
 
 
 class TestGridOut:
@@ -175,10 +188,10 @@ class TestGridOut:
         path = tmp_path / "grid.csv"
         code = main(
             [
-                "grid",
-                "--targets", "16",
-                "--epochs", "1",
-                "--budget-divisors", "100",
+                "run",
+                "--set", "scenario.zeta_targets=[16]",
+                "--set", "scenario.epochs=1",
+                "--set", "scenario.phi_maxes=[864]",
                 "--no-progress",
                 "--out", str(path),
             ]
@@ -192,18 +205,16 @@ class TestGridOut:
 
 class TestNetworkEngine:
     def test_engine_flag_defaults_to_fast(self):
-        args = build_parser().parse_args(["network"])
-        assert args.engine == "fast"
+        assert StudySpec.load(FLEET_STUDY).engines == ("fast",)
 
     def test_micro_engine_fleet_runs(self, capsys):
         code = main(
-            [
-                "network",
-                "--nodes", "2",
-                "--commuters", "8",
-                "--days", "1",
-                "--engine", "micro",
-            ]
+            fleet_run(
+                "--set", "network.nodes=2",
+                "--set", "network.commuters=8",
+                "--set", "scenario.epochs=1",
+                "--set", 'axes.engines=["micro"]',
+            )
         )
         assert code == 0
         out = capsys.readouterr().out

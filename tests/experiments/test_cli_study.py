@@ -1,12 +1,12 @@
 """CLI tests for the spec-driven study workflow.
 
 ``run --spec`` executes a StudySpec file (with ``--set`` dotted-path
-overrides and the ``--gate`` agreement gate); the legacy ``grid`` /
-``agree`` / ``network`` subcommands are spec constructors whose
-``--emit-spec`` writes the equivalent study file.
+overrides and the ``--gate`` agreement gate); without ``--spec`` it
+executes ``StudySpec()``, and ``--emit-spec`` writes the effective
+study file instead of running it.
 """
 
-import json
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +15,9 @@ from repro.experiments.agreement import AgreementPoint, AgreementResult
 from repro.experiments.cli import main
 from repro.experiments.spec import StudyDocument, StudySpec
 from repro.experiments.stats import IntervalEstimate
+
+#: The shipped example specs.
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 
 def write_spec(tmp_path, **overrides):
@@ -93,6 +96,11 @@ class TestRunCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_unreadable_spec_path_fails_with_diagnostic(self, tmp_path, capsys):
+        code = main(["run", "--spec", str(tmp_path)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_spec_batch_size_reaches_the_executor(self, tmp_path, monkeypatch):
         seen = {}
         import repro.experiments.cli as cli_module
@@ -120,6 +128,11 @@ class TestRunCommand:
         assert code == 0
         assert f"wrote spec {emitted}" in capsys.readouterr().out
         assert StudySpec.load(str(emitted)).epochs == 3
+
+    def test_emit_spec_without_spec_writes_the_default_study(self, tmp_path):
+        emitted = tmp_path / "default.json"
+        assert main(["run", "--emit-spec", str(emitted)]) == 0
+        assert StudySpec.load(str(emitted)) == StudySpec()
 
     def test_agreement_study_prints_delta_tables(self, tmp_path, capsys):
         path = write_spec(
@@ -165,14 +178,34 @@ class TestRunCommand:
         assert code == 2
         assert ">= 2 engines" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+    def test_bad_gate_tolerance_fails_before_the_study_runs(
+        self, tolerance, tmp_path, monkeypatch, capsys
+    ):
+        import repro.experiments.cli as cli_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the study ran before --gate was checked")
+
+        monkeypatch.setattr(cli_module, "run_study", refuse)
+        path = write_spec(tmp_path, engines=("fast", "micro"), replicates=2)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--spec", path, "--gate", tolerance])
+        assert excinfo.value.code == 2
+        assert "--gate" in capsys.readouterr().err
+
 
 class TestEmitSpecConstructors:
+    """``run --emit-spec`` turns any study invocation into a file."""
+
     def test_grid_emit_spec_round_trips_through_run(self, tmp_path, capsys):
         emitted = tmp_path / "grid.json"
         code = main(
             [
-                "grid", "--targets", "16", "--epochs", "1",
-                "--budget-divisors", "100", "--emit-spec", str(emitted),
+                "run", "--set", "scenario.zeta_targets=[16]",
+                "--set", "scenario.epochs=1",
+                "--set", "scenario.phi_maxes=[864]",
+                "--emit-spec", str(emitted),
             ]
         )
         assert code == 0
@@ -188,8 +221,9 @@ class TestEmitSpecConstructors:
         emitted = tmp_path / "agree.json"
         code = main(
             [
-                "agree", "--targets", "16", "--budget-divisors", "100",
-                "--epochs", "1", "--emit-spec", str(emitted),
+                "run", "--set", "axes.engines=fast,micro",
+                "--set", "outputs.with_predictions=false",
+                "--emit-spec", str(emitted),
             ]
         )
         assert code == 0
@@ -201,8 +235,9 @@ class TestEmitSpecConstructors:
         emitted = tmp_path / "network.json"
         code = main(
             [
-                "network", "--nodes", "2", "--commuters", "10",
-                "--days", "2", "--emit-spec", str(emitted),
+                "run", "--spec", str(EXAMPLES / "fleet_study.json"),
+                "--set", "network.nodes=2", "--set", "network.commuters=10",
+                "--set", "scenario.epochs=2", "--emit-spec", str(emitted),
             ]
         )
         assert code == 0
@@ -217,8 +252,8 @@ class TestAgreeGateFlag:
     def test_loose_gate_passes(self, capsys):
         code = main(
             [
-                "agree", "--targets", "24", "--budget-divisors", "100",
-                "--epochs", "1", "--replicates", "2", "--seed", "5",
+                "run", "--spec", str(EXAMPLES / "agreement_gate.json"),
+                "--set", 'axes.mechanisms=["SNIP-AT"]', "--jobs", "1",
                 "--no-progress", "--gate", "1e9",
             ]
         )
@@ -284,6 +319,14 @@ class TestGateLogic:
         agreement = _fake_agreement(-1.0, 1.0)
         with pytest.raises(ConfigurationError, match="tolerance"):
             agreement.gate_violations(-0.5)
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
+    def test_non_finite_tolerance_rejected(self, tolerance):
+        # Every comparison with NaN is False and no CI lies beyond inf,
+        # so either tolerance would pass any grid vacuously.
+        agreement = _fake_agreement(2.0, 3.0)
+        with pytest.raises(ConfigurationError, match="tolerance"):
+            agreement.gate_violations(tolerance)
 
     def test_single_replicate_gate_refuses_to_run(self):
         # Regression: a single replicate yields infinite delta CIs, so

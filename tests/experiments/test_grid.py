@@ -62,9 +62,15 @@ def run_grid(executor=None, progress=None, **overrides):
 
 
 @pytest.fixture(scope="module")
-def reference_grid():
+def reference_study():
+    """The serial (jobs=1) replicated study behind :func:`reference_grid`."""
+    return run_study(grid_spec(replicates=2), executor=SerialExecutor())
+
+
+@pytest.fixture(scope="module")
+def reference_grid(reference_study):
     """The serial (jobs=1) replicated grid every variant must match."""
-    return run_grid(SerialExecutor(), replicates=2)
+    return reference_study.grid()
 
 
 def assert_identical_grids(grid, reference):
@@ -161,10 +167,10 @@ class TestGridResultShape:
 
 
 class TestGridSerialization:
-    """Satellite: GridResult.to_json()/to_csv() replace hand-rolled tables."""
+    """GridResult.to_dict() and the study CSV replace hand-rolled tables."""
 
     def test_json_document_shape(self, reference_grid):
-        document = json.loads(reference_grid.to_json())
+        document = json.loads(json.dumps(reference_grid.to_dict()))
         assert document["engine"] == "fast"
         assert document["phi_maxes"] == list(PHI_MAXES)
         assert document["zeta_targets"] == list(TARGETS)
@@ -175,7 +181,7 @@ class TestGridSerialization:
                 assert column in cell
 
     def test_json_cells_match_series(self, reference_grid):
-        document = json.loads(reference_grid.to_json())
+        document = json.loads(json.dumps(reference_grid.to_dict()))
         for cell in document["cells"]:
             sweep = reference_grid.budget(cell["phi_max"])
             column = sweep.points[cell["mechanism"]]
@@ -189,11 +195,11 @@ class TestGridSerialization:
         # 1 replicate => infinite CI half-widths, which strict JSON
         # cannot carry; they must serialize as null, not Infinity.
         grid = run_grid(zeta_targets=(16.0,), phi_maxes=(DAY / 100.0,))
-        document = json.loads(grid.to_json())
+        document = json.loads(json.dumps(grid.to_dict(), allow_nan=False))
         cell = document["cells"][0]
         assert cell["zeta_low"] is None and cell["zeta_high"] is None
 
-    def test_csv_has_header_and_one_row_per_cell(self, reference_grid):
-        lines = reference_grid.to_csv().strip().splitlines()
+    def test_csv_has_header_and_one_row_per_cell(self, reference_study):
+        lines = reference_study.to_csv().strip().splitlines()
         assert lines[0] == ",".join(GRID_EXPORT_COLUMNS)
         assert len(lines) == 1 + len(PHI_MAXES) * len(TARGETS) * 3

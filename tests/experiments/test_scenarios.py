@@ -460,7 +460,7 @@ class TestCli:
 
         emitted = tmp_path / "spec.json"
         assert main([
-            "grid", "--scenario", "flash-crowd",
+            "run", "--scenario", "flash-crowd",
             "--emit-spec", str(emitted),
         ]) == 0
         capsys.readouterr()

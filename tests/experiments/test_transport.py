@@ -622,9 +622,9 @@ class TestCliTransport:
         from repro.experiments.cli import main
 
         code = main(
-            ["grid", "--targets", "16", "--epochs", "1",
-             "--budget-divisors", "100", "--jobs", "2",
-             "--transport", "pool", "--no-progress"]
+            ["run", "--set", "scenario.zeta_targets=[16]",
+             "--set", "scenario.epochs=1", "--set", "scenario.phi_maxes=[864]",
+             "--jobs", "2", "--transport", "pool", "--no-progress"]
         )
         assert code == 0
         assert "via 'pool' transport" in capsys.readouterr().out
@@ -634,8 +634,7 @@ class TestCliTransport:
 
         out_path = tmp_path / "emitted.json"
         code = main(
-            ["grid", "--targets", "16", "--epochs", "1",
-             "--transport", "file-queue", "--emit-spec", str(out_path)]
+            ["run", "--transport", "file-queue", "--emit-spec", str(out_path)]
         )
         assert code == 0
         assert StudySpec.load(str(out_path)).transport == "file-queue"
