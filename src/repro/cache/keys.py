@@ -25,6 +25,13 @@ fingerprint (:func:`cell_fingerprint`), salted with
   seeding): every old entry then misses by construction, and stale
   results can never leak into a new-code run.
 
+A file-backed scenario (a :class:`~repro.mobility.traces.TraceFileSource`
+contact source) also carries the ``sha256`` of its trace file, so an
+edited file lands on a fresh address instead of replaying a stale
+outcome; the digest is computed once per ``(path, st_size,
+st_mtime_ns)`` in a process.  Keys of every other scenario are
+unchanged by that rule.
+
 Two deliberate exclusions:
 
 * ``RunSpec.replicate`` is bookkeeping for aggregation and does not
@@ -46,6 +53,7 @@ import json
 from typing import Any, Dict, Optional
 
 from ..experiments.runner import RunSpec
+from ..mobility.traces import TraceFileSource
 
 __all__ = ["CACHE_SCHEMA_VERSION", "cell_fingerprint", "cache_key"]
 
@@ -95,10 +103,12 @@ def cell_fingerprint(spec: RunSpec) -> Optional[Dict[str, Any]]:
     registry name + canonical options + the per-cell budget, target,
     epochs, and seed when ``spec.scenario_ref`` names it; by the full
     materialized object otherwise), the mechanism name, and the engine
-    name — plus the :data:`CACHE_SCHEMA_VERSION` salt.  Excludes ``replicate``
-    (aggregation bookkeeping, never consumed by execution) and refuses
-    specs with an in-process ``factory`` override (arbitrary code has
-    no canonical byte form).
+    name — plus the :data:`CACHE_SCHEMA_VERSION` salt, and the trace
+    file's ``sha256`` when the scenario replays a file.  Excludes
+    ``replicate`` (aggregation bookkeeping, never consumed by execution)
+    and refuses specs with an in-process ``factory`` override (arbitrary
+    code has no canonical byte form) or an unreadable trace file (the
+    cell then executes and raises the real error).
     """
     if spec.factory is not None:
         return None
@@ -123,12 +133,19 @@ def cell_fingerprint(spec: RunSpec) -> Optional[Dict[str, Any]]:
             scenario = _canonical(spec.scenario)
         except TypeError:
             return None  # an unencodable scenario field: execute, don't cache
-    return {
+    fingerprint = {
         "schema": CACHE_SCHEMA_VERSION,
         "mechanism": spec.mechanism,
         "engine": spec.engine,
         "scenario": scenario,
     }
+    source = spec.scenario.contact_source
+    if isinstance(source, TraceFileSource):
+        digest = source.file_sha256()
+        if digest is None:
+            return None
+        fingerprint["trace_sha256"] = digest
+    return fingerprint
 
 
 def cache_key(spec: RunSpec) -> Optional[str]:

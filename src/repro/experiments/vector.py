@@ -63,7 +63,6 @@ for that is :func:`repro.experiments.runner.execute_run_specs`.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from collections import OrderedDict
 from functools import lru_cache
@@ -397,21 +396,6 @@ _TRACE_MEMO: "OrderedDict[Tuple[object, ...], Tuple[ContactTrace, _Columns]]" = 
 _TRACE_MEMO_LIMIT = 8
 
 
-def _file_stamp(source: object) -> Optional[Tuple[int, int]]:
-    """``(st_size, st_mtime_ns)`` of a trace file source's file.
-
-    ``None`` for sources that read no file, and for a file that cannot
-    be stat'ed (generating its trace then raises the real error).
-    """
-    if not isinstance(source, TraceFileSource):
-        return None
-    try:
-        info = os.stat(source.path)
-    except OSError:
-        return None
-    return (info.st_size, info.st_mtime_ns)
-
-
 def _memoized_trace(scenario: Scenario) -> Tuple[ContactTrace, _Columns]:
     """The deterministic trace for *scenario* and its columns, cached
     per process.
@@ -419,18 +403,20 @@ def _memoized_trace(scenario: Scenario) -> Tuple[ContactTrace, _Columns]:
     The contact process depends only on the profile, the trace config,
     the contact source, and the seed — not on ζtarget, Φmax or the
     mechanism — so a grid shard reuses one generation across all cells
-    that share a replicate seed.  A file-backed source is also keyed on
-    its file's size and modification time, so an edited file is read
-    again.  Traces are treated as immutable by every engine, so sharing
-    one instance across :class:`RunResult` s is safe.
+    that share a replicate seed.  A file-backed source ignores the seed
+    (its replay is the file's), so it is keyed on its file's size and
+    modification time instead: every replicate shares one read, and an
+    edited file is read again.  Traces are treated as immutable by every
+    engine, so sharing one instance across :class:`RunResult` s is safe.
     """
     source = scenario.contact_source
+    stamp = source.file_stamp() if isinstance(source, TraceFileSource) else None
     key = (
         scenario.profile,
         scenario.trace_config,
         source,
-        scenario.seed,
-        _file_stamp(source),
+        scenario.seed if stamp is None else None,
+        stamp,
     )
     entry = _TRACE_MEMO.get(key)
     if entry is None:

@@ -9,6 +9,7 @@ mobility generators, the simulators, and the trace file format.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Optional, Sequence
 
@@ -25,10 +26,14 @@ class Contact:
     mobile_id: str = "mobile"
 
     def __post_init__(self) -> None:
-        if self.start < 0:
-            raise ConfigurationError(f"contact start must be >= 0, got {self.start}")
-        if self.length <= 0:
-            raise ConfigurationError(f"contact length must be > 0, got {self.length}")
+        if not math.isfinite(self.start) or self.start < 0:
+            raise ConfigurationError(
+                f"contact start must be finite and >= 0, got {self.start}"
+            )
+        if not math.isfinite(self.length) or self.length <= 0:
+            raise ConfigurationError(
+                f"contact length must be finite and > 0, got {self.length}"
+            )
 
     @property
     def end(self) -> float:

@@ -30,13 +30,17 @@ replayed contacts satisfy the runners' non-overlap invariant.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
+import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, List, Optional, TextIO, Tuple, Union
 
 from ..errors import ConfigurationError, TraceFormatError
+from ..units import require_positive
 from .contact import Contact, ContactTrace
 
 HEADER = "# repro-contact-trace v1"
@@ -108,13 +112,24 @@ def _read_stream(stream: TextIO) -> ContactTrace:
             end = float(parts[1])
         except ValueError as exc:
             raise TraceFormatError(f"line {line_number}: non-numeric time") from exc
-        if end <= start:
-            raise TraceFormatError(
-                f"line {line_number}: contact end {end} must exceed start {start}"
-            )
+        _check_times(start, end, line_number)
         mobile_id = parts[2] if len(parts) == 3 else "mobile"
         contacts.append(Contact(start, end - start, mobile_id))
     return ContactTrace(contacts)
+
+
+def _check_times(start: float, end: float, line_number: int) -> None:
+    """Reject a row whose times are non-finite or whose end is not after
+    its start (NaN compares False both ways, so it is checked first)."""
+    if not (math.isfinite(start) and math.isfinite(end)):
+        raise TraceFormatError(
+            f"line {line_number}: contact times must be finite, "
+            f"got start {start}, end {end}"
+        )
+    if end <= start:
+        raise TraceFormatError(
+            f"line {line_number}: contact end {end} must exceed start {start}"
+        )
 
 
 def detect_trace_format(path: Union[str, "os.PathLike[str]"]) -> str:
@@ -243,10 +258,7 @@ def _stream_rows(
             raise TraceFormatError(
                 f"line {line_number}: contact start must be >= 0, got {start}"
             )
-        if end <= start:
-            raise TraceFormatError(
-                f"line {line_number}: contact end {end} must exceed start {start}"
-            )
+        _check_times(start, end, line_number)
         yield line_number, start, end, mobile_id
 
 
@@ -277,10 +289,7 @@ def stream_contacts(
         TraceFormatError: on any malformed or out-of-order row.
         ConfigurationError: on an unknown ``fmt`` or bad ``time_scale``.
     """
-    if time_scale <= 0:
-        raise ConfigurationError(
-            f"time_scale must be positive, got {time_scale}"
-        )
+    require_positive("time_scale", time_scale)
     if hasattr(source, "read"):
         yield from _stream_scaled(
             source, fmt or "native", time_scale, horizon  # type: ignore[arg-type]
@@ -309,18 +318,30 @@ def _stream_scaled(
         yield Contact(scaled_start, (end - start) * time_scale, mobile_id)
 
 
+@lru_cache(maxsize=32)
+def _file_sha256(path: str, size: int, mtime_ns: int) -> str:
+    """Hex ``sha256`` of the file at *path*, memoized per stat stamp."""
+    del size, mtime_ns  # memo key only: a changed stamp re-reads the file
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 @dataclass(frozen=True)
 class TraceFileSource:
     """Scenario contact source replaying a trace file deterministically.
 
     The file is re-streamed on every ``generate`` call (never read past
     the horizon).  ``generate`` itself keeps nothing, but the vector
-    engine memoizes generated traces per process; it keys file-backed
-    ones on the file's size and modification time as well as on these
-    fields, so an edited file is read again.  Contacts are clipped against
-    each other so the replayed trace satisfies the runners' non-overlap
-    invariant: a contact starting inside its predecessor is deferred to
-    the predecessor's end, and dropped if wholly swallowed.  With
+    engine memoizes generated traces per process, keyed on
+    :meth:`file_stamp` as well as on these fields, and the cell cache
+    keys file-backed cells on :meth:`file_sha256`, so an edited file is
+    read again and never replays a stale outcome.  Contacts are clipped
+    against each other so the replayed trace satisfies the runners'
+    non-overlap invariant: a contact starting inside its predecessor is
+    deferred to the predecessor's end, and dropped if wholly swallowed.  With
     ``repeat_every`` set, the file is replayed again at ``t + k *
     repeat_every`` until the horizon is covered — a day-long recording
     can drive a fortnight-long study.
@@ -341,14 +362,29 @@ class TraceFileSource:
                 f"unknown trace format {self.fmt!r}; "
                 f"known: {sorted(TRACE_FORMATS)}"
             )
-        if self.time_scale <= 0:
-            raise ConfigurationError(
-                f"time_scale must be positive, got {self.time_scale}"
-            )
-        if self.repeat_every is not None and self.repeat_every <= 0:
-            raise ConfigurationError(
-                f"repeat_every must be positive, got {self.repeat_every}"
-            )
+        require_positive("time_scale", self.time_scale)
+        if self.repeat_every is not None:
+            require_positive("repeat_every", self.repeat_every)
+
+    def file_stamp(self) -> Optional[Tuple[int, int]]:
+        """``(st_size, st_mtime_ns)`` of the file, or None when it cannot
+        be stat'ed (reading it then raises the real error)."""
+        try:
+            info = os.stat(self.path)
+        except OSError:
+            return None
+        return (info.st_size, info.st_mtime_ns)
+
+    def file_sha256(self) -> Optional[str]:
+        """Hex ``sha256`` of the file's bytes, read once per
+        :meth:`file_stamp`; None when the file cannot be read."""
+        stamp = self.file_stamp()
+        if stamp is None:
+            return None
+        try:
+            return _file_sha256(os.path.abspath(self.path), *stamp)
+        except OSError:
+            return None
 
     def generate(self, scenario, streams) -> ContactTrace:
         """Replay the file over the scenario horizon (streams unused)."""

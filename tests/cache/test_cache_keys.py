@@ -9,12 +9,17 @@ bookkeeping (``replicate`` — the seed it names is already folded into
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.cache import keys as cache_keys
 from repro.cache.keys import CACHE_SCHEMA_VERSION, cache_key, cell_fingerprint
 from repro.experiments.runner import RunSpec
 from repro.experiments.scenario import paper_roadside_scenario
+from repro.experiments.spec import StudySpec, run_study
+from repro.scenarios import ScenarioRef, materialize_scenario
+from repro.units import DAY
 
 
 def make_spec(**overrides) -> RunSpec:
@@ -93,3 +98,100 @@ class TestSchemaVersion:
             cache_keys, "CACHE_SCHEMA_VERSION", CACHE_SCHEMA_VERSION + 1
         )
         assert cache_key(make_spec()) != before
+
+
+class TestPinnedKeys:
+    """Only file-backed keys gained a field: every other key is the one
+    earlier releases computed, so existing caches stay warm."""
+
+    def test_materialized_paper_roadside_key_is_unchanged(self):
+        assert cache_key(make_spec()) == (
+            "ea1280b19bbf52c30802355a55371b5b46610d4ef7a7051e1077b9d0848afe07"
+        )
+
+    def test_named_paper_roadside_key_is_unchanged(self):
+        ref = ScenarioRef("paper-roadside")
+        scenario = dataclasses.replace(
+            materialize_scenario(ref, epochs=1, seed=1),
+            zeta_target=16.0,
+            phi_max=86.4,
+        )
+        spec = RunSpec(
+            mechanism="SNIP-RH", scenario=scenario, engine="vector", scenario_ref=ref
+        )
+        assert cache_key(spec) == (
+            "66ff1fbdc205f9171addbcb7a7fed8659879a3883bc46a210e54bab36e799b96"
+        )
+
+
+def write_trace(path, period):
+    """A CSV trace with one 6 s contact every *period* seconds of a day."""
+    rows = "".join(f"{start},{start + 6}\n" for start in range(30, int(DAY), period))
+    path.write_text("start,end\n" + rows)
+
+
+class TestTraceFileKeys:
+    """The key of a trace-driven cell follows the file's bytes, not just
+    its path: an edited file must not replay the old file's outcome."""
+
+    def materialized_spec(self, path):
+        scenario = materialize_scenario(
+            ScenarioRef("trace-driven", {"path": str(path)}), epochs=1, seed=1
+        )
+        return RunSpec(mechanism="SNIP-RH", scenario=scenario, engine="vector")
+
+    def named_spec(self, path):
+        ref = ScenarioRef("trace-driven", {"path": str(path)})
+        return dataclasses.replace(self.materialized_spec(path), scenario_ref=ref)
+
+    @pytest.mark.parametrize("build", ["materialized_spec", "named_spec"])
+    def test_editing_the_file_changes_the_key(self, tmp_path, build):
+        path = tmp_path / "contacts.csv"
+        write_trace(path, 900)
+        spec = getattr(self, build)(path)
+        before = cache_key(spec)
+        assert cell_fingerprint(spec)["trace_sha256"]
+        assert cache_key(spec) == before
+        write_trace(path, 600)
+        assert cache_key(spec) != before
+
+    def test_unreadable_file_is_not_cacheable(self, tmp_path):
+        spec = self.materialized_spec(tmp_path / "missing.csv")
+        assert cache_key(spec) is None
+
+    def study(self, path, cache_dir):
+        return StudySpec(
+            name="trace-cache",
+            zeta_targets=(16.0,),
+            phi_maxes=(DAY / 100.0,),
+            epochs=1,
+            seed=1,
+            mechanisms=("SNIP-RH",),
+            engines=("vector",),
+            scenarios=({"name": "trace-driven", "options": {"path": str(path)}},),
+            cache=str(cache_dir),
+            with_predictions=False,
+        )
+
+    def test_warm_rerun_recomputes_an_edited_trace(self, tmp_path):
+        path = tmp_path / "contacts.csv"
+        spec = self.study(path, tmp_path / "cells")
+        write_trace(path, 900)
+        cold = run_study(spec)
+        assert (cold.cells_computed, cold.cells_cached) == (1, 0)
+        write_trace(path, 7200)
+        edited = run_study(spec)
+        assert (edited.cells_computed, edited.cells_cached) == (1, 0)
+        cold_cell, edited_cell = (
+            study.to_dict()["grids"]["vector"]["cells"][0] for study in (cold, edited)
+        )
+        assert edited_cell["zeta"] != cold_cell["zeta"]
+
+    def test_warm_rerun_of_an_unchanged_trace_computes_nothing(self, tmp_path):
+        path = tmp_path / "contacts.csv"
+        spec = self.study(path, tmp_path / "cells")
+        write_trace(path, 900)
+        cold = run_study(spec)
+        warm = run_study(spec)
+        assert (warm.cells_computed, warm.cells_cached) == (0, 1)
+        assert warm.to_dict()["grids"] == cold.to_dict()["grids"]

@@ -502,6 +502,15 @@ class TestTraceDrivenScenario:
             pytest.approx(0.0, abs=1e-9)
         )
 
+    @pytest.mark.parametrize("option", ["time_scale", "repeat_every"])
+    def test_non_finite_replay_options_fail_loudly(self, tmp_path, option):
+        # A NaN time_scale used to die in the vector engine with an
+        # IndexError, and a NaN repeat_every replayed forever.
+        path = self.write_trace(tmp_path, ["start,end", "10,12"])
+        ref = ScenarioRef("trace-driven", {"path": path, option: float("nan")})
+        with pytest.raises(ConfigurationError, match=option):
+            materialize_scenario(ref, epochs=1, seed=3)
+
     def test_streams_argument_is_ignored(self, tmp_path):
         path = self.write_trace(tmp_path, ["start,end", "10,12"])
         scenario = materialize_scenario(

@@ -51,6 +51,7 @@ from repro.experiments.spec import StudySpec, run_study
 from repro.experiments.transport import resolve_transport
 from repro.experiments.vector import VectorEngine
 from repro.mobility.contact import Contact, ContactTrace
+from repro.mobility.traces import TraceFileSource
 from repro.mobility.profiles import RushHourSpec
 from repro.scenarios import ScenarioRef, materialize_scenario
 from repro.units import DAY, HOUR
@@ -540,3 +541,32 @@ class TestSharedInputs:
         assert arrived("fast") == arrived("vector") == 80
         write_rows(120)
         assert arrived("fast") == arrived("vector") == 240
+
+    def test_trace_file_is_read_once_per_study(self, tmp_path, monkeypatch):
+        # A file replay ignores the seed, so the three replicates share
+        # one read; the result is the one a fresh read per shard gives.
+        path = tmp_path / "contacts.csv"
+        path.write_text(
+            "start,end\n"
+            + "".join(f"{900 * i + 30},{900 * i + 36}\n" for i in range(96))
+        )
+        spec = vector_study(
+            scenarios=({"name": "trace-driven", "options": {"path": str(path)}},),
+            engines=("vector",),
+            mechanisms=MECHANISMS,
+            replicates=3,
+        )
+        reads = []
+        replay = TraceFileSource.generate
+
+        def counting_generate(source, scenario, streams):
+            reads.append(scenario.seed)
+            return replay(source, scenario, streams)
+
+        monkeypatch.setattr(TraceFileSource, "generate", counting_generate)
+        clear_vector_memos()
+        shared = run_study(spec, executor=SerialExecutor())
+        assert len(reads) == 1
+        fresh = run_study(spec, executor=ClearingTransport())
+        assert len(reads) == 1 + spec.total_runs
+        assert study_bytes(shared) == study_bytes(fresh)

@@ -11,6 +11,14 @@ class TestContact:
         contact = Contact(10.0, 2.5)
         assert contact.end == pytest.approx(12.5)
 
+    @pytest.mark.parametrize(
+        "start, length",
+        [(float("nan"), 1.0), (0.0, float("nan")), (float("inf"), 1.0), (0.0, float("inf"))],
+    )
+    def test_non_finite_values_rejected(self, start, length):
+        with pytest.raises(ConfigurationError, match="finite"):
+            Contact(start, length)
+
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigurationError):
             Contact(-1.0, 1.0)

@@ -1,6 +1,8 @@
 """Unit tests for the contact-trace file format and streaming reader."""
 
+import contextlib
 import io
+import signal
 
 import pytest
 
@@ -85,6 +87,33 @@ class TestParsing:
         text = HEADER + "\n10.0 11.0 b\n1.0 2.0 a\n"
         trace = parse_trace_text(text)
         assert [c.mobile_id for c in trace] == ["a", "b"]
+
+
+class TestNonFiniteTimes:
+    """NaN compares False both ways, so it once slipped past every
+    ``start < 0`` / ``end <= start`` check: now every reader names the
+    line of a non-finite time."""
+
+    @pytest.mark.parametrize("row", ["10,nan,m1", "nan,12,m1", "10,inf,m1"])
+    def test_csv_rejects_non_finite_times(self, row):
+        with pytest.raises(TraceFormatError, match="line 2: contact times must be finite"):
+            list(stream_contacts(
+                io.StringIO("start,end,mobile_id\n" + row + "\n"), fmt="csv"
+            ))
+
+    def test_native_stream_rejects_non_finite_times(self):
+        with pytest.raises(TraceFormatError, match="line 3: contact times must be finite"):
+            list(stream_contacts(io.StringIO(HEADER + "\n1 2\n10 nan\n")))
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_jsonl_rejects_non_finite_times(self, value):
+        text = '{"start": 1, "end": 2}\n{"start": 10, "end": %s}\n' % value
+        with pytest.raises(TraceFormatError, match="line 2: contact times must be finite"):
+            list(stream_contacts(io.StringIO(text), fmt="jsonl"))
+
+    def test_loader_rejects_non_finite_times(self):
+        with pytest.raises(TraceFormatError, match="line 2: contact times must be finite"):
+            parse_trace_text(HEADER + "\n10 nan phone\n")
 
 
 class TestFormatDetection:
@@ -229,3 +258,36 @@ class TestTraceFileSource:
             TraceFileSource("x.csv", fmt="xml")
         with pytest.raises(ConfigurationError, match="repeat_every"):
             TraceFileSource("x.csv", repeat_every=-1.0)
+
+    def test_nan_time_scale_rejected(self):
+        with pytest.raises(ConfigurationError, match="time_scale"):
+            TraceFileSource("x.csv", time_scale=float("nan"))
+        with pytest.raises(ConfigurationError, match="time_scale"):
+            list(stream_contacts(
+                io.StringIO("start,end\n1,2\n"), fmt="csv", time_scale=float("nan")
+            ))
+
+    def test_nan_repeat_every_fails_instead_of_hanging(self, tmp_path):
+        # ``offset >= horizon`` is never true for a NaN period, so an
+        # unvalidated replay would loop forever: bound the wait.
+        path = self.source_file(tmp_path, "start,end\n10,12\n")
+        with _time_limit(10.0), pytest.raises(ConfigurationError, match="repeat_every"):
+            TraceFileSource(path, repeat_every=float("nan")).generate(
+                self.Horizon(), None
+            )
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Fail the enclosed block with TimeoutError after *seconds*."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
