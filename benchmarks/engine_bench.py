@@ -1,13 +1,13 @@
 """Engine benchmark: the vectorized engine vs the fast runner.
 
-``BENCH_transport.json`` established that per-cell simulation cost — not
-orchestration — dominates the paper grid.  This bench measures the fix:
-it runs the identical grid of :class:`~repro.experiments.runner.RunSpec`
-cells once with ``engine="fast"`` and once with ``engine="vector"``
-(batched through :func:`~repro.experiments.runner.execute_run_specs`,
-the entry point that lets the vector engine share trace generation
-across a shard), reports the wall-clock per engine and the vector/fast
-speedup, and cross-checks the engines' agreement metrics cell by cell.
+Per-cell simulation cost — not orchestration — dominates the paper
+grid.  This bench measures the fix: it runs the identical grid of
+:class:`~repro.experiments.runner.RunSpec` cells once with
+``engine="fast"`` and once with ``engine="vector"`` through
+:func:`~repro.experiments.runner.execute_run_spec` (the one way a cell
+runs, whatever the transport), reports the wall-clock per engine and
+the vector/fast speedup, and cross-checks the engines' agreement
+metrics cell by cell.
 
 The vector engine runs first, so it pays the process-wide scheduler
 solve memos cold (as any fresh study process does) and ``fast`` finds
@@ -40,7 +40,7 @@ from grid_common import PAPER_DIVISORS, PAPER_EPOCHS, SEEDS, TARGETS  # noqa: E4
 
 from repro.experiments.parallel import available_cpus  # noqa: E402
 from repro.experiments.registry import PAPER_MECHANISMS  # noqa: E402
-from repro.experiments.runner import RunSpec, execute_run_specs  # noqa: E402
+from repro.experiments.runner import RunSpec, execute_run_spec  # noqa: E402
 from repro.experiments.scenario import paper_roadside_scenario  # noqa: E402
 
 #: The agreement metrics cross-checked between the engines.
@@ -92,9 +92,7 @@ def _warmup(engine):
     scenario = paper_roadside_scenario(
         phi_max_divisor=1000.0, zeta_target=TARGETS[0], epochs=1, seed=1,
     )
-    execute_run_specs(
-        [RunSpec(scenario=scenario, mechanism="SNIP-AT", engine=engine)]
-    )
+    execute_run_spec(RunSpec(scenario=scenario, mechanism="SNIP-AT", engine=engine))
 
 
 def _git_commit():
@@ -145,7 +143,7 @@ def main(argv=None) -> int:
     for engine, specs in shards.items():
         _warmup(engine)
         start = time.perf_counter()
-        results[engine] = execute_run_specs(specs)
+        results[engine] = [execute_run_spec(spec) for spec in specs]
         seconds[engine] = time.perf_counter() - start
         print(f"{engine:>8}: {seconds[engine]:7.2f}s")
 

@@ -1,16 +1,15 @@
 """Worker-safety rules: what crosses a process boundary must survive it.
 
-The transports ship shard functions and :class:`RunSpec` payloads to
-worker processes by pickling; the parallel layer deliberately keeps a
-few broad ``except`` clauses at the executor boundary (a worker-side
+The transports ship shard functions and their payloads to worker
+processes by pickling; the parallel layer deliberately keeps a few
+broad ``except`` clauses at the executor boundary (a worker-side
 exception *must* be captured whatever its type, or the parent hangs).
 Outside those annotated boundaries the same constructs are bugs:
 
 * ``unpicklable-callable`` — a lambda passed where picklability is
-  required (``RunSpec(factory=...)``, ``NamedFactory``, an executor's
-  ``map``/``imap``/``submit``) forces the observable-but-slow serial
-  fallback; register the factory by name instead
-  (:mod:`repro.experiments.registry`);
+  required (``NamedFactory``, an executor's ``map``/``imap``/``submit``)
+  forces the observable-but-slow serial fallback; register the factory
+  by name instead (:mod:`repro.experiments.registry`);
 * ``broad-except`` — ``except Exception`` (or bare ``except``) hides
   real failures behind a fallback path.  The intentional executor
   boundaries carry ``# lint: allow[broad-except] -- reason`` pragmas;
@@ -33,7 +32,7 @@ from .rules import (
 
 #: Constructors whose callable arguments must be picklable (shipped to
 #: workers by the transports).
-PICKLED_CONSTRUCTORS = frozenset({"RunSpec", "NamedFactory"})
+PICKLED_CONSTRUCTORS = frozenset({"NamedFactory"})
 
 #: Transport methods whose function argument crosses the pool boundary.
 PICKLED_DISPATCH_METHODS = frozenset({"map", "imap", "submit"})
@@ -54,7 +53,7 @@ class UnpicklableCallableRule(WorkerSafetyRule):
 
     rule_id = "unpicklable-callable"
     description = (
-        "lambda passed into RunSpec/NamedFactory or an executor "
+        "lambda passed into NamedFactory or an executor "
         "map/imap/submit cannot be pickled to workers; register a "
         "named factory instead"
     )

@@ -32,16 +32,11 @@ outcome; the digest is computed once per ``(path, st_size,
 st_mtime_ns)`` in a process.  Keys of every other scenario are
 unchanged by that rule.
 
-Two deliberate exclusions:
-
-* ``RunSpec.replicate`` is bookkeeping for aggregation and does not
-  affect execution (the replicate's seed already lives inside the
-  scenario), so it is left out of the fingerprint — replicate 2 of one
-  study can hit an outcome computed as replicate 0 of another.
-* A spec carrying an in-process ``factory`` override is **not
-  cacheable** (:func:`cache_key` returns None): the factory is
-  arbitrary code with no canonical byte form, so such cells are always
-  executed and never stored.
+One deliberate exclusion: ``RunSpec.replicate`` is bookkeeping for
+aggregation and does not affect execution (the replicate's seed already
+lives inside the scenario), so it is left out of the fingerprint —
+replicate 2 of one study can hit an outcome computed as replicate 0 of
+another.
 """
 
 from __future__ import annotations
@@ -106,12 +101,10 @@ def cell_fingerprint(spec: RunSpec) -> Optional[Dict[str, Any]]:
     name — plus the :data:`CACHE_SCHEMA_VERSION` salt, and the trace
     file's ``sha256`` when the scenario replays a file.  Excludes
     ``replicate`` (aggregation bookkeeping, never consumed by execution)
-    and refuses specs with an in-process ``factory`` override (arbitrary
-    code has no canonical byte form) or an unreadable trace file (the
-    cell then executes and raises the real error).
+    and refuses specs with an unencodable scenario field or an
+    unreadable trace file (the cell then executes and raises the real
+    error).
     """
-    if spec.factory is not None:
-        return None
     if spec.scenario_ref is not None:
         # A registry-named scenario: the (name, canonical options) pair
         # plus the study overrides uniquely determine the materialized

@@ -39,6 +39,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import time
 import warnings
@@ -149,10 +150,12 @@ def validate_cache_options(
             if (
                 not isinstance(value, (int, float))
                 or isinstance(value, bool)
+                or not math.isfinite(value)
                 or value <= 0
             ):
                 raise ConfigurationError(
-                    f"{where}.max_age_days must be a number > 0, got {value!r}"
+                    f"{where}.max_age_days must be a finite number > 0, "
+                    f"got {value!r}"
                 )
         validated[key] = value
     return validated

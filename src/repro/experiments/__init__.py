@@ -57,7 +57,6 @@ from .runner import (
     FastRunner,
     RunResult,
     RunSpec,
-    default_factories,
     execute_run_spec,
     generate_trace,
 )
@@ -113,7 +112,6 @@ __all__ = [
     "resolve_engine",
     "mechanism_factories",
     "node_factories",
-    "default_factories",
     "execute_run_spec",
     "generate_trace",
     "AGREEMENT_METRICS",

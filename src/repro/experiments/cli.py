@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -878,10 +879,16 @@ def cmd_cache(args: argparse.Namespace) -> int:
     ``stats`` prints the entry count and byte total, ``gc`` evicts by
     age and/or size, and ``verify`` re-validates every entry's
     checksum, discarding corrupt entries so their cells re-execute on
-    the next cached run.
+    the next cached run.  A directory without ``meta.json`` is not a
+    cache and is left untouched; ``gc`` bounds go through the same
+    validation as a spec's ``cache_options``.
     """
-    from ..cache.store import CellCache
+    from ..cache.store import CellCache, validate_cache_options
 
+    if not os.path.isfile(os.path.join(args.dir, "meta.json")):
+        raise ConfigurationError(
+            f"{args.dir!r} is not a cell cache (no meta.json)"
+        )
     cache = CellCache(args.dir)
     if args.cache_command == "stats":
         stats = cache.stats()
@@ -890,13 +897,22 @@ def cmd_cache(args: argparse.Namespace) -> int:
               f"(schema v{stats['schema_version']})")
         return 0
     if args.cache_command == "gc":
-        if args.max_bytes is None and args.max_age_days is None:
+        bounds = validate_cache_options(
+            {
+                key: value
+                for key, value in (
+                    ("max_bytes", args.max_bytes),
+                    ("max_age_days", args.max_age_days),
+                )
+                if value is not None
+            },
+            where="cache gc",
+        )
+        if not bounds:
             print("cache gc needs --max-bytes and/or --max-age-days",
                   file=sys.stderr)
             return 2
-        report = cache.gc(
-            max_bytes=args.max_bytes, max_age_days=args.max_age_days
-        )
+        report = cache.gc(**bounds)
         print(f"cache gc: removed {report['removed']} entr(ies) "
               f"({report['removed_bytes']} bytes), kept "
               f"{report['kept']} ({report['kept_bytes']} bytes)")

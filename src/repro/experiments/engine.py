@@ -1,7 +1,7 @@
 """The unified :class:`Engine` protocol and named engine resolution.
 
 Every simulation backend is an **engine**: an object exposing
-``run(scenario, scheduler, *, trace=None, streams=None) -> RunResult``
+``run(scenario, scheduler, *, trace=None) -> RunResult``
 and registered under a name in :data:`engine_factories` (a
 :class:`~repro.experiments.registry.FactoryRegistry`).  The built-in
 names:
@@ -38,7 +38,6 @@ from .registry import engine_factories
 if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
     from ..core.schedulers.base import Scheduler
     from ..mobility.contact import ContactTrace
-    from ..sim.rng import RandomStreams
     from .runner import RunResult
     from .scenario import Scenario
 
@@ -75,7 +74,6 @@ class Engine(Protocol):
         scheduler: "Scheduler",
         *,
         trace: Optional["ContactTrace"] = None,
-        streams: Optional["RandomStreams"] = None,
     ) -> "RunResult":
         """Simulate *scenario* under *scheduler* and return the result.
 
@@ -87,9 +85,6 @@ class Engine(Protocol):
                 the engine derives the deterministic trace seeded by
                 ``scenario.seed``, so two engines given the same
                 scenario compare on identical contact processes.
-            streams: optional RNG streams overriding the trace
-                generator's default ``RandomStreams(scenario.seed)``
-                (ignored when *trace* is given).
         """
         ...
 

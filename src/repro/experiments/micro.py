@@ -58,7 +58,6 @@ class MicroEngine:
         scheduler: Scheduler,
         *,
         trace: Optional[ContactTrace] = None,
-        streams: Optional[RandomStreams] = None,
     ) -> RunResult:
         """Simulate ``scenario.epochs`` epochs event-by-event.
 
@@ -69,7 +68,7 @@ class MicroEngine:
         cross-engine comparisons paired.
         """
         if trace is None:
-            trace = generate_trace(scenario, streams)
+            trace = generate_trace(scenario)
         sim = Simulator()
         node = SensorNode(
             node_id="sensor-0",

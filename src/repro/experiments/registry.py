@@ -13,8 +13,8 @@ factory itself never needs to be picklable.
 Five registries exist, one per factory signature:
 
 * :data:`mechanism_factories` — ``factory(scenario) -> Scheduler``, the
-  sweep/grid mechanisms (:func:`repro.experiments.runner.default_factories`
-  is a view onto this registry);
+  sweep/grid mechanisms a :class:`~repro.experiments.runner.RunSpec`
+  names;
 * :data:`node_factories` — ``factory(scenario, node_id) -> Scheduler``,
   the per-node schedulers used by
   :class:`repro.network.runner.NetworkRunner` fleets;

@@ -25,7 +25,7 @@ Invariants enforced here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
 from ..core.schedulers.base import Scheduler
 from ..mobility.contact import Contact, ContactTrace
@@ -43,10 +43,8 @@ from ..sim.timeline import Timeline
 from ..units import TIME_EPSILON
 from .engine import resolve_engine
 from .metrics import EpochMetrics, RunMetrics
-from .registry import PAPER_MECHANISMS, engine_factories, mechanism_factories
+from .registry import engine_factories, mechanism_factories
 from .scenario import Scenario
-
-SchedulerFactory = Callable[[Scenario], Scheduler]
 
 
 def generate_trace(
@@ -75,21 +73,6 @@ def generate_trace(
     return generator.generate()
 
 
-def default_factories() -> Dict[str, SchedulerFactory]:
-    """The paper's three mechanisms, resolved from the named registry.
-
-    A view onto :data:`repro.experiments.registry.mechanism_factories`
-    restricted to the paper's mechanisms (SNIP-AT, SNIP-OPT, SNIP-RH),
-    in figure order.  The registry is the worker-side mechanism resolver
-    for parallel execution: a :class:`RunSpec` that names a registered
-    mechanism can be executed in a subprocess without shipping a
-    (possibly unpicklable) factory closure across the process boundary.
-    """
-    return {
-        name: mechanism_factories.resolve(name) for name in PAPER_MECHANISMS
-    }
-
-
 @dataclass(frozen=True)
 class RunSpec:
     """One fully-determined simulation cell, safe to ship to a worker.
@@ -105,16 +88,10 @@ class RunSpec:
     Attributes:
         scenario: the complete configuration, seed and Φmax included.
         mechanism: scheduler name; resolved worker-side through
-            :data:`repro.experiments.registry.mechanism_factories`
-            unless *factory* overrides it.
+            :data:`repro.experiments.registry.mechanism_factories`.
         replicate: replicate index within its (mechanism, ζtarget, Φmax)
             cell (bookkeeping for aggregation; does not affect
             execution).
-        factory: optional custom scheduler factory.  Must be picklable
-            for process-pool execution — prefer registering it by name
-            (:mod:`repro.experiments.registry`) or passing a
-            :class:`~repro.experiments.registry.NamedFactory`; executors
-            fall back to serial in-process execution when it is not.
         engine: simulation backend name, resolved worker-side through
             :data:`repro.experiments.registry.engine_factories` (the
             unified :class:`~repro.experiments.engine.Engine` protocol);
@@ -130,7 +107,6 @@ class RunSpec:
     scenario: Scenario
     mechanism: str
     replicate: int = 0
-    factory: Optional[SchedulerFactory] = None
     engine: str = "fast"
     scenario_ref: Optional[ScenarioRef] = None
 
@@ -148,42 +124,8 @@ def execute_run_spec(spec: RunSpec) -> RunResult:
     caller exactly once as a worker-side shard error (never a serial
     re-run of the workload).
     """
-    factory = spec.factory
-    if factory is None:
-        factory = mechanism_factories.resolve(spec.mechanism)
-    engine = resolve_engine(spec.engine)
-    return engine.run(spec.scenario, factory(spec.scenario))
-
-
-def execute_run_specs(specs: List[RunSpec]) -> List[RunResult]:
-    """Run a shard of :class:`RunSpec` s, batching where the engine can.
-
-    The batch-aware worker entry point: maximal runs of consecutive
-    specs naming the same engine are handed to that engine's
-    ``run_batch`` when it has one (the ``"vector"`` engine amortizes
-    trace generation and kernel setup across the whole group); engines
-    without a batch form fall back to :func:`execute_run_spec` per spec.
-    Results are returned in spec order either way, and each result is
-    identical to what the per-spec path would have produced, so
-    transports may freely choose either entry point per shard.
-    """
-    results: List[RunResult] = []
-    index = 0
-    while index < len(specs):
-        group_end = index + 1
-        engine_name = specs[index].engine
-        while group_end < len(specs) and specs[group_end].engine == engine_name:
-            group_end += 1
-        engine = resolve_engine(engine_name)
-        run_batch = getattr(engine, "run_batch", None)
-        if run_batch is not None:
-            results.extend(run_batch(specs[index:group_end]))
-        else:
-            results.extend(
-                execute_run_spec(spec) for spec in specs[index:group_end]
-            )
-        index = group_end
-    return results
+    scheduler = mechanism_factories.resolve(spec.mechanism)(spec.scenario)
+    return resolve_engine(spec.engine).run(spec.scenario, scheduler)
 
 
 @dataclass
@@ -229,13 +171,12 @@ class FastRunner:
         scenario: Scenario,
         scheduler: Scheduler,
         *,
-        link: LinkModel = LinkModel(),
         record_timeline: bool = False,
         trace: Optional[ContactTrace] = None,
     ) -> None:
         self.scenario = scenario
         self.scheduler = scheduler
-        self.link = link
+        self.link = LinkModel()
         self.record_timeline = record_timeline
         self._trace_override = trace
 
@@ -461,7 +402,6 @@ class FastEngine:
         scheduler: Scheduler,
         *,
         trace: Optional[ContactTrace] = None,
-        streams: Optional[RandomStreams] = None,
     ) -> RunResult:
         """Simulate *scenario* under *scheduler* with beacon arithmetic.
 
@@ -470,7 +410,7 @@ class FastEngine:
         ``FastRunner(scenario, scheduler).run()`` path.
         """
         if trace is None:
-            trace = generate_trace(scenario, streams)
+            trace = generate_trace(scenario)
         return FastRunner(scenario, scheduler, trace=trace).run()
 
 

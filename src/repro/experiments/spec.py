@@ -291,6 +291,10 @@ class StudySpec:
             raise ConfigurationError(
                 f"mechanisms must be registry names, got {list(self.mechanisms)}"
             )
+        if len(set(self.mechanisms)) != len(self.mechanisms):
+            raise ConfigurationError(
+                f"mechanisms must be distinct, got {list(self.mechanisms)}"
+            )
         if not self.engines:
             raise ConfigurationError("engines must be non-empty")
         if not all(isinstance(name, str) and name for name in self.engines):

@@ -1,10 +1,12 @@
 """Replication statistics for simulation experiments.
 
 The paper averages two simulated weeks and notes "a lot of variance";
-this module makes that rigor reproducible: run a scenario across seeds,
-and report means with Student-t confidence intervals for every metric.
-Used by the reporting layer and available to downstream users who want
-error bars on their own sweeps.
+this module makes that rigor reproducible: a study cell's seed
+replicates (``replicates`` / ``replicate_seeds`` of a
+:class:`~repro.experiments.spec.StudySpec`) reduce to means with
+Student-t confidence intervals for every metric.  Used by the reporting
+layer and available to downstream users who want error bars on their
+own runs.
 
 The Student-t critical value behind every interval comes from a small
 standard-library quantile, not from ``scipy.stats`` (whose import alone
@@ -30,12 +32,10 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from statistics import NormalDist
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from ..errors import ConfigurationError
-from .parallel import SerialExecutor
-from .runner import RunResult, RunSpec, SchedulerFactory, execute_run_spec
-from .scenario import Scenario
+from .runner import RunResult
 
 #: The metrics replicated by default (RunResult attributes).
 DEFAULT_METRICS = ("mean_zeta", "mean_phi", "mean_rho")
@@ -235,17 +235,6 @@ def _t_critical(confidence: float, df: int) -> float:
     return _t_quantile((1 + confidence) / 2, df)
 
 
-@dataclass
-class ReplicatedResult:
-    """Per-metric interval estimates plus the raw runs."""
-
-    estimates: Dict[str, IntervalEstimate]
-    runs: List[RunResult]
-
-    def __getitem__(self, metric: str) -> IntervalEstimate:
-        return self.estimates[metric]
-
-
 def estimates_from_runs(
     runs: Sequence[RunResult],
     *,
@@ -256,8 +245,9 @@ def estimates_from_runs(
 
     Metric names resolve against :class:`RunResult` first and fall back
     to its :class:`~repro.experiments.metrics.RunMetrics`.  This is the
-    aggregation step shared by :func:`replicate` and every replicated
-    study cell (:class:`repro.experiments.sweep.SweepPoint`).
+    aggregation step of every replicated study cell
+    (:class:`repro.experiments.sweep.SweepPoint`,
+    :class:`repro.experiments.agreement.AgreementPoint`).
     """
     if not runs:
         raise ConfigurationError("need at least one run")
@@ -270,41 +260,3 @@ def estimates_from_runs(
             [float(s) for s in samples], confidence=confidence
         )
     return estimates
-
-
-def replicate(
-    scenario: Scenario,
-    scheduler_factory: SchedulerFactory,
-    *,
-    seeds: Sequence[int] = (1, 2, 3, 4, 5),
-    metrics: Sequence[str] = DEFAULT_METRICS,
-    confidence: float = 0.95,
-    executor=None,
-) -> ReplicatedResult:
-    """Run *scenario* across *seeds* and estimate each metric.
-
-    The scheduler factory is invoked fresh per replication so learning
-    state never leaks between seeds.  Pass an
-    :class:`~repro.experiments.parallel.ParallelExecutor` (or any
-    transport's ``imap``) to fan the replications out to worker processes (the factory must then be
-    picklable; unpicklable factories transparently run serially).
-    """
-    if not seeds:
-        raise ConfigurationError("need at least one seed")
-    specs = [
-        RunSpec(
-            scenario=scenario.with_seed(seed),
-            mechanism=getattr(scheduler_factory, "__name__", "custom"),
-            replicate=index,
-            factory=scheduler_factory,
-        )
-        for index, seed in enumerate(seeds)
-    ]
-    executor = executor if executor is not None else SerialExecutor()
-    runs: List[RunResult] = [None] * len(specs)  # type: ignore[list-item]
-    for index, run in executor.imap(execute_run_spec, specs):
-        runs[index] = run
-    return ReplicatedResult(
-        estimates=estimates_from_runs(runs, metrics=metrics, confidence=confidence),
-        runs=runs,
-    )

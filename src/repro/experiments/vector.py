@@ -4,9 +4,8 @@ The fast engine (:mod:`repro.experiments.runner`) spends nearly all of
 its time in per-interval Python work: two weeks of 60-second decision
 intervals is ~20k iterations of ``scheduler.decide`` + buffer arithmetic
 + :class:`~repro.radio.beacon.BeaconSchedule` construction per run, and
-the checked-in ``BENCH_transport.json`` shows that cell cost — not the
-orchestration — is the bottleneck of the paper grid.  This module
-resolves the same semantics as whole-array kernels:
+that cell cost — not the orchestration — is the bottleneck of the paper
+grid.  This module resolves the same semantics as whole-array kernels:
 
 * **SNIP-AT / SNIP-OPT** are open-loop (their decisions depend only on
   the slot clock and the energy budget), so the full activation
@@ -51,13 +50,6 @@ and hands out read-only arrays or tuples:
 * the contact columns of each memoized trace, stored beside it (8
   traces).  A caller-supplied ``trace=`` is mutable, so its columns are
   built fresh for every run.
-
-Batch evaluation: :meth:`VectorEngine.run_batch` takes a whole shard of
-:class:`~repro.experiments.runner.RunSpec` s and shares the expensive
-deterministic trace generation between specs that differ only in
-mechanism, ζtarget or Φmax (the contact process depends only on the
-profile, the trace config and the seed).  The module-level entry point
-for that is :func:`repro.experiments.runner.execute_run_specs`.
 """
 
 from __future__ import annotations
@@ -66,7 +58,7 @@ import math
 import warnings
 from collections import OrderedDict
 from functools import lru_cache
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -81,11 +73,10 @@ from ..node.buffer import DataBuffer
 from ..node.sensor import ProbingAccount, SensorNode
 from ..radio.link import LinkModel
 from ..radio.states import RadioState
-from ..sim.rng import RandomStreams
 from ..units import TIME_EPSILON
 from .metrics import EpochMetrics, RunMetrics
-from .registry import engine_factories, mechanism_factories
-from .runner import FastRunner, RunResult, RunSpec, generate_trace
+from .registry import engine_factories
+from .runner import FastRunner, RunResult, generate_trace
 from .scenario import Scenario
 
 __all__ = ["VectorEngine"]
@@ -459,7 +450,6 @@ class VectorEngine:
         scheduler: Scheduler,
         *,
         trace: Optional[ContactTrace] = None,
-        streams: Optional[RandomStreams] = None,
     ) -> RunResult:
         """Simulate *scenario* under *scheduler* with array kernels.
 
@@ -470,10 +460,7 @@ class VectorEngine:
         """
         columns = None
         if trace is None:
-            if streams is not None:
-                trace = generate_trace(scenario, streams)
-            else:
-                trace, columns = _memoized_trace(scenario)
+            trace, columns = _memoized_trace(scenario)
         if type(scheduler) in (SnipAtScheduler, SnipOptScheduler):
             kernel = self._run_static
         elif type(scheduler) is SnipRhScheduler:
@@ -490,27 +477,6 @@ class VectorEngine:
         if columns is None:
             columns = _columns(trace)
         return kernel(scenario, scheduler, trace, columns)
-
-    def run_batch(self, specs: Sequence[RunSpec]) -> List[RunResult]:
-        """Evaluate a whole shard of :class:`RunSpec` s.
-
-        The batch form of the engine: deterministic trace generation is
-        shared between specs whose contact processes coincide (same
-        profile, trace config and seed), which is every cell of a grid
-        shard that varies only mechanism, ζtarget or Φmax.  Results are
-        returned in spec order, each identical to what
-        :func:`~repro.experiments.runner.execute_run_spec` would produce
-        for the same spec.
-        """
-        results: List[RunResult] = []
-        for spec in specs:
-            factory = spec.factory
-            if factory is None:
-                factory = mechanism_factories.resolve(spec.mechanism)
-            results.append(
-                self.run(spec.scenario, factory(spec.scenario))
-            )
-        return results
 
     # ------------------------------------------------------------------
     # static (open-loop) kernel: SNIP-AT and SNIP-OPT

@@ -92,30 +92,14 @@ def _write_stream(trace: ContactTrace, stream: TextIO) -> None:
 
 
 def _read_stream(stream: TextIO) -> ContactTrace:
-    first_line = stream.readline()
-    if first_line.strip() != HEADER:
-        raise TraceFormatError(
-            f"missing trace header; expected {HEADER!r}, got {first_line.strip()!r}"
-        )
-    contacts: List[Contact] = []
-    for line_number, raw_line in enumerate(stream, start=2):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) not in (2, 3):
-            raise TraceFormatError(
-                f"line {line_number}: expected 2 or 3 columns, got {len(parts)}"
-            )
-        try:
-            start = float(parts[0])
-            end = float(parts[1])
-        except ValueError as exc:
-            raise TraceFormatError(f"line {line_number}: non-numeric time") from exc
-        _check_times(start, end, line_number)
-        mobile_id = parts[2] if len(parts) == 3 else "mobile"
-        contacts.append(Contact(start, end - start, mobile_id))
-    return ContactTrace(contacts)
+    """The native-format trace in *stream*, validated row by row like
+    :func:`stream_contacts`; rows need not be sorted (the trace sorts)."""
+    return ContactTrace(
+        [
+            Contact(start, end - start, mobile_id)
+            for _, start, end, mobile_id in _stream_rows(stream, "native")
+        ]
+    )
 
 
 def _check_times(start: float, end: float, line_number: int) -> None:

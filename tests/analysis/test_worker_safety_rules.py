@@ -10,18 +10,18 @@ def rule_ids(report):
 
 
 class TestUnpicklableCallable:
-    def test_lambda_into_runspec_flagged(self, lint_tree):
+    def test_keyword_lambda_into_named_factory_flagged(self, lint_tree):
         report = lint_tree(
             {
                 "repro/experiments/build.py": """\
-                def specs(scenario):
-                    return [RunSpec(factory=lambda: scenario)]
+                def factories(scenario):
+                    return [NamedFactory("ad-hoc", kind=lambda: scenario)]
                 """
             },
             rules=[UnpicklableCallableRule()],
         )
         assert rule_ids(report) == ["unpicklable-callable"]
-        assert "RunSpec" in report.findings[0].message
+        assert "NamedFactory" in report.findings[0].message
 
     def test_lambda_into_named_factory_flagged(self, lint_tree):
         report = lint_tree(
@@ -56,8 +56,8 @@ class TestUnpicklableCallable:
                     return shard.run()
 
                 def drive(pool, shards, factory):
-                    spec = RunSpec(factory=factory)
-                    return spec, pool.map(run_shard, shards)
+                    named = NamedFactory("ad-hoc", factory)
+                    return named, pool.map(run_shard, shards)
                 """
             },
             rules=[UnpicklableCallableRule()],

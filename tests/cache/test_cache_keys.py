@@ -81,13 +81,6 @@ class TestReplicateExclusion:
         assert "replicate" not in fingerprint
 
 
-class TestUncacheableSpecs:
-    def test_factory_carrying_spec_has_no_key(self):
-        spec = make_spec(factory=lambda scenario: None)
-        assert cell_fingerprint(spec) is None
-        assert cache_key(spec) is None
-
-
 class TestSchemaVersion:
     def test_fingerprint_embeds_schema_version(self):
         assert cell_fingerprint(make_spec())["schema"] == CACHE_SCHEMA_VERSION

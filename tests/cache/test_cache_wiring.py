@@ -155,6 +155,41 @@ class TestCliCacheSubcommand:
         assert "kept 0" in capsys.readouterr().out
         assert CellCache(cache_dir).keys() == []
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--max-age-days", "-1"],
+            ["--max-age-days", "0"],
+            ["--max-age-days", "nan"],
+            ["--max-age-days", "inf"],
+            ["--max-bytes", "-5"],
+            ["--max-bytes", "0"],
+            ["--max-bytes", "1000", "--max-age-days", "-1"],
+        ],
+    )
+    def test_gc_rejects_bad_bounds_and_keeps_every_entry(
+        self, tmp_path, capsys, flags
+    ):
+        cache_dir = self.warm_cache(tmp_path, capsys)
+        assert main(["cache", "gc", cache_dir, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cache gc.max_")
+        assert len(CellCache(cache_dir).keys()) == 3
+
+    @pytest.mark.parametrize(
+        "command", [["stats"], ["gc", "--max-bytes", "1"], ["verify"]]
+    )
+    def test_non_cache_directory_is_an_error(self, tmp_path, capsys, command):
+        missing = tmp_path / "not-a-cache"
+        plain = tmp_path / "plain"
+        plain.mkdir()
+        name, *flags = command
+        for path in (missing, plain):
+            assert main(["cache", name, str(path), *flags]) == 2
+            assert "is not a cell cache" in capsys.readouterr().err
+        assert not missing.exists()
+        assert list(plain.iterdir()) == []
+
 
 class TestServeFlags:
     def test_serve_parser_accepts_cache_flags(self):

@@ -9,7 +9,6 @@ mid-flight loses nothing that finished.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import threading
 
@@ -25,6 +24,7 @@ from repro.experiments.scenario import paper_roadside_scenario
 from repro.experiments.spec import StudySpec, run_study
 from repro.experiments.transport import FileQueueTransport
 from repro.experiments.worker import worker_loop
+from repro.scenarios import ScenarioRef, materialize_scenario
 
 
 def make_study(tmp_path, **overrides) -> StudySpec:
@@ -153,21 +153,22 @@ class TestPartitioning:
         assert transport.last_hits == 0 and transport.last_computed == 0
         assert cache.stats()["entries"] == 0
 
-    def test_factory_shards_execute_but_never_store(self, tmp_path):
-        from repro.experiments.registry import mechanism_factories
-
+    def test_unreadable_trace_shards_raise_and_never_store(self, tmp_path):
+        # The one uncacheable cell kind: a trace file that cannot be
+        # read has no content address, so the cell executes and raises
+        # its real error every time, and nothing is stored.
+        scenario = materialize_scenario(
+            ScenarioRef("trace-driven", {"path": str(tmp_path / "missing.csv")}),
+            epochs=1,
+            seed=1,
+        )
+        spec = RunSpec(scenario=scenario, mechanism="SNIP-RH", engine="vector")
         cache = CellCache(str(tmp_path / "cc"))
         transport = CachedTransport(SerialExecutor(), cache)
-        spec = dataclasses.replace(
-            run_specs(1)[0],
-            factory=mechanism_factories.resolve("SNIP-RH"),
-        )
-        first = transport.map(execute_run_spec, [spec])
-        assert transport.last_computed == 1
-        assert cache.stats()["entries"] == 0  # no canonical byte form
-        second = transport.map(execute_run_spec, [spec])
-        assert transport.last_computed == 1  # executed again, not cached
-        assert first[0].metrics.epochs == second[0].metrics.epochs
+        for _ in range(2):
+            with pytest.raises(FileNotFoundError, match="missing.csv"):
+                transport.map(execute_run_spec, [spec])
+            assert cache.stats()["entries"] == 0
 
     def test_hits_and_misses_reassemble_in_input_order(self, tmp_path):
         cache = CellCache(str(tmp_path / "cc"))

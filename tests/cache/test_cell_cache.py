@@ -277,6 +277,9 @@ class TestOptionValidation:
             {"max_age_days": 0},
             {"max_age_days": False},
             {"max_age_days": "old"},
+            {"max_age_days": float("nan")},
+            {"max_age_days": float("inf")},
+            {"max_age_days": -1.0},
         ],
     )
     def test_ill_typed_values_rejected(self, options):

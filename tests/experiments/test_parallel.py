@@ -25,10 +25,11 @@ from repro.experiments.parallel import (
     Transport,
     replicate_seed,
 )
-from repro.experiments.runner import RunSpec, default_factories, execute_run_spec
+from repro.experiments.engine import resolve_engine
+from repro.experiments.registry import mechanism_factories
+from repro.experiments.runner import RunSpec, execute_run_spec
 from repro.experiments.scenario import paper_roadside_scenario
 from repro.experiments.spec import StudySpec, run_study
-from repro.experiments.stats import replicate
 from repro.mobility.contact import Contact, ContactTrace
 from repro.network.runner import NetworkRunner
 from repro.units import DAY
@@ -135,7 +136,12 @@ class TestSweepDeterminism:
 
         def counting_rh(scenario):  # closes over `bound`: not picklable
             bound["count"] += 1
-            return default_factories()["SNIP-RH"](scenario)
+            return mechanism_factories.resolve("SNIP-RH")(scenario)
+
+        def run_cell(spec):  # ships the closure factory with every shard
+            return resolve_engine(spec.engine).run(
+                spec.scenario, counting_rh(spec.scenario)
+            )
 
         seeds = sweep_spec(replicates=2).resolved_seeds()
         specs = [
@@ -143,14 +149,13 @@ class TestSweepDeterminism:
                 scenario=base_scenario.with_target(target).with_seed(seed),
                 mechanism="SNIP-RH",
                 replicate=index,
-                factory=counting_rh,
             )
             for target in TARGETS
             for index, seed in enumerate(seeds)
         ]
         pool = ParallelExecutor(jobs=4)
         with pytest.warns(ParallelFallbackWarning, match="not picklable"):
-            results = pool.map(execute_run_spec, specs)
+            results = pool.map(run_cell, specs)
         # Ran in-process (the closure observed every cell) and still
         # produced every cell, equal to the registry-resolved study.
         assert not pool.last_map_parallel
@@ -368,7 +373,7 @@ class TestBatching:
 
 
 def _node_factory(scenario, node_id):
-    return default_factories()["SNIP-RH"](scenario)
+    return mechanism_factories.resolve("SNIP-RH")(scenario)
 
 
 class TestNetworkFanOut:
@@ -412,17 +417,13 @@ class ImapOnlyTransport:
 class TestImapOnlyTransport:
     """Every consumer needs only ``imap``: no ``map`` fallback anywhere."""
 
-    def test_stats_replicate_accepts_imap_only(self, base_scenario):
-        seeds = (1, 2, 3)
-        factory = default_factories()["SNIP-AT"]
-        serial = replicate(base_scenario, factory, seeds=seeds)
-        streamed = replicate(
-            base_scenario, factory, seeds=seeds, executor=ImapOnlyTransport()
-        )
-        assert [run.mean_zeta for run in streamed.runs] == [
-            run.mean_zeta for run in serial.runs
-        ]
-        assert [run.scenario.seed for run in streamed.runs] == list(seeds)
+    def test_run_study_accepts_imap_only(self):
+        spec = sweep_spec(mechanisms=("SNIP-AT",), replicate_seeds=(1, 2, 3))
+        serial = run_study(spec)
+        streamed = run_study(spec, executor=ImapOnlyTransport())
+        assert streamed.to_json() == serial.to_json()
+        (point, _) = streamed.grid().budget(PHI_MAX).points["SNIP-AT"]
+        assert [run.scenario.seed for run in point.replicates] == [1, 2, 3]
 
     def test_network_runner_accepts_imap_only(self, base_scenario):
         runner = NetworkRunner(

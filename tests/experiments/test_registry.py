@@ -11,7 +11,6 @@ import pickle
 
 import pytest
 
-from repro.core.schedulers.at import SnipAtScheduler
 from repro.core.schedulers.rh import SnipRhScheduler
 from repro.errors import ConfigurationError
 from repro.experiments.parallel import ParallelExecutor
@@ -22,7 +21,6 @@ from repro.experiments.registry import (
     mechanism_factories,
     node_factories,
 )
-from repro.experiments.runner import default_factories
 from repro.experiments.scenario import paper_roadside_scenario
 from repro.mobility.contact import Contact, ContactTrace
 from repro.network.runner import NetworkRunner
@@ -73,13 +71,6 @@ class TestFactoryRegistry:
         assert "gone" not in registry
         with pytest.raises(ConfigurationError):
             registry.unregister("gone")
-
-    def test_default_factories_is_registry_view(self, scenario):
-        factories = default_factories()
-        assert list(factories) == list(PAPER_MECHANISMS)
-        for name, factory in factories.items():
-            assert factory is mechanism_factories.resolve(name)
-        assert isinstance(factories["SNIP-AT"](scenario), SnipAtScheduler)
 
 
 class TestNamedFactory:

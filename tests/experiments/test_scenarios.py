@@ -279,6 +279,35 @@ class TestVectorParity:
         assert agreement.max_abs_delta("mean_zeta") < 1.0
 
 
+class TestEveryBuiltinOnVector:
+    """Every built-in workload runs end to end as a 1-epoch, one-target
+    ``vector`` study; the trace-driven one replays a synthesized CSV."""
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_one_epoch_study_produces_cells(self, tmp_path, name):
+        entry = name
+        if name == "trace-driven":
+            path = tmp_path / "contacts.csv"
+            path.write_text("start,end,mobile_id\n" + "".join(
+                f"{60 * k},{60 * k + 2.5},mobile-{k % 97}\n" for k in range(1440)
+            ))
+            entry = {"name": name, "options": {"path": str(path)}}
+        spec = StudySpec(
+            name="builtin-smoke",
+            zeta_targets=(16.0,),
+            phi_maxes=(DAY / 1000.0,),
+            epochs=1,
+            seed=5,
+            engines=("vector",),
+            scenarios=(entry,),
+            with_predictions=False,
+        )
+        (grid,) = run_study(spec).grids.values()
+        rows = grid.cell_rows()
+        assert len(rows) == spec.total_runs == 3
+        assert all(row["zeta"] >= 0 for row in rows)
+
+
 class TestGeneratedWorkloads:
     def materialize(self, name, **options):
         return materialize_scenario(

@@ -156,6 +156,14 @@ class TestStrictValidation:
         with pytest.raises(ConfigurationError, match="distinct"):
             small_spec(engines=("fast", "fast"))
 
+    def test_duplicate_mechanisms(self):
+        # A repeated mechanism would file both copies' cells under one
+        # name and mislabel every ζtarget after the first.
+        with pytest.raises(ConfigurationError, match="mechanisms must be distinct"):
+            small_spec(mechanisms=("SNIP-AT", "SNIP-AT"))
+        with pytest.raises(ConfigurationError, match="distinct"):
+            StudySpec.from_dict({"axes": {"mechanisms": ["SNIP-RH", "SNIP-AT", "SNIP-RH"]}})
+
     def test_empty_targets(self):
         with pytest.raises(ConfigurationError, match="zeta_targets"):
             small_spec(zeta_targets=())
@@ -473,18 +481,16 @@ class TestFallbackLabelling:
         assert set(labels) == {"my-labelled-study"}
 
         # ...and a labelled executor names it in any fallback warning.
-        bound = {"factory": mechanism_factories.resolve("SNIP-RH")}
+        bound = {"run": execute_run_spec}
 
-        def unpicklable(scenario):  # a closure: cannot cross the pool
-            return bound["factory"](scenario)
+        def unpicklable(spec):  # a closure: cannot cross the pool
+            return bound["run"](spec)
 
         scenario = paper_roadside_scenario(epochs=1, seed=9)
-        shards = [
-            RunSpec(scenario=scenario, mechanism="custom", factory=unpicklable)
-        ] * 2
+        shards = [RunSpec(scenario=scenario, mechanism="SNIP-RH")] * 2
         executor.label = "my-labelled-study"
         with pytest.warns(ParallelFallbackWarning, match="my-labelled-study"):
-            executor.map(execute_run_spec, shards)
+            executor.map(unpicklable, shards)
 
     def test_explicit_label_wins(self):
         executor = ParallelExecutor(jobs=2, label="hand-named")

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.core.schedulers.rh import SnipRhScheduler
 from repro.errors import ConfigurationError
-from repro.experiments.scenario import paper_roadside_scenario
+from repro.experiments.spec import StudySpec, run_study
 from repro.experiments.stats import (
     IntervalEstimate,
+    estimates_from_runs,
     interval_from_samples,
-    replicate,
 )
+from repro.units import DAY
 
 
 class TestIntervalFromSamples:
@@ -57,46 +57,46 @@ class TestIntervalFromSamples:
             interval_from_samples([1.0], confidence=1.0)
 
 
+def replicated_runs(epochs, seeds):
+    """The runs behind one SNIP-RH study cell (ζtarget 24 s, Φmax
+    Tepoch/100), one replicate per seed."""
+    study = run_study(
+        StudySpec(
+            zeta_targets=(24.0,),
+            phi_maxes=(DAY / 100,),
+            epochs=epochs,
+            mechanisms=("SNIP-RH",),
+            replicate_seeds=seeds,
+            with_predictions=False,
+        )
+    )
+    (point,) = study.grid().budget(DAY / 100).points["SNIP-RH"]
+    return point.replicates
+
+
 class TestReplicate:
     @pytest.fixture(scope="class")
-    def replicated(self):
-        scenario = paper_roadside_scenario(
-            phi_max_divisor=100, zeta_target=24.0, epochs=2
-        )
-        return replicate(
-            scenario,
-            lambda s: SnipRhScheduler(
-                s.profile, s.model, initial_contact_length=2.0
-            ),
-            seeds=(1, 2, 3, 4),
-        )
+    def runs(self):
+        return replicated_runs(epochs=2, seeds=(1, 2, 3, 4))
 
-    def test_runs_one_per_seed(self, replicated):
-        assert len(replicated.runs) == 4
+    def test_runs_one_per_seed(self, runs):
+        assert [run.scenario.seed for run in runs] == [1, 2, 3, 4]
 
-    def test_estimates_cover_default_metrics(self, replicated):
-        assert set(replicated.estimates) == {"mean_zeta", "mean_phi", "mean_rho"}
+    def test_estimates_cover_default_metrics(self, runs):
+        assert set(estimates_from_runs(runs)) == {"mean_zeta", "mean_phi", "mean_rho"}
 
-    def test_zeta_interval_near_target(self, replicated):
-        estimate = replicated["mean_zeta"]
+    def test_zeta_interval_near_target(self, runs):
+        estimate = estimates_from_runs(runs)["mean_zeta"]
         assert estimate.mean == pytest.approx(24.0, rel=0.2)
         assert estimate.replications == 4
 
-    def test_metrics_fall_back_to_run_metrics_attributes(self):
-        scenario = paper_roadside_scenario(
-            phi_max_divisor=100, zeta_target=24.0, epochs=1
-        )
-        result = replicate(
-            scenario,
-            lambda s: SnipRhScheduler(
-                s.profile, s.model, initial_contact_length=2.0
-            ),
-            seeds=(1, 2),
-            metrics=("mean_delivery_delay",),
-        )
-        assert result["mean_delivery_delay"].mean > 0
-
     def test_empty_seeds_rejected(self):
-        scenario = paper_roadside_scenario(epochs=1)
-        with pytest.raises(ConfigurationError):
-            replicate(scenario, lambda s: None, seeds=())
+        with pytest.raises(ConfigurationError, match="replicate_seeds"):
+            StudySpec(replicate_seeds=())
+        with pytest.raises(ConfigurationError, match="at least one run"):
+            estimates_from_runs([])
+
+    def test_metrics_fall_back_to_run_metrics_attributes(self):
+        runs = replicated_runs(epochs=1, seeds=(1, 2))
+        estimates = estimates_from_runs(runs, metrics=("mean_delivery_delay",))
+        assert estimates["mean_delivery_delay"].mean > 0

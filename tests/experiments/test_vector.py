@@ -14,8 +14,6 @@ The contract under test:
   straddling an epoch boundary) including the learned contact length, the
   full two-engine study is byte-identical at jobs=1/jobs=4/shuffled
   completion order, and the CI agreement gate passes;
-* :func:`~repro.experiments.runner.execute_run_specs` batch dispatch
-  returns exactly what the per-spec path produces, in spec order;
 * the seed-independent kernel inputs (interval grid, slot indices,
   SNIP-AT/OPT timelines, SNIP-RH walk, contact columns) are built once
   per study, bounded and read-only, can never change a result (memos
@@ -39,7 +37,6 @@ from repro.experiments.runner import (
     FastRunner,
     RunSpec,
     execute_run_spec,
-    execute_run_specs,
     generate_trace,
 )
 from repro.experiments.scenario import (
@@ -298,32 +295,6 @@ class TestSnipRhDifferential:
             assert vector_epoch.phi == fast_epoch.phi
             assert vector_epoch.probed_contacts == fast_epoch.probed_contacts
             assert vector_epoch.missed_contacts == fast_epoch.missed_contacts
-
-
-class TestBatchDispatch:
-    def test_execute_run_specs_matches_per_spec_path(self):
-        scenario = tiny_scenario(epochs=1)
-        specs = [
-            RunSpec(scenario=scenario, mechanism=mechanism, engine=engine)
-            for engine in ("vector", "fast", "vector")
-            for mechanism in ("SNIP-AT", "SNIP-RH")
-        ]
-        batched = execute_run_specs(specs)
-        assert len(batched) == len(specs)
-        for spec, result in zip(specs, batched):
-            single = execute_run_spec(spec)
-            assert result.mean_zeta == single.mean_zeta
-            assert result.mean_phi == single.mean_phi
-            assert result.scheduler.name == spec.mechanism
-
-    def test_run_batch_resolves_mechanism_names(self):
-        scenario = tiny_scenario(epochs=1)
-        specs = [
-            RunSpec(scenario=scenario, mechanism="SNIP-AT", engine="vector"),
-            RunSpec(scenario=scenario, mechanism="SNIP-OPT", engine="vector"),
-        ]
-        results = VectorEngine().run_batch(specs)
-        assert [r.scheduler.name for r in results] == ["SNIP-AT", "SNIP-OPT"]
 
 
 class TestWorkerSideResolution:

@@ -138,11 +138,17 @@ class TestStreaming:
         assert [c.mobile_id for c in contacts] == ["a", "b"]
         assert contacts[1].length == pytest.approx(1.5)
 
-    def test_csv_rows_parse_with_and_without_mobile_id(self):
+    def test_csv_rows_parse_with_and_without_mobile_id(self, tmp_path):
         both = self.stream("start,end,mobile_id\n1,2,bus-4\n", fmt="csv")
         assert both[0].mobile_id == "bus-4"
         bare = self.stream("start,end\n1,2\n", fmt="csv")
         assert bare[0].mobile_id == "mobile"
+        # A 20k-row file (one contact a minute) streams every row.
+        path = tmp_path / "city.csv"
+        path.write_text("start,end,mobile_id\n" + "".join(
+            f"{60 * k},{60 * k + 2.5},mobile-{k % 97}\n" for k in range(20_000)
+        ))
+        assert sum(1 for _ in stream_contacts(path)) == 20_000
 
     def test_csv_header_is_part_of_the_schema(self):
         with pytest.raises(
@@ -189,11 +195,18 @@ class TestStreaming:
         with pytest.raises(TraceFormatError, match="line 1: non-numeric time"):
             self.stream('{"start": true, "end": 2}\n', fmt="jsonl")
 
-    def test_negative_start_rejected(self):
+    def test_negative_start_rejected(self, tmp_path):
         with pytest.raises(
             TraceFormatError, match="line 2: contact start must be >= 0"
         ):
             self.stream("start,end\n-1,2\n", fmt="csv")
+        # The loader parses native rows with the streaming reader's code.
+        path = tmp_path / "negative.trace"
+        path.write_text(HEADER + "\n-5 3 m\n")
+        with pytest.raises(
+            TraceFormatError, match="line 2: contact start must be >= 0"
+        ):
+            read_trace(path)
 
     def test_unsorted_rows_rejected_with_both_starts(self):
         with pytest.raises(
