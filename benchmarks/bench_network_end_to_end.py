@@ -15,12 +15,13 @@ from conftest import emit
 from repro.core.learning import LearnerConfig
 from repro.core.schedulers.adaptive import AdaptiveSnipRhScheduler
 from repro.core.schedulers.at import SnipAtScheduler
+from repro.experiments.engine import resolve_engine
 from repro.experiments.reporting import format_table
 from repro.experiments.scenario import paper_roadside_scenario
 from repro.network.agents import CommutePattern, Population
 from repro.network.contacts import ContactExtractor
 from repro.network.deployment import RoadDeployment
-from repro.network.runner import NetworkRunner
+from repro.network.runner import NetworkResult, NodeOutcome
 from repro.units import DAY
 
 EPOCHS = 10
@@ -44,7 +45,7 @@ def generate_network_run():
         phi_max_divisor=100, zeta_target=16.0, epochs=EPOCHS, seed=1
     )
 
-    def adaptive_factory(scn, node_id):
+    def adaptive_factory(scn):
         return AdaptiveSnipRhScheduler(
             scn.profile, scn.model,
             learner_config=LearnerConfig(
@@ -55,17 +56,22 @@ def generate_network_run():
             initial_contact_length=2.0,
         )
 
-    def at_factory(scn, node_id):
+    def at_factory(scn):
         return SnipAtScheduler(
             scn.profile, scn.model,
             zeta_target=scn.zeta_target, phi_max=scn.phi_max,
         )
 
-    adaptive = NetworkRunner(
-        scenario, report.contacts_by_node, adaptive_factory
-    ).run()
-    at = NetworkRunner(scenario, report.contacts_by_node, at_factory).run()
-    return report, adaptive, at
+    def run_fleet(factory):
+        # Every node runs its own scheduler on its own extracted trace.
+        engine = resolve_engine("fast")
+        fleet = NetworkResult()
+        for node_id, trace in sorted(report.contacts_by_node.items()):
+            result = engine.run(scenario, factory(scenario), trace=trace)
+            fleet.outcomes[node_id] = NodeOutcome(node_id=node_id, result=result)
+        return fleet
+
+    return report, run_fleet(adaptive_factory), run_fleet(at_factory)
 
 
 def test_network_end_to_end(once):

@@ -11,14 +11,15 @@ The complete Fig.-1 pipeline with nothing hand-marked:
 5. report fleet economics against SNIP-AT on the same traces, plus the
    lifetime implied by each mechanism's radio budget.
 
-Scheduler factories are **registry-named**: the adaptive factory below
-registers itself under ``"adaptive-RH"`` in
-``repro.experiments.registry.node_factories`` and the fleet is built
-from names (``NetworkRunner(..., "adaptive-RH")``).  Names pickle as
-plain strings and are re-resolved inside each worker, so the fan-out
-below runs on a real process pool; passing the function (or a lambda)
-directly would degrade to serial execution with a
-``ParallelFallbackWarning``.  ``"SNIP-AT"`` is pre-registered.
+The adaptive factory registers itself under ``"adaptive-RH"`` in
+``repro.experiments.registry.mechanism_factories``, next to the
+pre-registered ``"SNIP-AT"``.  Every node runs in-process on its own
+extracted trace through ``Engine.run(scenario, scheduler, trace=...)``,
+and the per-node results are collected into a ``NetworkResult`` for the
+fleet aggregates.  (A declarative fleet — a ``StudySpec`` with a
+``network`` section, see ``examples/fleet_study.json`` — instead runs
+each node as an ordinary cell on any transport and through the cell
+cache; the registered name works there as ``network.node_factory``.)
 
 Run::
 
@@ -27,14 +28,15 @@ Run::
 
 from repro.core.learning import LearnerConfig
 from repro.core.schedulers.adaptive import AdaptiveSnipRhScheduler
-from repro.experiments.parallel import ParallelExecutor
-from repro.experiments.registry import node_factories
+from repro.experiments.engine import resolve_engine
+from repro.experiments.registry import mechanism_factories
 from repro.experiments.reporting import format_table
 from repro.experiments.scenario import paper_roadside_scenario
 from repro.network import (
     CommutePattern,
     ContactExtractor,
-    NetworkRunner,
+    NetworkResult,
+    NodeOutcome,
     Population,
     RoadDeployment,
 )
@@ -45,9 +47,9 @@ ROAD = 6000.0
 DAYS = 14
 
 
-@node_factories.register("adaptive-RH")
-def adaptive_factory(scenario, node_id):
-    """Adaptive SNIP-RH per node, resolvable by name in pool workers."""
+@mechanism_factories.register("adaptive-RH")
+def adaptive_factory(scenario):
+    """Adaptive SNIP-RH, one fresh instance per node."""
     return AdaptiveSnipRhScheduler(
         scenario.profile,
         scenario.model,
@@ -58,6 +60,17 @@ def adaptive_factory(scenario, node_id):
         background_duty_cycle=0.0003,
         initial_contact_length=2.0,
     )
+
+
+def run_fleet(scenario, traces_by_node, mechanism: str) -> NetworkResult:
+    """Run the registered *mechanism* on every node's own trace."""
+    factory = mechanism_factories.resolve(mechanism)
+    engine = resolve_engine("fast")
+    fleet = NetworkResult()
+    for node_id, trace in sorted(traces_by_node.items()):
+        result = engine.run(scenario, factory(scenario), trace=trace)
+        fleet.outcomes[node_id] = NodeOutcome(node_id=node_id, result=result)
+    return fleet
 
 
 def main() -> None:
@@ -77,15 +90,8 @@ def main() -> None:
     scenario = paper_roadside_scenario(
         phi_max_divisor=100, zeta_target=16.0, epochs=DAYS, seed=1
     )
-    # Registry names ("adaptive-RH" registered above, "SNIP-AT" built
-    # in) cross the process boundary, so both fleets fan out for real.
-    pool = ParallelExecutor()
-    adaptive = NetworkRunner(
-        scenario, report.contacts_by_node, "adaptive-RH"
-    ).run(executor=pool)
-    at = NetworkRunner(
-        scenario, report.contacts_by_node, "SNIP-AT"
-    ).run(executor=pool)
+    adaptive = run_fleet(scenario, report.contacts_by_node, "adaptive-RH")
+    at = run_fleet(scenario, report.contacts_by_node, "SNIP-AT")
 
     rows = []
     for node_id in sorted(adaptive.outcomes):

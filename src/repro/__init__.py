@@ -56,7 +56,6 @@ from .experiments import (
     FileQueueTransport,
     GridResult,
     MicroEngine,
-    NamedFactory,
     PAPER_ENGINES,
     PAPER_MECHANISMS,
     PAPER_ZETA_TARGETS,
@@ -73,7 +72,6 @@ from .experiments import (
     Transport,
     engine_factories,
     mechanism_factories,
-    node_factories,
     paper_roadside_scenario,
     resolve_engine,
     resolve_transport,
@@ -94,7 +92,6 @@ from .mobility import (
 from .network import (
     CommutePattern,
     ContactExtractor,
-    NetworkRunner,
     Population,
     RoadDeployment,
     SensorSite,
@@ -138,7 +135,6 @@ __all__ = [
     "FileQueueTransport",
     "GridResult",
     "MicroEngine",
-    "NamedFactory",
     "PAPER_ENGINES",
     "PAPER_MECHANISMS",
     "PAPER_ZETA_TARGETS",
@@ -155,7 +151,6 @@ __all__ = [
     "Transport",
     "engine_factories",
     "mechanism_factories",
-    "node_factories",
     "paper_roadside_scenario",
     "resolve_engine",
     "resolve_transport",
@@ -174,7 +169,6 @@ __all__ = [
     # network
     "CommutePattern",
     "ContactExtractor",
-    "NetworkRunner",
     "Population",
     "RoadDeployment",
     "SensorSite",

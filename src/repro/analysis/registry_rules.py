@@ -255,7 +255,7 @@ class LiteralChoicesRule(RegistryRule):
                     "choices= embeds a literal name set; derive it "
                     "from the registry that owns the names "
                     "(e.g. available_engines(), transport_names(), "
-                    "node_factories.names()) so the CLI cannot drift",
+                    "mechanism_factories.names()) so the CLI cannot drift",
                 )
 
     @staticmethod

@@ -6,10 +6,10 @@ broad ``except`` clauses at the executor boundary (a worker-side
 exception *must* be captured whatever its type, or the parent hangs).
 Outside those annotated boundaries the same constructs are bugs:
 
-* ``unpicklable-callable`` — a lambda passed where picklability is
-  required (``NamedFactory``, an executor's ``map``/``imap``/``submit``)
-  forces the observable-but-slow serial fallback; register the factory
-  by name instead (:mod:`repro.experiments.registry`);
+* ``unpicklable-callable`` — a lambda handed to an executor's
+  ``map``/``imap``/``submit`` as the shard function forces the
+  observable-but-slow serial fallback; use a module-level function and
+  ship factories by registry name (:mod:`repro.experiments.registry`);
 * ``broad-except`` — ``except Exception`` (or bare ``except``) hides
   real failures behind a fallback path.  The intentional executor
   boundaries carry ``# lint: allow[broad-except] -- reason`` pragmas;
@@ -30,10 +30,6 @@ from .rules import (
     register_rule,
 )
 
-#: Constructors whose callable arguments must be picklable (shipped to
-#: workers by the transports).
-PICKLED_CONSTRUCTORS = frozenset({"NamedFactory"})
-
 #: Transport methods whose function argument crosses the pool boundary.
 PICKLED_DISPATCH_METHODS = frozenset({"map", "imap", "submit"})
 
@@ -49,13 +45,12 @@ class WorkerSafetyRule(Rule):
 
 @register_rule
 class UnpicklableCallableRule(WorkerSafetyRule):
-    """Lambdas must not be handed to the picklability-requiring APIs."""
+    """Lambdas must not be handed to an executor as the shard function."""
 
     rule_id = "unpicklable-callable"
     description = (
-        "lambda passed into NamedFactory or an executor "
-        "map/imap/submit cannot be pickled to workers; register a "
-        "named factory instead"
+        "lambda passed into an executor map/imap/submit cannot be "
+        "pickled to workers; use a module-level function"
     )
     node_types = (ast.Call,)
 
@@ -66,17 +61,7 @@ class UnpicklableCallableRule(WorkerSafetyRule):
         parts = dotted_name(node.func)
         if parts is None:
             return
-        if parts[-1] in PICKLED_CONSTRUCTORS:
-            for value in self._argument_values(node):
-                if isinstance(value, ast.Lambda):
-                    yield ctx.finding(
-                        self, value,
-                        f"lambda passed to {parts[-1]} cannot cross a "
-                        "process boundary; register the factory by "
-                        "name in repro.experiments.registry and pass "
-                        "the name (or a NamedFactory)",
-                    )
-        elif (
+        if (
             len(parts) >= 2
             and parts[-1] in PICKLED_DISPATCH_METHODS
             and node.args
@@ -88,13 +73,6 @@ class UnpicklableCallableRule(WorkerSafetyRule):
                 "unpicklable, forcing the serial fallback; use a "
                 "module-level function",
             )
-
-    @staticmethod
-    def _argument_values(node: ast.Call):
-        for arg in node.args:
-            yield arg
-        for keyword in node.keywords:
-            yield keyword.value
 
 
 @register_rule

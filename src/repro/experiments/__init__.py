@@ -39,11 +39,9 @@
 from .scenario import Scenario, paper_roadside_scenario, PAPER_ZETA_TARGETS
 from .metrics import EpochMetrics, RunMetrics
 from .registry import (
-    NamedFactory,
     PAPER_MECHANISMS,
     engine_factories,
     mechanism_factories,
-    node_factories,
     transport_factories,
 )
 from .engine import (
@@ -106,12 +104,10 @@ __all__ = [
     "MicroEngine",
     "RunResult",
     "RunSpec",
-    "NamedFactory",
     "engine_factories",
     "available_engines",
     "resolve_engine",
     "mechanism_factories",
-    "node_factories",
     "execute_run_spec",
     "generate_trace",
     "AGREEMENT_METRICS",

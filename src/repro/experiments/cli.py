@@ -570,7 +570,7 @@ def _print_network_tables(spec: StudySpec, network) -> None:
     """Print the per-node fleet table and its aggregates."""
     assert spec.network is not None
     rows = [
-        [node_id, len(outcome.result.trace),
+        [node_id, outcome.contacts,
          outcome.zeta, outcome.phi, outcome.delivery_ratio]
         for node_id, outcome in sorted(network.outcomes.items())
     ]

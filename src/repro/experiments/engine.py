@@ -14,9 +14,10 @@ names:
 * ``"vector"`` — :class:`~repro.experiments.vector.VectorEngine`, a
   numpy batch evaluator resolving the fast runner's inner loops as
   array kernels (equal to ``"fast"`` on the gated metrics: measured
-  deltas are exactly 0.0);
-* a ``"fleet"`` adapter wrapping per-node
-  :class:`~repro.network.runner.NetworkRunner` execution is planned.
+  deltas are exactly 0.0).
+
+A fleet needs no engine of its own: a network study runs every sensor
+node as an ordinary cell on whichever engine the study names.
 
 Because engines resolve **by name**, a :class:`RunSpec` carrying
 ``engine="micro"`` crosses a process boundary as a plain string and the

@@ -76,8 +76,8 @@ size.
 
 Scheduler factories that are closures cannot cross a process boundary;
 register them by name in :mod:`repro.experiments.registry` and pass the
-name (or a :class:`~repro.experiments.registry.NamedFactory`) instead —
-workers re-resolve the name on their side of the boundary.
+name instead — workers re-resolve the name on their side of the
+boundary.
 
 Both executors are registered by name
 (:mod:`repro.experiments.transport`): ``"serial"`` and ``"pool"`` in

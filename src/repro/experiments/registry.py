@@ -1,27 +1,22 @@
-"""Named scheduler-factory registries for cross-process resolution.
+"""Named factory registries for cross-process resolution.
 
-A scheduler factory that is a closure cannot be pickled, so PR 1's
-process-pool fan-out silently degraded to serial execution whenever one
-was used — ``NetworkRunner`` fleets and custom sweep mechanisms paid
-for ``--jobs N`` and got 1.  This module removes that cliff: factories
-are registered under a **name**, and a :class:`NamedFactory` — a frozen
-dataclass holding only the name — crosses the process boundary instead
-of the callable.  Workers re-resolve the name against their own copy of
-the registry (populated at import time, or inherited via fork), so the
+A scheduler factory that is a closure cannot be pickled, so a process
+pool handed one degrades to serial execution.  Factories are therefore
+registered under a **name**, and only the name crosses the process
+boundary: a :class:`~repro.experiments.runner.RunSpec` carries plain
+strings, and the worker re-resolves them against its own copy of the
+registry (populated at import time, or inherited via fork), so the
 factory itself never needs to be picklable.
 
-Five registries exist, one per factory signature:
+Four registries exist, one per factory signature:
 
 * :data:`mechanism_factories` — ``factory(scenario) -> Scheduler``, the
-  sweep/grid mechanisms a :class:`~repro.experiments.runner.RunSpec`
-  names;
-* :data:`node_factories` — ``factory(scenario, node_id) -> Scheduler``,
-  the per-node schedulers used by
-  :class:`repro.network.runner.NetworkRunner` fleets;
+  mechanisms a :class:`~repro.experiments.runner.RunSpec` names (grid
+  cells and fleet nodes alike);
 * :data:`engine_factories` — ``factory() -> Engine``, the simulation
-  backends behind the unified run API (``"fast"``, ``"micro"``; see
-  :mod:`repro.experiments.engine`, which owns the protocol and the
-  lazy-import resolution helper);
+  backends behind the unified run API (``"fast"``, ``"micro"``,
+  ``"vector"``; see :mod:`repro.experiments.engine`, which owns the
+  protocol and the lazy-import resolution helper);
 * :data:`transport_factories` — ``factory(jobs=..., batch_size=...,
   **options) -> Transport``, the execution backends shards run on
   (``"serial"``, ``"pool"``, ``"file-queue"``; see
@@ -34,33 +29,32 @@ Five registries exist, one per factory signature:
   :mod:`repro.scenarios`, which owns the built-in registrations and
   the lazy-import resolution helper).
 
-Registering a custom factory::
+Registering a custom mechanism at module level (so spawned workers
+re-run the registration when they import the module)::
 
-    from repro.experiments.registry import node_factories
+    from repro.experiments.registry import mechanism_factories
 
-    @node_factories.register("my-rh")
-    def my_rh(scenario, node_id):
+    @mechanism_factories.register("my-rh")
+    def my_rh(scenario):
         return SnipRhScheduler(scenario.profile, scenario.model,
                                initial_contact_length=2.0)
 
-    NetworkRunner(scenario, traces, "my-rh").run(
-        executor=ParallelExecutor(jobs=8))   # real pool fan-out, no fallback
+    # a grid's axes.mechanisms or a fleet's network.node_factory
+    StudySpec(mechanisms=("my-rh",), jobs=8)
 
 The paper's three mechanisms (SNIP-AT, SNIP-OPT, SNIP-RH) are
-pre-registered in both registries at import time.
+pre-registered at import time.
 
 The registries are also what makes the declarative study layer
 (:mod:`repro.experiments.spec`) portable: a
 :class:`~repro.experiments.spec.StudySpec` references mechanisms,
-engines, and node factories exclusively by these names, so a study
-file validated against the registries here executes identically on any
-host where the same registrations exist.
+engines, transports and scenarios exclusively by these names, so a
+study file validated against the registries here executes identically
+on any host where the same registrations exist.
 """
 
 from __future__ import annotations
 
-import importlib
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional
 
 from ..core.schedulers.at import SnipAtScheduler
@@ -154,9 +148,6 @@ class FactoryRegistry:
 #: Sweep/grid mechanism factories: ``factory(scenario) -> Scheduler``.
 mechanism_factories = FactoryRegistry("mechanism")
 
-#: Per-node fleet factories: ``factory(scenario, node_id) -> Scheduler``.
-node_factories = FactoryRegistry("node scheduler")
-
 #: Simulation backends: ``factory() -> Engine`` (the unified run API).
 #: Built-ins register where they are defined (``"fast"`` in
 #: :mod:`repro.experiments.runner`, ``"micro"`` in
@@ -178,72 +169,6 @@ transport_factories = FactoryRegistry("transport")
 #: through :func:`repro.scenarios.resolve_scenario`, which imports that
 #: module lazily for processes that have not loaded it yet.
 scenario_factories = FactoryRegistry("scenario")
-
-#: :class:`NamedFactory` kind → registry resolved against.
-_REGISTRIES: Dict[str, FactoryRegistry] = {
-    "mechanism": mechanism_factories,
-    "node": node_factories,
-}
-
-
-@dataclass(frozen=True)
-class NamedFactory:
-    """A picklable reference to a registered factory.
-
-    Pickles as plain strings and re-resolves against the worker-side
-    registry when called, so a ``NamedFactory`` survives any process
-    boundary that the registration itself also crossed: built-ins
-    register at import time, forked workers inherit the parent's
-    runtime registrations, and spawned workers re-import ``__main__``
-    (module-level registrations in a script run there too).  The one
-    gap is a *runtime* registration made outside any importable module
-    (e.g. inside a function) on a spawn-start-method platform; *module*
-    records where the factory was registered so workers can import that
-    module before resolving, closing the gap for module-level factories
-    referenced from long-lived parents.
-
-    Attributes:
-        name: the registered factory name.
-        kind: which registry to resolve against: ``"mechanism"``
-            (``factory(scenario)``) or ``"node"``
-            (``factory(scenario, node_id)``).
-        module: optional module to import before resolving when the
-            name is missing (the factory's defining module).
-    """
-
-    name: str
-    kind: str = "mechanism"
-    module: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _REGISTRIES:
-            raise ConfigurationError(
-                f"unknown registry kind {self.kind!r}; "
-                f"known: {sorted(_REGISTRIES)}"
-            )
-
-    def __call__(self, *args, **kwargs):
-        """Resolve the name and build the scheduler."""
-        registry = _REGISTRIES[self.kind]
-        import_error: Optional[ImportError] = None
-        if self.name not in registry and self.module:
-            # A spawned worker may not have executed the registering
-            # module yet; importing it re-runs the registration.
-            try:
-                importlib.import_module(self.module)
-            except ImportError as exc:
-                import_error = exc
-        try:
-            factory = registry.resolve(self.name)
-        except ConfigurationError as exc:
-            if import_error is not None:
-                raise ConfigurationError(
-                    f"{exc} (importing {self.module!r} to register it "
-                    f"failed: {import_error})"
-                ) from import_error
-            raise
-        return factory(*args, **kwargs)
-
 
 @mechanism_factories.register("SNIP-AT")
 def snip_at_mechanism(scenario) -> SnipAtScheduler:
@@ -273,21 +198,3 @@ def snip_rh_mechanism(scenario) -> SnipRhScheduler:
     return SnipRhScheduler(
         scenario.profile, scenario.model, initial_contact_length=2.0
     )
-
-
-@node_factories.register("SNIP-AT")
-def snip_at_node(scenario, node_id: str) -> SnipAtScheduler:
-    """Per-node SNIP-AT: every node probes all the time."""
-    return snip_at_mechanism(scenario)
-
-
-@node_factories.register("SNIP-OPT")
-def snip_opt_node(scenario, node_id: str) -> SnipOptScheduler:
-    """Per-node SNIP-OPT against the shared deployment profile."""
-    return snip_opt_mechanism(scenario)
-
-
-@node_factories.register("SNIP-RH")
-def snip_rh_node(scenario, node_id: str) -> SnipRhScheduler:
-    """Per-node SNIP-RH: each node exploits its own rush hours."""
-    return snip_rh_mechanism(scenario)

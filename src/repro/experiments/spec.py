@@ -16,11 +16,11 @@ study itself **data**:
 * :func:`run_study` — the single entry point for every study: a grid
   (one engine listed), a paired agreement grid (two or more engines:
   per-cell deltas become paired automatically, replicate seeds shared
-  between engines), or per-node ``NetworkRunner`` fan-out (a
-  ``network`` section), streaming cells through the
+  between engines), or a fleet (a ``network`` section: one cell per
+  sensor node), streaming cells through the
   :meth:`~repro.experiments.parallel.Transport.imap` contract, so every
-  determinism guarantee (byte-identical for jobs=1/N/shuffled) holds on
-  one orchestration path.
+  determinism guarantee (byte-identical for jobs=1/N/shuffled) and the
+  cell cache hold on one orchestration path.
 * :class:`StudyResult` / :class:`StudyDocument` — the assembled rich
   results (per-engine :class:`~repro.experiments.sweep.GridResult`,
   paired :class:`~repro.experiments.agreement.AgreementResult` per
@@ -40,6 +40,7 @@ innermost.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -61,7 +62,7 @@ from ..units import DAY
 from .agreement import AgreementPoint, AgreementResult
 from .engine import resolve_engine
 from .parallel import Transport, _validate_batch_size, replicate_seed
-from .registry import PAPER_MECHANISMS, mechanism_factories, node_factories
+from .registry import PAPER_MECHANISMS, mechanism_factories
 from .transport import resolve_transport, validate_transport
 from .runner import RunSpec
 from .scenario import PAPER_ZETA_TARGETS, Scenario, paper_roadside_scenario
@@ -106,13 +107,15 @@ class NetworkSection:
     """The fleet fan-out portion of a :class:`StudySpec`.
 
     When present, the study is a *network study*: a commuter population
-    is synthesized over an evenly spaced roadside deployment, each
-    sensor node's contact trace is extracted, and every node runs its
-    own scheduler instance (built by the registry-named *node_factory*)
-    through :class:`~repro.network.runner.NetworkRunner` — fanned out
-    over the study's executor.  The study's ``epochs`` are the simulated
-    days, its first ζtarget/Φmax configure each node's scenario, and its
-    first engine is each node's simulation backend.
+    is synthesized over an evenly spaced roadside deployment, and every
+    sensor node runs as one ordinary cell on its own contact trace (a
+    :class:`~repro.network.runner.CommuterNodeSource`) under the
+    mechanism *node_factory* names in
+    :data:`~repro.experiments.registry.mechanism_factories` — streamed
+    through the study's transport and cell cache like any grid cell.
+    The study's ``epochs`` are the simulated days, its seed seeds the
+    population, its first ζtarget/Φmax configure each node's scenario,
+    and its one engine is each node's simulation backend.
     """
 
     nodes: int = 3
@@ -402,11 +405,24 @@ class StudySpec:
             raise ConfigurationError(
                 f"with_predictions must be a bool, got {self.with_predictions!r}"
             )
-        if self.network is not None and self.scenarios != _DEFAULT_SCENARIOS:
-            raise ConfigurationError(
-                "network studies synthesize their own commuter fleet; "
-                "axes.scenarios applies to grid studies only"
-            )
+        if self.network is not None:
+            # A fleet is one cell per node: every axis that would
+            # multiply those cells applies to grid studies only.
+            for grid_axis, used, reason in (
+                ("axes.scenarios", self.scenarios != _DEFAULT_SCENARIOS,
+                 "synthesize their own commuter fleet"),
+                ("a multi-engine axes.engines", len(self.engines) > 1,
+                 "run every node on one engine"),
+                ("axes.replicates > 1", self.replicates > 1,
+                 "run every node once, on the study seed"),
+                ("axes.replicate_seeds", self.replicate_seeds is not None,
+                 "run every node once, on the study seed"),
+            ):
+                if used:
+                    raise ConfigurationError(
+                        f"network studies {reason}; "
+                        f"{grid_axis} applies to grid studies only"
+                    )
 
     # ------------------------------------------------------------------
     # derived views
@@ -519,7 +535,8 @@ class StudySpec:
         """The §VII-A scenario template with this spec's overrides applied.
 
         The grid path re-budgets/re-targets it per cell; the network
-        path runs every node on it directly (first ζtarget, first Φmax).
+        path runs every node on it (first ζtarget, first Φmax), with the
+        node's own contact source.
         """
         scenario = paper_roadside_scenario(epochs=self.epochs, seed=self.seed)
         return scenario.with_budget(self.phi_maxes[0]).with_target(
@@ -648,7 +665,7 @@ class StudySpec:
         scenarios through :func:`~repro.scenarios.materialize_scenario`
         (options included — a bad option fails at load time, not in a
         worker), and the network node factory against
-        :data:`~repro.experiments.registry.node_factories` — the same
+        :data:`~repro.experiments.registry.mechanism_factories` — the same
         resolution the workers will perform, so a spec that validates
         here executes anywhere the same registrations exist.
         """
@@ -662,7 +679,7 @@ class StudySpec:
             materialize_scenario(ref, epochs=self.epochs, seed=self.seed)
         validate_transport(self.resolved_transport, self.transport_options)
         if self.network is not None:
-            node_factories.resolve(self.network.node_factory)
+            mechanism_factories.resolve(self.network.node_factory)
 
     def to_json(self, *, indent: int = 2) -> str:
         """The spec as canonical JSON text (trailing newline included)."""
@@ -842,7 +859,7 @@ class StudyResult:
             rows = [
                 [
                     node_id,
-                    len(outcome.result.trace),
+                    outcome.contacts,
                     outcome.zeta,
                     outcome.phi,
                     _finite_or_none(outcome.rho),
@@ -977,39 +994,6 @@ class _StudyExecutor:
                 self._labelled = False
 
 
-def _run_network_study(
-    spec: StudySpec,
-    executor: Optional[Transport],
-    progress: Optional[Any] = None,
-) -> StudyResult:
-    """Per-node fleet fan-out: one scheduler per node, shared scenario.
-
-    *progress* (when given) is a node-level observer
-    ``progress(node_id, result, completed, total)`` — the network
-    analogue of the grid path's
-    :data:`~repro.experiments.sweep.ProgressCallback`, streamed through
-    the same ``imap`` contract.
-    """
-    from ..network.runner import NetworkRunner, commuter_fleet_traces
-
-    assert spec.network is not None
-    traces = commuter_fleet_traces(
-        nodes=spec.network.nodes,
-        commuters=spec.network.commuters,
-        days=spec.epochs,
-        seed=spec.seed,
-    )
-    runner = NetworkRunner(
-        spec.base_scenario(),
-        traces,
-        spec.network.node_factory,
-        engine=spec.engines[0],
-    )
-    return StudyResult(
-        spec=spec, network=runner.run(executor=executor, progress=progress)
-    )
-
-
 def run_study(
     spec: StudySpec,
     *,
@@ -1019,8 +1003,11 @@ def run_study(
     """Execute one :class:`StudySpec` end to end.
 
     The single orchestration path for every study: a grid (one engine),
-    a paired agreement grid (two or more engines), and the fleet demo (a
-    ``network`` section).  The study flattens into pure
+    a paired agreement grid (two or more engines), and a fleet (a
+    ``network`` section: one shard per sensor node, in node-id order,
+    each on the base scenario with that node's
+    :class:`~repro.network.runner.CommuterNodeSource`).  The study
+    flattens into pure
     :class:`~repro.experiments.runner.RunSpec` shards (scenario
     outermost, then Φmax, ζtarget, mechanism, replicate, engine
     innermost) on the seeding contract of
@@ -1048,22 +1035,19 @@ def run_study(
             (:data:`~repro.experiments.sweep.ProgressCallback`), fired
             once per completed run.  For network studies the observer
             instead receives ``(node_id, result, completed, total)``,
-            one call per finished node.
+            one call per finished node.  A cell replayed from the cache
+            carries ``from_cache=True`` and no node, trace or scheduler.
 
     Returns:
         A :class:`StudyResult` with one grid per engine, paired
         agreements for every non-baseline engine, or the fleet result
         for network studies.
     """
-    if spec.network is not None:
-        node_factories.resolve(spec.network.node_factory)
-        resolve_engine(spec.engines[0])
-        with _StudyExecutor(spec, executor) as resolved:
-            return _run_network_study(spec, resolved, progress)
-
     # Unknown names and repeated seeds fail fast, before any shard runs.
     for engine_name in spec.engines:
         resolve_engine(engine_name)
+    if spec.network is not None:
+        return _run_fleet(spec, executor, progress)
     for name in spec.mechanisms:
         mechanism_factories.resolve(name)
     seeds = spec.resolved_seeds()
@@ -1200,13 +1184,54 @@ def run_study(
                     mechanisms=tuple(names),
                 )
 
+    return _study_result(spec, results, grids=grids, agreements=agreements)
+
+
+def _run_fleet(
+    spec: StudySpec,
+    executor: Optional[Transport],
+    progress: Optional[Any],
+) -> StudyResult:
+    """Lower a network study onto one ordinary cell per node and run it."""
+    from ..network.runner import NetworkResult, NodeOutcome, commuter_node_sources
+
+    assert spec.network is not None
+    mechanism_factories.resolve(spec.network.node_factory)
+    base = spec.base_scenario()
+    shards = [
+        RunSpec(
+            scenario=dataclasses.replace(base, contact_source=source),
+            mechanism=spec.network.node_factory,
+            engine=spec.engines[0],
+        )
+        for source in commuter_node_sources(
+            spec.network.nodes, spec.network.commuters
+        )
+    ]
+    node_progress = None
+    if progress is not None:
+        def node_progress(shard, result, completed, total) -> None:
+            progress(
+                shard.scenario.contact_source.node_id, result, completed, total
+            )
+
+    with _StudyExecutor(spec, executor) as resolved:
+        results = _stream_results(resolved, shards, node_progress)
+    network = NetworkResult()
+    for shard, result in zip(shards, results):
+        node_id = shard.scenario.contact_source.node_id
+        network.outcomes[node_id] = NodeOutcome(node_id=node_id, result=result)
+    return _study_result(spec, results, network=network)
+
+
+def _study_result(spec: StudySpec, results: List[Any], **parts: Any) -> StudyResult:
+    """The :class:`StudyResult` of *results*, with its cache counts."""
     cells_cached = sum(
         1 for result in results if getattr(result, "from_cache", False)
     )
     return StudyResult(
         spec=spec,
-        grids=grids,
-        agreements=agreements,
         cells_computed=len(results) - cells_cached,
         cells_cached=cells_cached,
+        **parts,
     )

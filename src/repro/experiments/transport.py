@@ -1,12 +1,12 @@
 """Pluggable execution transports: every backend resolves by name.
 
 Execution used to be the one axis of the system that could not be
-named: mechanisms, engines, and node factories all resolve through
+named: mechanisms, engines, and scenarios all resolve through
 :mod:`repro.experiments.registry`, but picking *how* shards run meant
 constructing a concrete :class:`~repro.experiments.parallel.SerialExecutor`
 or :class:`~repro.experiments.parallel.ParallelExecutor` in code, so a
-third backend could not exist without editing ``run_study``, the CLI,
-and ``NetworkRunner`` in lockstep.  This module closes that gap:
+third backend could not exist without editing ``run_study`` and the CLI
+in lockstep.  This module closes that gap:
 
 * :class:`~repro.experiments.parallel.Transport` — the base class
   every backend inherits, re-exported here: one required method,
@@ -85,6 +85,7 @@ from typing import (
 )
 
 from ..errors import ConfigurationError
+from ..units import require_positive
 from .parallel import (
     ParallelExecutor,
     SerialExecutor,
@@ -448,25 +449,30 @@ class FileQueueTransport(_FallbackTransport):
                 ``self_process=False``.
         """
         super().__init__(jobs, batch_size)
-        if workers is not None and workers < 0:
-            raise ConfigurationError(f"workers must be >= 0, got {workers}")
-        if poll_interval <= 0:
+        if workers is not None and (
+            not isinstance(workers, int) or isinstance(workers, bool)
+            or workers < 0
+        ):
             raise ConfigurationError(
-                f"poll_interval must be > 0, got {poll_interval}"
+                f"workers must be None or an int >= 0, got {workers!r}"
             )
-        if reclaim_after <= 0:
+        if queue_dir is not None and (
+            not isinstance(queue_dir, str) or not queue_dir
+        ):
             raise ConfigurationError(
-                f"reclaim_after must be > 0, got {reclaim_after}"
+                f"queue_dir must be None or a non-empty path, got {queue_dir!r}"
             )
-        if max_wait is not None and max_wait <= 0:
+        if not isinstance(self_process, bool):
             raise ConfigurationError(
-                f"max_wait must be > 0 or None, got {max_wait}"
+                f"self_process must be a bool, got {self_process!r}"
             )
-        self.max_wait = max_wait
+        self.max_wait = (
+            None if max_wait is None else require_positive("max_wait", max_wait)
+        )
         self.queue_dir = queue_dir
         self.workers = workers
-        self.poll_interval = poll_interval
-        self.reclaim_after = reclaim_after
+        self.poll_interval = require_positive("poll_interval", poll_interval)
+        self.reclaim_after = require_positive("reclaim_after", reclaim_after)
         self.self_process = self_process
         #: Optional observer ``sink(index, value)`` fed every successful
         #: outcome the moment its ticket is ingested — *before* the

@@ -8,14 +8,15 @@ Everything upstream of a single sensor node's contact trace:
   hand-marked profile);
 * :mod:`~repro.network.contacts` — per-site contact extraction from
   agent trips, including the sparse-network contention policy;
-* :mod:`~repro.network.runner` — run a scheduler on every node of the
-  fleet and aggregate delivery statistics.
+* :mod:`~repro.network.runner` — the commuter fleet as one contact
+  source per node (a fleet study runs each node as an ordinary cell)
+  and the per-node and fleet aggregates.
 """
 
 from .deployment import RoadDeployment, SensorSite
 from .agents import CommuterAgent, CommutePattern, Population
 from .contacts import ContactExtractor, enforce_sparse
-from .runner import NetworkRunner, NetworkResult, NodeOutcome
+from .runner import CommuterNodeSource, NetworkResult, NodeOutcome
 
 __all__ = [
     "RoadDeployment",
@@ -25,7 +26,7 @@ __all__ = [
     "Population",
     "ContactExtractor",
     "enforce_sparse",
-    "NetworkRunner",
+    "CommuterNodeSource",
     "NetworkResult",
     "NodeOutcome",
 ]

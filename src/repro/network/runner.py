@@ -1,34 +1,41 @@
-"""Fleet-level experiment runner.
+"""Fleet studies: per-node commuter traces and the fleet result.
 
-Runs one scheduler instance per sensor node of a deployment against that
-node's own contact trace (from the agent model or from files) and
-aggregates the paper's metrics across the fleet.  Each node learns its
-own profile — the paper's point that "sensor nodes are deployed at
+The paper's Fig. 1 deployment puts several sensor nodes along one road,
+and each node learns its own profile — "sensor nodes are deployed at
 different places and their contacts ... may follow different patterns".
+A fleet study is therefore one ordinary cell per node:
+:func:`~repro.experiments.spec.run_study` lowers a ``network`` section
+onto :class:`~repro.experiments.runner.RunSpec` shards whose scenario
+draws its contacts from a :class:`CommuterNodeSource`, so every node
+runs through :func:`~repro.experiments.runner.execute_run_spec` on any
+transport and through the cell cache, like a grid cell.  This module
+holds the commuter fleet, that contact source, and the per-node and
+fleet aggregates (:class:`NodeOutcome`, :class:`NetworkResult`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Optional, Union
+from functools import lru_cache
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from ..core.schedulers.base import Scheduler
-from ..errors import ConfigurationError
-from ..experiments.engine import resolve_engine
-from ..experiments.parallel import SerialExecutor, Transport
-from ..experiments.registry import NamedFactory, node_factories
-from ..experiments.runner import RunResult
-from ..experiments.scenario import Scenario
 from ..mobility.contact import ContactTrace
+from ..units import DAY
+from .agents import CommutePattern, Population
+from .contacts import ContactExtractor
+from .deployment import RoadDeployment
 
-SchedulerFactory = Callable[[Scenario, str], Scheduler]
+if TYPE_CHECKING:  # pragma: no cover - type-only
+    from ..experiments.runner import RunResult
 
-#: Streaming observer for fleet runs: ``progress(node_id, result,
-#: completed, total)`` fires once per finished node, in completion
-#: order — the per-node analogue of
-#: :data:`repro.experiments.sweep.ProgressCallback`.
-NodeProgressCallback = Callable[[str, RunResult, int, int], None]
+#: Metres of road per gap between neighbouring sensor nodes.
+_NODE_SPACING = 2000.0
+
+
+def _deployment(nodes: int, node_spacing: float) -> RoadDeployment:
+    """*nodes* sensors evenly spaced along a road sized to fit them."""
+    return RoadDeployment.evenly_spaced(nodes, node_spacing * (nodes + 1))
 
 
 def commuter_fleet_traces(
@@ -37,7 +44,7 @@ def commuter_fleet_traces(
     commuters: int,
     days: int,
     seed: int,
-    node_spacing: float = 2000.0,
+    node_spacing: float = _NODE_SPACING,
     workdays_per_week: int = 7,
 ) -> Dict[str, ContactTrace]:
     """Per-node contact traces from a synthetic commuter population.
@@ -51,42 +58,81 @@ def commuter_fleet_traces(
     arguments (the population is seeded), so a study that names these
     numbers reproduces the same fleet anywhere.
     """
-    from ..units import DAY
-    from .agents import CommutePattern, Population
-    from .contacts import ContactExtractor
-    from .deployment import RoadDeployment
-
-    road = node_spacing * (nodes + 1)
-    deployment = RoadDeployment.evenly_spaced(nodes, road)
+    deployment = _deployment(nodes, node_spacing)
     population = Population(
-        commuters, road, seed=seed,
+        commuters, deployment.road_length, seed=seed,
         pattern=CommutePattern(workdays_per_week=workdays_per_week),
     )
     trips = population.trips(days=days, epoch_length=DAY)
     return ContactExtractor(deployment).extract(trips).contacts_by_node
 
 
-def _run_node(item: tuple) -> RunResult:
-    """Pool entry point: simulate one node against its own trace.
+@lru_cache(maxsize=4)
+def _memoized_fleet(
+    nodes: int, commuters: int, days: int, seed: int
+) -> Dict[str, ContactTrace]:
+    """:func:`commuter_fleet_traces`, built once per process per fleet.
 
-    Module-level so a process pool can pickle it by reference; each
-    node's work is a pure function of (scenario, node_id, trace,
-    factory, engine name), which makes per-node fan-out deterministic
-    regardless of worker count or completion order.  The engine crosses
-    the boundary as a registry name and is re-resolved worker-side,
-    exactly like the scheduler factory.
+    Every node cell of one study needs the same population, and building
+    it dominates a small node's run, so the node cells share one build.
+    Callers treat the returned traces as read-only, like every engine.
     """
-    scenario, node_id, trace, factory, engine_name = item
-    scheduler = factory(scenario, node_id)
-    return resolve_engine(engine_name).run(scenario, scheduler, trace=trace)
+    return commuter_fleet_traces(
+        nodes=nodes, commuters=commuters, days=days, seed=seed
+    )
+
+
+@dataclass(frozen=True)
+class CommuterNodeSource:
+    """Scenario contact source: one node's trace from a commuter fleet.
+
+    The fleet is :func:`commuter_fleet_traces` over ``scenario.epochs``
+    days seeded by ``scenario.seed``; this source returns node
+    *node_id*'s trace from it.  Frozen and hashable, so the cell cache
+    fingerprints it by value and the vector engine's trace memo keys on
+    it.
+    """
+
+    node_id: str
+    nodes: int
+    commuters: int
+
+    def generate(self, scenario, streams) -> ContactTrace:
+        """This node's trace over the scenario horizon (streams unused)."""
+        del streams  # the population is seeded by the scenario itself
+        fleet = _memoized_fleet(
+            self.nodes, self.commuters, scenario.epochs, scenario.seed
+        )
+        return fleet[self.node_id]
+
+
+def commuter_node_sources(nodes: int, commuters: int) -> List[CommuterNodeSource]:
+    """One :class:`CommuterNodeSource` per node of the fleet, by node id.
+
+    Reads only the deployment's node ids: no population is built.
+    """
+    node_ids = sorted(site.node_id for site in _deployment(nodes, _NODE_SPACING))
+    return [
+        CommuterNodeSource(node_id, nodes, commuters) for node_id in node_ids
+    ]
 
 
 @dataclass
 class NodeOutcome:
-    """One node's run and headline metrics."""
+    """One node's run and headline metrics.
+
+    Every metric reads only ``result.metrics`` and ``result.scenario``,
+    so a result replayed from the cell cache (no node, no trace) reports
+    the same numbers as a fresh one.
+    """
 
     node_id: str
-    result: RunResult
+    result: "RunResult"
+
+    @property
+    def contacts(self) -> int:
+        """Contacts that arrived at the node over the run."""
+        return sum(epoch.arrived_contacts for epoch in self.result.metrics.epochs)
 
     @property
     def zeta(self) -> float:
@@ -105,11 +151,17 @@ class NodeOutcome:
 
     @property
     def delivery_ratio(self) -> float:
-        """Uploaded / generated data over the whole run."""
-        buffer = self.result.node.buffer
-        if buffer.total_generated == 0:
+        """Uploaded / generated data over the whole run.
+
+        The node's buffer is uncapped, so everything generated was either
+        uploaded or is still buffered at the end of the last epoch.
+        """
+        epochs = self.result.metrics.epochs
+        uploaded = sum(epoch.uploaded for epoch in epochs)
+        generated = uploaded + (epochs[-1].buffer_end_level if epochs else 0.0)
+        if generated == 0:
             return 1.0
-        return buffer.total_uploaded / buffer.total_generated
+        return uploaded / generated
 
 
 @dataclass
@@ -166,7 +218,7 @@ class NetworkResult:
         return {
             "nodes": {
                 node_id: {
-                    "contacts": len(outcome.result.trace),
+                    "contacts": outcome.contacts,
                     "zeta": clean(outcome.zeta),
                     "phi": clean(outcome.phi),
                     "rho": clean(outcome.rho),
@@ -181,90 +233,3 @@ class NetworkResult:
                 "mean_delivery_ratio": clean(self.mean_delivery_ratio),
             },
         }
-
-
-class NetworkRunner:
-    """Runs a scheduler per node over per-node traces."""
-
-    def __init__(
-        self,
-        scenario: Scenario,
-        traces_by_node: Mapping[str, ContactTrace],
-        scheduler_factory: Union[str, SchedulerFactory],
-        *,
-        engine: str = "fast",
-    ) -> None:
-        """*scheduler_factory* is a callable ``(scenario, node_id) ->
-        Scheduler`` or the name of a factory registered in
-        :data:`repro.experiments.registry.node_factories`.  Names
-        resolve to a picklable
-        :class:`~repro.experiments.registry.NamedFactory`, so a named
-        fleet fans out over a real process pool instead of silently
-        degrading to serial (closures cannot cross the boundary).
-        *engine* selects each node's simulation backend by
-        engine-registry name (``"fast"`` default, ``"micro"`` for
-        short cycle-accurate fleets; see
-        :mod:`repro.experiments.engine`) and crosses process boundaries
-        the same way.  Unknown names — factory or engine — fail fast
-        here, not in a worker.
-        """
-        if not traces_by_node:
-            raise ConfigurationError("need at least one node trace")
-        resolve_engine(engine)  # fail fast on unknown engine names
-        if isinstance(scheduler_factory, str):
-            registered = node_factories.resolve(scheduler_factory)  # fail fast
-            scheduler_factory = NamedFactory(
-                scheduler_factory,
-                kind="node",
-                # Spawn-start workers import this to replay a runtime
-                # registration that fork would have inherited for free.
-                module=getattr(registered, "__module__", None),
-            )
-        self.scenario = scenario
-        self.traces_by_node = dict(traces_by_node)
-        self.scheduler_factory = scheduler_factory
-        self.engine = engine
-
-    def run(
-        self,
-        *,
-        executor: Optional[Transport] = None,
-        progress: Optional[NodeProgressCallback] = None,
-    ) -> NetworkResult:
-        """Run every node on *executor*; returns the aggregated result.
-
-        *executor* is any transport (in-process when None); a network
-        study builds it from its spec's execution section with
-        :meth:`~repro.experiments.spec.StudySpec.build_transport`, like
-        every other study.  Nodes are independent (each owns its trace
-        and scheduler) and results are reassembled by node index, so
-        the aggregate is identical for any backend, worker count, or
-        completion order.  Scheduler factories that cannot be pickled
-        (e.g. lambdas) run serially with a
-        :class:`~repro.experiments.parallel.ParallelFallbackWarning`;
-        registry-named factories (see ``__init__``) avoid the fallback.
-
-        *progress* (a :data:`NodeProgressCallback`) streams finished
-        nodes through the executor's ``imap`` path as they complete,
-        exactly like grid cells stream through
-        :func:`~repro.experiments.spec.run_study`.
-        """
-        executor = executor if executor is not None else SerialExecutor()
-        ordered = sorted(self.traces_by_node.items())
-        items = [
-            (self.scenario, node_id, trace, self.scheduler_factory, self.engine)
-            for node_id, trace in ordered
-        ]
-        results: Dict[int, RunResult] = {}
-        completed = 0
-        for index, result in executor.imap(_run_node, items):
-            results[index] = result
-            completed += 1
-            if progress is not None:
-                progress(ordered[index][0], result, completed, len(items))
-        network = NetworkResult()
-        for index, (node_id, _trace) in enumerate(ordered):
-            network.outcomes[node_id] = NodeOutcome(
-                node_id=node_id, result=results[index]
-            )
-        return network

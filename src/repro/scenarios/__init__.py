@@ -2,7 +2,7 @@
 
 The paper evaluates SNIP on exactly one workload — the §VII-A roadside
 rush-hour scenario.  This package makes the workload pluggable by name,
-exactly like mechanisms, engines, node factories, and transports:
+exactly like mechanisms, engines, and transports:
 :data:`repro.experiments.registry.scenario_factories` maps a name to a
 ``factory(**options) -> Scenario`` callable, and ``StudySpec`` sweeps a
 tuple of :class:`ScenarioRef` entries (``axes.scenarios``) over the

@@ -10,31 +10,6 @@ def rule_ids(report):
 
 
 class TestUnpicklableCallable:
-    def test_keyword_lambda_into_named_factory_flagged(self, lint_tree):
-        report = lint_tree(
-            {
-                "repro/experiments/build.py": """\
-                def factories(scenario):
-                    return [NamedFactory("ad-hoc", kind=lambda: scenario)]
-                """
-            },
-            rules=[UnpicklableCallableRule()],
-        )
-        assert rule_ids(report) == ["unpicklable-callable"]
-        assert "NamedFactory" in report.findings[0].message
-
-    def test_lambda_into_named_factory_flagged(self, lint_tree):
-        report = lint_tree(
-            {
-                "repro/experiments/build.py": """\
-                def factory():
-                    return NamedFactory("ad-hoc", lambda: object())
-                """
-            },
-            rules=[UnpicklableCallableRule()],
-        )
-        assert rule_ids(report) == ["unpicklable-callable"]
-
     def test_lambda_shard_into_executor_flagged(self, lint_tree):
         report = lint_tree(
             {
@@ -55,9 +30,8 @@ class TestUnpicklableCallable:
                 def run_shard(shard):
                     return shard.run()
 
-                def drive(pool, shards, factory):
-                    named = NamedFactory("ad-hoc", factory)
-                    return named, pool.map(run_shard, shards)
+                def drive(pool, shards):
+                    return pool.map(run_shard, shards)
                 """
             },
             rules=[UnpicklableCallableRule()],

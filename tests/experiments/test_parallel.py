@@ -29,9 +29,7 @@ from repro.experiments.engine import resolve_engine
 from repro.experiments.registry import mechanism_factories
 from repro.experiments.runner import RunSpec, execute_run_spec
 from repro.experiments.scenario import paper_roadside_scenario
-from repro.experiments.spec import StudySpec, run_study
-from repro.mobility.contact import Contact, ContactTrace
-from repro.network.runner import NetworkRunner
+from repro.experiments.spec import NetworkSection, StudySpec, run_study
 from repro.units import DAY
 
 TARGETS = (16.0, 48.0)
@@ -372,26 +370,23 @@ class TestBatching:
             ParallelExecutor(batch_size="huge")
 
 
-def _node_factory(scenario, node_id):
-    return mechanism_factories.resolve("SNIP-RH")(scenario)
+def fleet_spec() -> StudySpec:
+    """A three-node commuter fleet (one day, one budget)."""
+    return StudySpec(
+        zeta_targets=(16.0,),
+        phi_maxes=(PHI_MAX,),
+        epochs=1,
+        seed=9,
+        network=NetworkSection(nodes=3, commuters=20),
+    )
 
 
 class TestNetworkFanOut:
-    def _traces(self):
-        def trace(offset):
-            return ContactTrace(
-                contacts=[
-                    Contact(start=3600.0 * k + offset, length=2.0, mobile_id=f"m{k}")
-                    for k in range(1, 20)
-                ]
-            )
-
-        return {"node-a": trace(0.0), "node-b": trace(120.0), "node-c": trace(777.0)}
-
-    def test_parallel_fleet_matches_serial(self, base_scenario):
-        runner = NetworkRunner(base_scenario, self._traces(), _node_factory)
-        serial = runner.run()
-        parallel = runner.run(executor=ParallelExecutor(jobs=3))
+    def test_parallel_fleet_matches_serial(self):
+        serial = run_study(fleet_spec()).network
+        pool = ParallelExecutor(jobs=3)
+        parallel = run_study(fleet_spec(), executor=pool).network
+        assert pool.last_map_parallel
         assert sorted(serial.outcomes) == sorted(parallel.outcomes)
         for node_id, outcome in serial.outcomes.items():
             other = parallel.outcomes[node_id]
@@ -425,15 +420,10 @@ class TestImapOnlyTransport:
         (point, _) = streamed.grid().budget(PHI_MAX).points["SNIP-AT"]
         assert [run.scenario.seed for run in point.replicates] == [1, 2, 3]
 
-    def test_network_runner_accepts_imap_only(self, base_scenario):
-        runner = NetworkRunner(
-            base_scenario, TestNetworkFanOut()._traces(), _node_factory
-        )
-        serial = runner.run()
-        streamed = runner.run(executor=ImapOnlyTransport())
-        assert sorted(streamed.outcomes) == sorted(serial.outcomes)
-        for node_id, outcome in serial.outcomes.items():
-            assert streamed.outcomes[node_id].zeta == outcome.zeta
+    def test_network_runner_accepts_imap_only(self):
+        serial = run_study(fleet_spec())
+        streamed = run_study(fleet_spec(), executor=ImapOnlyTransport())
+        assert streamed.to_json() == serial.to_json()
 
 
 class TestReplicateSeeds:

@@ -1,8 +1,8 @@
 """Named scheduler-factory registry: resolution across process boundaries.
 
-The registry exists so that per-node schedulers and custom mechanisms
-can cross a process pool as *names* instead of (unpicklable) closures —
-the fix for ``NetworkRunner`` silently degrading to serial fan-out.
+The registry exists so that grid mechanisms and fleet node schedulers
+can cross a process pool as *names* instead of (unpicklable) closures,
+which would silently degrade the fan-out to serial.
 """
 
 from __future__ import annotations
@@ -11,19 +11,22 @@ import pickle
 
 import pytest
 
+import dataclasses
+
 from repro.core.schedulers.rh import SnipRhScheduler
 from repro.errors import ConfigurationError
-from repro.experiments.parallel import ParallelExecutor
+from repro.experiments.engine import resolve_engine
+from repro.experiments.parallel import ParallelExecutor, Transport
 from repro.experiments.registry import (
     PAPER_MECHANISMS,
     FactoryRegistry,
-    NamedFactory,
     mechanism_factories,
-    node_factories,
 )
+from repro.experiments.runner import RunSpec, execute_run_spec
 from repro.experiments.scenario import paper_roadside_scenario
-from repro.mobility.contact import Contact, ContactTrace
-from repro.network.runner import NetworkRunner
+from repro.experiments.spec import NetworkSection, StudySpec, run_study
+from repro.network.runner import CommuterNodeSource, commuter_fleet_traces
+from repro.units import DAY
 
 
 @pytest.fixture
@@ -33,9 +36,10 @@ def scenario():
 
 class TestFactoryRegistry:
     def test_builtins_registered_in_both_registries(self):
+        # One registry serves grid mechanisms and fleet node schedulers.
         for name in PAPER_MECHANISMS:
             assert name in mechanism_factories
-            assert name in node_factories
+            fleet_spec(node_factory=name).validate_registry_names()
 
     def test_resolve_unknown_names_known(self):
         with pytest.raises(ConfigurationError, match="SNIP-RH"):
@@ -74,64 +78,73 @@ class TestFactoryRegistry:
 
 
 class TestNamedFactory:
-    def test_builds_scheduler_through_registry(self, scenario):
-        factory = NamedFactory("SNIP-RH", kind="mechanism")
-        assert isinstance(factory(scenario), SnipRhScheduler)
+    """A mechanism crosses process boundaries as its registry name."""
 
-    def test_node_kind_takes_node_id(self, scenario):
-        factory = NamedFactory("SNIP-RH", kind="node")
-        assert isinstance(factory(scenario, "node-7"), SnipRhScheduler)
+    def test_builds_scheduler_through_registry(self, scenario):
+        result = execute_run_spec(RunSpec(scenario=scenario, mechanism="SNIP-RH"))
+        assert isinstance(result.scheduler, SnipRhScheduler)
 
     def test_pickles_as_a_name(self, scenario):
-        factory = NamedFactory("SNIP-RH", kind="node")
-        clone = pickle.loads(pickle.dumps(factory))
-        assert clone == factory
-        assert isinstance(clone(scenario, "n"), SnipRhScheduler)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError, match="kind"):
-            NamedFactory("SNIP-RH", kind="galaxy")
-
-    def test_unknown_name_fails_at_call_time(self, scenario):
-        factory = NamedFactory("missing", kind="mechanism")
-        with pytest.raises(ConfigurationError, match="missing"):
-            factory(scenario)
-
-
-def _traces():
-    def trace(offset):
-        return ContactTrace(
-            contacts=[
-                Contact(start=3600.0 * k + offset, length=2.0, mobile_id=f"m{k}")
-                for k in range(1, 20)
-            ]
+        node_scenario = dataclasses.replace(
+            scenario,
+            contact_source=CommuterNodeSource("sensor-1", nodes=2, commuters=10),
+        )
+        spec = RunSpec(scenario=node_scenario, mechanism="SNIP-RH")
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone == spec
+        assert (
+            execute_run_spec(clone).metrics.epochs
+            == execute_run_spec(spec).metrics.epochs
         )
 
-    return {"node-a": trace(0.0), "node-b": trace(120.0), "node-c": trace(777.0)}
+    def test_unknown_name_fails_at_call_time(self, scenario):
+        spec = RunSpec(scenario=scenario, mechanism="missing")
+        with pytest.raises(ConfigurationError, match="missing"):
+            execute_run_spec(spec)
 
 
-def _explicit_rh(scenario, node_id):
+def fleet_spec(**network) -> StudySpec:
+    """A two-day, three-node commuter fleet; *network* overrides the section."""
+    return StudySpec(
+        name="fleet-names",
+        zeta_targets=(16.0,),
+        phi_maxes=(DAY / 100.0,),
+        epochs=2,
+        seed=9,
+        network=NetworkSection(**{"nodes": 3, "commuters": 12, **network}),
+    )
+
+
+def _explicit_rh(scenario):
     return SnipRhScheduler(
         scenario.profile, scenario.model, initial_contact_length=2.0
     )
 
 
 class TestNetworkRunnerRegistryNames:
-    def test_name_matches_explicit_factory(self, scenario):
-        named = NetworkRunner(scenario, _traces(), "SNIP-RH").run()
-        explicit = NetworkRunner(scenario, _traces(), _explicit_rh).run()
-        for node_id, outcome in named.outcomes.items():
-            other = explicit.outcomes[node_id]
-            assert outcome.zeta == other.zeta
-            assert outcome.phi == other.phi
+    """A fleet's ``network.node_factory`` is a mechanism registry name."""
 
-    def test_named_factory_takes_the_pool_path(self, scenario):
-        # The acceptance criterion: a registry-named fleet fans out on a
-        # real pool — no silent serial fallback.
-        runner = NetworkRunner(scenario, _traces(), "SNIP-RH")
-        serial = runner.run()
+    def test_name_matches_explicit_factory(self):
+        spec = fleet_spec()
+        named = run_study(spec).network
+        scenario = spec.base_scenario()
+        traces = commuter_fleet_traces(
+            nodes=3, commuters=12, days=2, seed=scenario.seed
+        )
+        for node_id, trace in traces.items():
+            explicit = resolve_engine("fast").run(
+                scenario, _explicit_rh(scenario), trace=trace
+            )
+            outcome = named.outcomes[node_id]
+            assert outcome.zeta == explicit.mean_zeta
+            assert outcome.phi == explicit.mean_phi
+
+    def test_named_factory_takes_the_pool_path(self):
+        # A registry-named fleet fans out on a real pool — no silent
+        # serial fallback.
+        serial = run_study(fleet_spec()).network
         pool = ParallelExecutor(jobs=2)
-        parallel = runner.run(executor=pool)
+        parallel = run_study(fleet_spec(), executor=pool).network
         assert pool.last_map_parallel
         for node_id, outcome in serial.outcomes.items():
             other = parallel.outcomes[node_id]
@@ -139,6 +152,18 @@ class TestNetworkRunnerRegistryNames:
             assert outcome.phi == other.phi
             assert outcome.delivery_ratio == other.delivery_ratio
 
-    def test_unknown_name_fails_fast_in_parent(self, scenario):
-        with pytest.raises(ConfigurationError, match="unknown node scheduler"):
-            NetworkRunner(scenario, _traces(), "NOT-A-FACTORY")
+    def test_unknown_name_fails_fast_in_parent(self):
+        calls = []
+
+        class CountingExecutor(Transport):
+            def imap(self, fn, items):
+                for index, item in enumerate(items):
+                    calls.append(item)
+                    yield index, fn(item)
+
+        spec = fleet_spec(node_factory="NOT-A-FACTORY")
+        with pytest.raises(ConfigurationError, match="unknown mechanism"):
+            run_study(spec, executor=CountingExecutor())
+        assert calls == []
+        with pytest.raises(ConfigurationError, match="NOT-A-FACTORY"):
+            StudySpec.from_dict(spec.to_dict())

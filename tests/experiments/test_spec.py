@@ -16,6 +16,7 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.engine import resolve_engine
 from repro.experiments.parallel import (
     ParallelExecutor,
     ParallelFallbackWarning,
@@ -75,9 +76,15 @@ class TestRoundTrip:
             jobs=3,
             batch_size=4,
             out="grid.json",
-            network=NetworkSection(nodes=2, commuters=8, node_factory="SNIP-AT"),
         )
         assert StudySpec.from_dict(spec.to_dict()) == spec
+        fleet = small_spec(
+            replicates=1,
+            jobs=3,
+            out="fleet.json",
+            network=NetworkSection(nodes=2, commuters=8, node_factory="SNIP-AT"),
+        )
+        assert StudySpec.from_dict(fleet.to_dict()) == fleet
 
     def test_defaults_round_trip(self):
         spec = StudySpec()
@@ -107,7 +114,7 @@ class TestRoundTrip:
     def test_spec_pickles(self):
         import pickle
 
-        spec = small_spec(network=NetworkSection())
+        spec = small_spec(replicates=1, network=NetworkSection())
         assert pickle.loads(pickle.dumps(spec)) == spec
 
 
@@ -236,6 +243,24 @@ class TestStrictValidation:
         with pytest.raises(ConfigurationError, match="network.nodes"):
             NetworkSection(nodes=True)
 
+    @pytest.mark.parametrize(
+        "override, axis",
+        [
+            ({"axes.engines": ["fast", "vector"]}, "axes.engines"),
+            ({"axes.replicates": 3}, "axes.replicates"),
+            ({"axes.replicate_seeds": [5, 6]}, "axes.replicate_seeds"),
+            ({"axes.replicate_seeds": [5]}, "axes.replicate_seeds"),
+        ],
+    )
+    def test_network_rejects_grid_only_axes(self, override, axis):
+        # A fleet runs each node once on one engine: an axis that would
+        # multiply its cells must fail loudly, not be silently dropped.
+        fleet = small_spec(
+            replicates=1, network=NetworkSection(nodes=2, commuters=8)
+        )
+        with pytest.raises(ConfigurationError, match=f"{axis}.*grid studies"):
+            fleet.with_overrides(override)
+
 
 class TestOverrides:
     def test_dotted_path_override(self):
@@ -255,7 +280,7 @@ class TestOverrides:
         assert spec.zeta_targets == (24.0, 32.0)
 
     def test_network_section_materializes(self):
-        spec = small_spec().with_overrides({"network.nodes": 5})
+        spec = small_spec(replicates=1).with_overrides({"network.nodes": 5})
         assert spec.network is not None
         assert spec.network.nodes == 5
         assert spec.network.node_factory == "SNIP-RH"
@@ -406,7 +431,7 @@ class TestRunStudySubsumesLegacyApis:
 
 class TestNetworkStudy:
     def test_network_study_matches_direct_runner(self):
-        from repro.network.runner import NetworkRunner, commuter_fleet_traces
+        from repro.network.runner import commuter_fleet_traces
 
         spec = StudySpec(
             name="fleet",
@@ -421,13 +446,17 @@ class TestNetworkStudy:
         assert study.network is not None
         assert not study.grids and not study.agreements
         traces = commuter_fleet_traces(nodes=2, commuters=10, days=2, seed=4)
-        direct = NetworkRunner(
-            spec.base_scenario(), traces, "SNIP-RH", engine="fast"
-        ).run()
-        assert sorted(study.network.outcomes) == sorted(direct.outcomes)
-        for node_id, outcome in direct.outcomes.items():
-            assert study.network.outcomes[node_id].zeta == outcome.zeta
-            assert study.network.outcomes[node_id].phi == outcome.phi
+        scenario = spec.base_scenario()
+        factory = mechanism_factories.resolve("SNIP-RH")
+        assert sorted(study.network.outcomes) == sorted(traces)
+        for node_id, trace in traces.items():
+            direct = resolve_engine("fast").run(
+                scenario, factory(scenario), trace=trace
+            )
+            outcome = study.network.outcomes[node_id]
+            assert outcome.zeta == direct.mean_zeta
+            assert outcome.phi == direct.mean_phi
+            assert outcome.contacts == len(trace)
 
     def test_network_document_round_trips(self, tmp_path):
         spec = StudySpec(
@@ -510,7 +539,8 @@ class TestSpecDerivedViews:
     def test_total_runs(self):
         assert small_spec().total_runs == 2 * 2 * 3 * 2
         assert small_spec(engines=("fast", "micro")).total_runs == 2 * 2 * 3 * 2 * 2
-        assert small_spec(network=NetworkSection(nodes=7)).total_runs == 7
+        fleet = small_spec(replicates=1, network=NetworkSection(nodes=7))
+        assert fleet.total_runs == 7
 
     def test_budget_divisors(self):
         assert small_spec().budget_divisors() == (1000.0, 100.0)

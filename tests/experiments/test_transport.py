@@ -581,6 +581,42 @@ class TestCliTransport:
         assert code == 2
         assert "warp" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "options, key",
+        [
+            ('{"workers": -1}', "workers"),
+            ('{"workers": 1.5}', "workers"),
+            ('{"workers": true}', "workers"),
+            ('{"poll_interval": "fast"}', "poll_interval"),
+            ('{"poll_interval": Infinity}', "poll_interval"),
+            ('{"poll_interval": NaN}', "poll_interval"),
+            ('{"poll_interval": 0}', "poll_interval"),
+            ('{"reclaim_after": -1}', "reclaim_after"),
+            ('{"reclaim_after": NaN}', "reclaim_after"),
+            ('{"max_wait": Infinity}', "max_wait"),
+            ('{"max_wait": "soon"}', "max_wait"),
+            ('{"self_process": "yes"}', "self_process"),
+            ('{"queue_dir": ""}', "queue_dir"),
+            ('{"queue_dir": 7}', "queue_dir"),
+        ],
+    )
+    def test_run_bad_file_queue_option_is_a_diagnostic(
+        self, tmp_path, capsys, options, key
+    ):
+        # Every bad value fails before any ticket is enqueued, with the
+        # same exit-2 diagnostic as an unknown transport name.
+        from repro.experiments.cli import main
+
+        spec_path = self._write_spec(tmp_path)
+        code = main(
+            ["run", "--spec", spec_path, "--transport", "file-queue",
+             "--set", f"execution.transport_options={options}",
+             "--no-progress"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and key in err
+
     def test_network_study_progress_flag_streams_node_lines(
         self, tmp_path, capsys
     ):

@@ -1,46 +1,56 @@
-"""Unit tests for the fleet runner."""
+"""Fleet studies: one ordinary cell per sensor node.
+
+A ``network`` section lowers onto :class:`RunSpec` shards whose scenario
+draws its contacts from a :class:`CommuterNodeSource`, so a fleet runs
+through ``execute_run_spec`` on every transport and through the cell
+cache like any grid.
+"""
+
+import json
 
 import pytest
 
-from repro.core.schedulers.rh import SnipRhScheduler
 from repro.errors import ConfigurationError
-from repro.experiments.scenario import paper_roadside_scenario
-from repro.mobility.synthetic import SyntheticTraceGenerator
-from repro.network.runner import NetworkRunner
-from repro.sim.rng import RandomStreams
+from repro.experiments.engine import resolve_engine
+from repro.experiments.parallel import ParallelExecutor, SerialExecutor
+from repro.experiments.registry import mechanism_factories
+from repro.experiments.spec import NetworkSection, StudySpec, run_study
+from repro.experiments.transport import resolve_transport
+from repro.network import runner as network_runner
+from repro.network.runner import (
+    CommuterNodeSource,
+    NetworkResult,
+    NodeOutcome,
+    commuter_fleet_traces,
+)
+from repro.units import DAY
 
 
-def make_traces(scenario, node_ids):
-    traces = {}
-    for index, node_id in enumerate(node_ids):
-        generator = SyntheticTraceGenerator(
-            scenario.profile,
-            scenario.trace_config,
-            streams=RandomStreams(scenario.seed + index),
-        )
-        traces[node_id] = generator.generate()
-    return traces
-
-
-def rh_factory(scenario, node_id):
-    return SnipRhScheduler(
-        scenario.profile, scenario.model, initial_contact_length=2.0
+def fleet_spec(**overrides) -> StudySpec:
+    """A small fleet: 3 nodes, 20 commuters, 2 days."""
+    kwargs = dict(
+        name="fleet",
+        zeta_targets=(24.0,),
+        phi_maxes=(DAY / 100.0,),
+        epochs=2,
+        seed=21,
+        network=NetworkSection(nodes=3, commuters=20),
     )
+    kwargs.update(overrides)
+    return StudySpec(**kwargs)
 
 
 @pytest.fixture(scope="module")
 def network_result():
-    scenario = paper_roadside_scenario(
-        phi_max_divisor=100, zeta_target=24.0, epochs=2, seed=21
-    )
-    traces = make_traces(scenario, ["n0", "n1", "n2"])
-    return NetworkRunner(scenario, traces, rh_factory).run()
+    return run_study(fleet_spec()).network
 
 
 class TestNetworkRunner:
     def test_one_outcome_per_node(self, network_result):
         assert len(network_result) == 3
-        assert set(network_result.outcomes) == {"n0", "n1", "n2"}
+        assert set(network_result.outcomes) == {
+            "sensor-0", "sensor-1", "sensor-2"
+        }
 
     def test_fleet_aggregates_are_sums(self, network_result):
         zeta = sum(o.zeta for o in network_result.outcomes.values())
@@ -66,56 +76,118 @@ class TestNetworkRunner:
                 assert row.phi <= outcome.result.scenario.phi_max + 1e-6
 
     def test_empty_traces_rejected(self):
-        scenario = paper_roadside_scenario(epochs=1)
-        with pytest.raises(ConfigurationError):
-            NetworkRunner(scenario, {}, rh_factory)
+        # A fleet needs at least one node.
+        with pytest.raises(ConfigurationError, match="network.nodes"):
+            NetworkSection(nodes=0)
 
     def test_empty_network_result_helpers(self):
-        from repro.network.runner import NetworkResult
-
         empty = NetworkResult()
         assert empty.worst_node() is None
         assert empty.mean_delivery_ratio == 0.0
         assert empty.fleet_rho == float("inf")
 
 
-class TestNetworkEngines:
-    """The fleet runner resolves its per-node engine by registry name."""
+class TestNodeOutcomeMetrics:
+    """Node metrics read only ``result.metrics``: cached cells carry no
+    node or trace, yet report what the node's own counters say."""
 
-    def _one_trace(self, scenario):
-        return make_traces(scenario, ["n0"])
+    @pytest.mark.parametrize("engine", ["fast", "micro", "vector"])
+    def test_metrics_match_the_node_and_trace(self, engine):
+        spec = fleet_spec(epochs=1)
+        scenario = spec.base_scenario()
+        traces = commuter_fleet_traces(
+            nodes=3, commuters=20, days=1, seed=scenario.seed
+        )
+        trace = traces["sensor-1"]
+        result = resolve_engine(engine).run(
+            scenario, mechanism_factories.resolve("SNIP-RH")(scenario),
+            trace=trace,
+        )
+        outcome = NodeOutcome(node_id="sensor-1", result=result)
+        assert outcome.contacts == len(trace)
+        buffer = result.node.buffer
+        assert outcome.delivery_ratio == pytest.approx(
+            buffer.total_uploaded / buffer.total_generated, rel=1e-12
+        )
+
+
+class TestNetworkEngines:
+    """Each node's engine resolves by registry name."""
 
     def test_unknown_engine_fails_fast(self):
-        scenario = paper_roadside_scenario(epochs=1)
-        traces = self._one_trace(scenario)
+        spec = fleet_spec(engines=("warp",))
         with pytest.raises(ConfigurationError, match="engine"):
-            NetworkRunner(scenario, traces, rh_factory, engine="warp")
+            run_study(spec, executor=SerialExecutor())
 
     def test_micro_engine_fleet_differs_from_fast(self):
-        scenario = paper_roadside_scenario(
-            phi_max_divisor=100, zeta_target=24.0, epochs=1, seed=6
-        )
-        traces = self._one_trace(scenario)
-        fast = NetworkRunner(scenario, traces, rh_factory).run()
-        micro = NetworkRunner(
-            scenario, traces, rh_factory, engine="micro"
-        ).run()
-        assert set(fast.outcomes) == set(micro.outcomes) == {"n0"}
+        section = NetworkSection(nodes=1, commuters=20)
+        fast = run_study(fleet_spec(epochs=1, network=section)).network
+        micro = run_study(
+            fleet_spec(epochs=1, network=section, engines=("micro",))
+        ).network
+        assert set(fast.outcomes) == set(micro.outcomes) == {"sensor-0"}
         # Same trace, different fidelity: results are close but the
         # engines are genuinely different code paths.
         assert micro.fleet_zeta == pytest.approx(fast.fleet_zeta, rel=0.5)
+        assert micro.fleet_zeta != fast.fleet_zeta
 
     def test_named_engine_crosses_the_pool(self):
-        from repro.experiments.parallel import ParallelExecutor
-
-        scenario = paper_roadside_scenario(
-            phi_max_divisor=100, zeta_target=24.0, epochs=1, seed=6
+        spec = fleet_spec(
+            epochs=1,
+            engines=("micro",),
+            network=NetworkSection(nodes=2, commuters=20),
         )
-        traces = make_traces(scenario, ["n0", "n1"])
-        runner = NetworkRunner(scenario, traces, "SNIP-RH", engine="micro")
         pool = ParallelExecutor(jobs=2)
-        pooled = runner.run(executor=pool)
+        pooled = run_study(spec, executor=pool).network
         assert pool.last_map_parallel, "micro fleet fell back to serial"
-        serial = runner.run()
+        serial = run_study(spec).network
         for node_id, outcome in serial.outcomes.items():
             assert pooled.outcomes[node_id].zeta == outcome.zeta
+
+
+class TestCommuterNodeSource:
+    def test_generate_returns_the_nodes_fleet_trace(self):
+        scenario = fleet_spec().base_scenario()
+        traces = commuter_fleet_traces(
+            nodes=3, commuters=20, days=scenario.epochs, seed=scenario.seed
+        )
+        for node_id, trace in traces.items():
+            source = CommuterNodeSource(node_id, nodes=3, commuters=20)
+            assert list(source.generate(scenario, None)) == list(trace)
+
+    def test_fleet_is_built_once_per_process(self):
+        network_runner._memoized_fleet.cache_clear()
+        run_study(fleet_spec(epochs=1))
+        info = network_runner._memoized_fleet.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_vector_fleet_equals_fast(self):
+        # The vector engine memoizes traces keyed on the (hashable)
+        # source; its gated metrics equal the fast runner's exactly.
+        fast = run_study(fleet_spec()).network.to_dict()["nodes"]
+        vector = run_study(fleet_spec(engines=("vector",))).network
+        for node_id, row in vector.to_dict()["nodes"].items():
+            for key in ("contacts", "zeta", "phi", "rho"):
+                assert row[key] == fast[node_id][key]
+
+
+class TestFleetCells:
+    def test_cached_rerun_replays_every_node(self, tmp_path):
+        spec = fleet_spec(epochs=1, cache=str(tmp_path / "cells"))
+        cold = run_study(spec)
+        assert (cold.cells_cached, cold.cells_computed) == (0, 3)
+        warm = run_study(spec)
+        assert (warm.cells_cached, warm.cells_computed) == (3, 0)
+        assert warm.to_json() == cold.to_json()
+
+    def test_transports_give_byte_identical_artifacts(self):
+        spec = fleet_spec(epochs=1)
+        serial = run_study(spec).network.to_dict()
+        pool = ParallelExecutor(jobs=2)
+        pooled = run_study(spec, executor=pool).network.to_dict()
+        assert pool.last_map_parallel
+        queue = resolve_transport("file-queue", jobs=2, options={"workers": 2})
+        queued = run_study(spec, executor=queue).network.to_dict()
+        expected = json.dumps(serial)
+        assert json.dumps(pooled) == expected
+        assert json.dumps(queued) == expected
