@@ -8,6 +8,7 @@ paper assigns "a small weight to the new sample" to filter noise.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from ..errors import ConfigurationError
@@ -22,6 +23,10 @@ class Ewma:
             small value (default 0.125, the classic TCP RTT constant).
         initial: optional prior; when absent, the first sample seeds the
             estimate directly (no bias toward an arbitrary zero).
+
+    A NaN or infinite prior or sample raises
+    :class:`~repro.errors.ConfigurationError`: one infinite sample would
+    otherwise turn every later estimate into NaN.
     """
 
     def __init__(self, weight: float = 0.125, initial: Optional[float] = None) -> None:
@@ -29,7 +34,7 @@ class Ewma:
         if weight == 0.0:
             raise ConfigurationError("weight must be positive")
         self.weight = weight
-        self._estimate: Optional[float] = initial
+        self._estimate: Optional[float] = _finite_prior(initial)
         self._samples = 0
 
     @property
@@ -49,8 +54,8 @@ class Ewma:
 
     def observe(self, sample: float) -> float:
         """Fold one sample in; returns the updated estimate."""
-        if sample != sample:  # NaN guard
-            raise ConfigurationError("cannot observe NaN")
+        if not math.isfinite(sample):
+            raise ConfigurationError(f"cannot observe a non-finite sample, got {sample!r}")
         self._samples += 1
         if self._estimate is None:
             self._estimate = float(sample)
@@ -64,5 +69,11 @@ class Ewma:
 
     def reset(self, initial: Optional[float] = None) -> None:
         """Forget all history."""
-        self._estimate = initial
+        self._estimate = _finite_prior(initial)
         self._samples = 0
+
+
+def _finite_prior(initial: Optional[float]) -> Optional[float]:
+    if initial is not None and not math.isfinite(initial):
+        raise ConfigurationError(f"initial estimate must be finite, got {initial!r}")
+    return initial

@@ -15,6 +15,7 @@ weight (§VI-C).
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence, Tuple
 
 from ...errors import ConfigurationError
@@ -86,20 +87,41 @@ class SnipRhScheduler(Scheduler):
     def duty_cycle_config(self) -> DutyCycleConfig:
         """Current ``d_rh = Ton / mean(Tcontact)`` as a radio config.
 
-        Memoized on the contact-length estimate, so it is rebuilt (and
-        revalidated) only after the EWMA moves.
+        Memoized on the contact-length estimate, so it is rebuilt only
+        after the EWMA moves.  The EWMA moves at every probe, so the
+        rebuild skips the checks its inputs already pass: for a positive
+        finite float estimate, ``Ton / mean`` clamped to 1 is
+        ``model.knee(mean)`` bit for bit, and a ratio in ``(0, 1]`` over
+        the model's validated ``Ton`` is a valid config.  Any other
+        estimate (None, zero, negative, an int) takes the validating
+        path and fails there, naming ``contact_length``.
         """
         mean_length = self.contact_length_ewma.value
         memo = self._config_memo
-        if memo is None or memo[0] != mean_length:
-            duty = self.model.knee(mean_length)
-            config = DutyCycleConfig(t_on=self.model.t_on, duty_cycle=duty)
-            memo = self._config_memo = (mean_length, config)
-        return memo[1]
+        if memo is not None and memo[0] == mean_length:
+            return memo[1]
+        t_on = self.model.t_on
+        duty = 0.0
+        if type(mean_length) is float and 0.0 < mean_length < math.inf:
+            ratio = t_on / mean_length
+            duty = ratio if ratio < 1.0 else 1.0  # min(1.0, ratio)
+        if duty > 0.0:
+            config = DutyCycleConfig.unchecked(t_on, duty)
+        else:
+            config = DutyCycleConfig(t_on=t_on, duty_cycle=self.model.knee(mean_length))
+        self._config_memo = (mean_length, config)
+        return config
 
     def data_threshold(self) -> float:
-        """Buffered data required before SNIP activates (condition 2)."""
-        return max(self.min_threshold, self.upload_ewma.value_or(self.min_threshold))
+        """Buffered data required before SNIP activates (condition 2).
+
+        ``max(min_threshold, estimate)``, the minimum before the first
+        probe, written without the builtin calls (the vector engine
+        reads it after every probe).
+        """
+        estimate = self.upload_ewma.value
+        minimum = self.min_threshold
+        return estimate if estimate is not None and estimate > minimum else minimum
 
     # ------------------------------------------------------------------
     # learning feedback

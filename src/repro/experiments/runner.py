@@ -30,7 +30,7 @@ from typing import List, Optional
 from ..core.schedulers.base import Scheduler
 from ..mobility.contact import Contact, ContactTrace
 from ..mobility.synthetic import SyntheticTraceGenerator
-from ..node.buffer import DataBuffer
+from ..node.buffer import FluidBuffer
 from ..node.sensor import ProbingAccount, SensorNode
 from ..protocols.snip import SnipProbe
 from ..radio.beacon import BeaconSchedule
@@ -193,7 +193,7 @@ class FastRunner:
         node = SensorNode(
             node_id="sensor-0",
             account=ProbingAccount(budget=scenario.phi_max),
-            buffer=DataBuffer(),
+            buffer=FluidBuffer(),
         )
         metrics = RunMetrics()
         contacts = list(trace)
@@ -224,9 +224,11 @@ class FastRunner:
             while time < epoch_end - TIME_EPSILON:
                 interval_end = min(time + period, epoch_end)
                 # The decision at `time` sees the buffer as of `time`;
-                # the interval's sensing data is deposited afterwards.
+                # the interval's sensing data is deposited afterwards,
+                # as the total generated by `interval_end` (no running
+                # sum of deposits: see FluidBuffer).
                 decision = self.scheduler.decide(time, node)
-                node.buffer.generate(scenario.data_rate * (interval_end - time))
+                node.buffer.fill_to(scenario.data_rate * interval_end)
 
                 if not decision.active:
                     train_anchor = None

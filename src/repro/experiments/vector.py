@@ -15,22 +15,30 @@ grid.  This module resolves the same semantics as whole-array kernels:
   passes (a contact straddles at most ``length / period`` intervals).
 * **SNIP-RH** is feedback-driven, but its state changes *only at probed
   contacts* and it can only activate inside rush-hour slots; the engine
-  walks just the rush intervals (a ~6x smaller loop with no per-interval
-  object allocation), calls the real scheduler's EWMA hooks at probes,
-  re-reads its threshold and memoized config only after them, and
-  resolves everything outside rush hours in bulk.
+  walks just the rush intervals, epoch by epoch (a ~6x smaller loop with
+  no per-interval object allocation), and leaves an epoch as soon as its
+  budget is spent.  It calls the real scheduler's EWMA hooks at probes
+  and re-reads its threshold and config only after them; the scheduler
+  rebuilds that config without re-validating it at every probe.  Quiet
+  intervals (no contact to resolve) take a short path, and everything
+  outside rush hours resolves in bulk.
 * Any other scheduler type falls back — loudly — to the exact
   :class:`~repro.experiments.runner.FastRunner`.
 
 Unprobed contacts, arrivals, per-epoch Φ, and buffer levels are
-aggregated as array reductions; the probe search is pure numpy.
+aggregated as array reductions; the probe search is pure numpy.  Both
+kernels apply their probes through one FIFO buffer book
+(:class:`_ProbeBook`); the open-loop kernels stream all of theirs
+through it in one call.
 
 Equivalence with ``"fast"`` is exact on the gated metrics: the engine
 reproduces the fast runner's arithmetic (same ``TIME_EPSILON``
 comparisons, same anchor/clip rules, probes accumulated in the same
-order), and the fast-vs-vector deltas are exactly 0.0.  The tests
-assert this cell by cell (including the seed-0 golden sweep), and CI
-runs the paired agreement grid (``repro-snip run --spec
+order, the same buffer level ``rate * t - uploaded`` — see
+:class:`~repro.node.buffer.FluidBuffer`), and the fast-vs-vector deltas
+are exactly 0.0.  The tests assert this cell by cell (including the
+seed-0 golden sweep and generated SNIP-RH cells), and CI runs the
+paired agreement grid (``repro-snip run --spec
 examples/vector_gate.json --gate TOL``) with two replicates.
 
 Shared per-study inputs: most of what a cell needs does not depend on
@@ -45,20 +53,23 @@ and hands out read-only arrays or tuples:
   on the duty plan, ``Ton``, Φmax and the grid (2 entries: the study
   order runs the replicates of one timeline back to back, so two
   entries get all of its reuse);
-* the SNIP-RH walk — the rush intervals as ``(k, t0, t1, epoch)``
-  tuples — on the rush flags and the grid (2 entries);
+* the SNIP-RH walk — the rush intervals, grouped per epoch as
+  ``(epoch, ks, t0s, t1s)`` tuples — on the rush flags and the grid (2
+  entries);
 * the contact columns of each memoized trace, stored beside it (8
-  traces).  A caller-supplied ``trace=`` is mutable, so its columns are
-  built fresh for every run.
+  traces), with the trace's placement on each grid it ran on (4 grids:
+  where each contact's probe search starts, where an unprobed one is
+  missed, the per-epoch arrivals).  A caller-supplied ``trace=`` is
+  mutable, so its columns are built fresh for every run.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from functools import lru_cache
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Generator, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -132,6 +143,11 @@ def _probe_search_numpy(starts, ends, k0, active, active_until, anchor, cycle, t
 # ----------------------------------------------------------------------
 # shared per-run bookkeeping
 # ----------------------------------------------------------------------
+#: One probe for :class:`_ProbeBook`: ``(contact end, beacon time,
+#: resolving interval's end, epoch)``.
+_ProbeRow = Tuple[float, float, float, int]
+
+
 class _ProbeBook:
     """Sequential FIFO buffer/latency bookkeeping over probed contacts.
 
@@ -141,46 +157,73 @@ class _ProbeBook:
     in the fast runner.  The per-epoch accumulators are Python lists:
     one probe is a handful of scalar updates, which numpy element access
     would make several times slower for the same float results.
+
+    The arithmetic is defined once, in the :func:`_fifo` coroutine,
+    whose running state lives in local variables.  ``probe(row)`` sends
+    it one :data:`_ProbeRow` and returns ``(probed_seconds, uploaded,
+    uploaded_cumulative)``, for the SNIP-RH walk, which learns from each
+    probe before it resolves the next; :meth:`probe_all` streams a whole
+    batch through it in one call.
     """
 
-    def __init__(self, scenario: Scenario, link: LinkModel, epochs: int) -> None:
-        self.rate = scenario.data_rate
-        self.usable_window = link.usable_window
-        self.uploaded_cumulative = 0.0
+    def __init__(self, rate: float, link: LinkModel, epochs: int) -> None:
         self.zeta = [0.0] * epochs
         self.uploaded = [0.0] * epochs
         self.probed_n = [0] * epochs
         self.delay_weight = [0.0] * epochs
         self.max_delay = [0.0] * epochs
+        fifo = _fifo(
+            rate, link.association_overhead, self.zeta, self.uploaded,
+            self.probed_n, self.delay_weight, self.max_delay,
+        )
+        next(fifo)
+        self.probe = fifo.send
 
-    def probe(
-        self, end: float, beacon: float, interval_end: float, epoch: int
-    ) -> Tuple[float, float]:
-        """Apply one probe; returns ``(probed_seconds, uploaded)``.
+    def probe_all(self, rows: Iterable[_ProbeRow]) -> float:
+        """Apply every row in order; returns the cumulative upload after
+        the last one (0.0 for no rows, on a fresh book)."""
+        last = deque(map(self.probe, rows), maxlen=1)
+        return last[0][2] if last else 0.0
 
-        ``x if x > 0.0 else 0.0`` is ``max(0.0, x)`` bit for bit
-        (-0.0 and NaN included), without the builtin call.
-        """
+
+def _fifo(
+    rate: float,
+    overhead: float,
+    zeta: List[float],
+    uploaded_per_epoch: List[float],
+    probed_n: List[int],
+    delay_weight: List[float],
+    max_delay: List[float],
+) -> Generator[Tuple[float, float, float], _ProbeRow, None]:
+    """The probe arithmetic behind :class:`_ProbeBook`.
+
+    ``x if x > 0.0 else 0.0`` is ``max(0.0, x)`` bit for bit (-0.0 and
+    NaN included), without the builtin call; ``window`` is
+    :meth:`LinkModel.usable_window` written that way.
+    """
+    cumulative = 0.0
+    result = None
+    while True:
+        end, beacon, interval_end, epoch = yield result
         probed_seconds = end - beacon
-        window = self.usable_window(probed_seconds)
-        rate = self.rate
-        cumulative = self.uploaded_cumulative
+        window = probed_seconds - overhead
+        window = window if window > 0.0 else 0.0
         level = rate * interval_end - cumulative
         level = level if level > 0.0 else 0.0
         uploaded = window if window < level else level
-        self.zeta[epoch] += probed_seconds
-        self.uploaded[epoch] += uploaded
-        self.probed_n[epoch] += 1
+        zeta[epoch] += probed_seconds
+        uploaded_per_epoch[epoch] += uploaded
+        probed_n[epoch] += 1
         if uploaded > 0:
             oldest_creation = cumulative / rate
             mean_creation = (cumulative + uploaded / 2.0) / rate
             wait = end - mean_creation
-            self.delay_weight[epoch] += uploaded * (wait if wait > 0.0 else 0.0)
+            delay_weight[epoch] += uploaded * (wait if wait > 0.0 else 0.0)
             delay = end - oldest_creation
-            if delay > self.max_delay[epoch]:
-                self.max_delay[epoch] = delay
-        self.uploaded_cumulative = cumulative + uploaded
-        return probed_seconds, uploaded
+            if delay > max_delay[epoch]:
+                max_delay[epoch] = delay
+        cumulative = cumulative + uploaded
+        result = probed_seconds, uploaded, cumulative
 
 
 # ----------------------------------------------------------------------
@@ -267,29 +310,25 @@ def _activation(
     plus per-epoch Φ.
     """
     plan = (duty > 0.0).reshape(epochs, per_epoch)
-    dt = (t1 - t0).reshape(epochs, per_epoch)
-    d2 = duty.reshape(epochs, per_epoch)
-    full_cost = np.where(plan, d2 * dt, 0.0)
+    full_cost = np.where(plan, (duty * (t1 - t0)).reshape(epochs, per_epoch), 0.0)
     cum = np.cumsum(full_cost, axis=1)
     over = plan & (cum > phi_max + TIME_EPSILON)
-    cross = np.where(over.any(axis=1), over.argmax(axis=1), per_epoch)
-    k_idx = np.arange(per_epoch)[None, :]
-    fully = plan & (k_idx < cross[:, None])
-    at_cross = plan & (k_idx == cross[:, None])
-    remaining_before = phi_max - (cum - full_cost)
-    clip_ok = at_cross & (remaining_before > _EXHAUSTED_EPSILON)
-    active = (fully | clip_ok).reshape(-1)
-    safe_duty = np.where(duty > 0.0, duty, 1.0)
-    active_until = np.where(
-        fully.reshape(-1),
-        t1,
-        np.where(
-            clip_ok.reshape(-1),
-            t0 + np.maximum(remaining_before.reshape(-1), 0.0) / safe_duty,
-            t0,
-        ),
-    )
-    clipped = clip_ok.reshape(-1) & (active_until < t1 - TIME_EPSILON)
+    crossed = over.any(axis=1)
+    cross = np.where(crossed, over.argmax(axis=1), per_epoch)
+    fully = (plan & (np.arange(per_epoch)[None, :] < cross[:, None])).reshape(-1)
+    # The crossing interval of each crossed epoch is clipped where
+    # budget remains; only those few intervals need the remainder.
+    rows = np.nonzero(crossed)[0]
+    cols = cross[rows]
+    remaining = phi_max - (cum[rows, cols] - full_cost[rows, cols])
+    spendable = remaining > _EXHAUSTED_EPSILON
+    at = rows[spendable] * per_epoch + cols[spendable]
+    active = fully.copy()
+    active[at] = True
+    active_until = np.where(fully, t1, t0)
+    active_until[at] = t0[at] + np.maximum(remaining[spendable], 0.0) / duty[at]
+    clipped = np.zeros(active.shape[0], dtype=bool)
+    clipped[at] = active_until[at] < t1[at] - TIME_EPSILON
     phi = np.minimum(cum[:, -1], phi_max)
     return active, active_until, clipped, phi
 
@@ -326,19 +365,27 @@ def _anchors(
 
 @lru_cache(maxsize=2, typed=True)
 def _rush_walk(rush_flags: Tuple[bool, ...], slot_key, *grid_key):
-    """SNIP-RH's walked intervals as ``(k, t0, t1, epoch)`` tuples.
+    """SNIP-RH's walked (rush) intervals, grouped per epoch.
 
+    One ``(epoch, ks, t0s, t1s)`` group per epoch that has any, in
+    order, so the kernel can leave an epoch once its budget is spent.
     Python numbers index and compare faster than numpy scalars in the
     per-interval loop, with identical values.
     """
     t0, t1, epoch_idx, _, _ = _interval_grid(*grid_key)
     slot = _slot_indices(*slot_key, *grid_key)
     walk = np.nonzero(np.asarray(rush_flags, dtype=bool)[slot])[0]
-    return (
-        tuple(walk.tolist()),
-        tuple(t0[walk].tolist()),
-        tuple(t1[walk].tolist()),
-        tuple(epoch_idx[walk].tolist()),
+    if not walk.shape[0]:
+        return ()
+    groups = np.split(walk, np.nonzero(np.diff(epoch_idx[walk]))[0] + 1)
+    return tuple(
+        (
+            int(epoch_idx[ks[0]]),
+            tuple(ks.tolist()),
+            tuple(t0[ks].tolist()),
+            tuple(t1[ks].tolist()),
+        )
+        for ks in groups
     )
 
 
@@ -351,9 +398,32 @@ def _slot_key(profile) -> Tuple[float, float, int]:
     return (profile.epoch_length, profile.slot_length, profile.slot_count)
 
 
+class _Placement(NamedTuple):
+    """A trace's contacts placed on one interval grid.
+
+    Everything here depends only on the trace and the grid, so every
+    mechanism and budget of a study shares it: the interval holding each
+    start (where the probe search begins), the epoch in which an
+    unprobed contact resolves as a miss and whether it ever does (a
+    contact outliving the last interval stays pending), and the
+    per-epoch arrivals.
+    """
+
+    first_k: np.ndarray
+    miss_epoch: np.ndarray
+    missable: np.ndarray
+    arrived: np.ndarray
+    arrived_capacity: np.ndarray
+
+
+#: Grids placed per trace; a study uses one.
+_PLACEMENT_LIMIT = 4
+
+
 class _Columns(NamedTuple):
     """A trace's contacts as columns: arrays for numpy, tuples of
-    Python floats for the scalar SNIP-RH walk."""
+    Python floats for the scalar SNIP-RH walk, and the trace's
+    placements on the grids asked for so far (see :func:`_placement`)."""
 
     contacts: Tuple[Contact, ...]
     starts: np.ndarray
@@ -361,6 +431,7 @@ class _Columns(NamedTuple):
     ends: np.ndarray
     starts_at: Tuple[float, ...]
     ends_at: Tuple[float, ...]
+    placements: "OrderedDict[Tuple[float, float, int], _Placement]"
 
 
 def _columns(trace: ContactTrace) -> _Columns:
@@ -375,7 +446,51 @@ def _columns(trace: ContactTrace) -> _Columns:
         _read_only(ends),
         tuple(starts.tolist()),
         tuple(ends.tolist()),
+        OrderedDict(),
     )
+
+
+def _placement(columns: _Columns, grid_key: Tuple[float, float, int]) -> _Placement:
+    """*columns* placed on the grid of *grid_key*, built once per grid.
+
+    An unprobed contact resolves in the first interval that contains
+    its end (within ``TIME_EPSILON``): the exact deferral rule of the
+    fast runner.
+    """
+    placement = columns.placements.get(grid_key)
+    if placement is not None:
+        return placement
+    grid = _interval_grid(*grid_key)
+    t1, n_intervals = grid.t1, grid.t1.shape[0]
+    starts, lengths, ends = columns.starts, columns.lengths, columns.ends
+    miss_k = np.searchsorted(t1, ends - TIME_EPSILON, side="left")
+    missable = (starts < t1[-1]) & (miss_k < n_intervals)
+    miss_epoch = np.where(
+        missable, grid.epoch_idx[np.minimum(miss_k, n_intervals - 1)], -1
+    )
+    arrival_epoch = np.floor_divide(starts, grid_key[0]).astype(np.int64)
+    in_run = arrival_epoch < grid.epochs
+    # bincount adds each epoch's lengths in trace order.
+    arrived = np.bincount(arrival_epoch[in_run], minlength=grid.epochs)
+    arrived_capacity = np.bincount(
+        arrival_epoch[in_run], weights=lengths[in_run], minlength=grid.epochs
+    )
+    placement = _Placement(
+        *(
+            _read_only(array)
+            for array in (
+                np.searchsorted(t1, starts, side="right"),
+                miss_epoch,
+                missable,
+                arrived,
+                arrived_capacity,
+            )
+        )
+    )
+    columns.placements[grid_key] = placement
+    while len(columns.placements) > _PLACEMENT_LIMIT:
+        columns.placements.popitem(last=False)
+    return placement
 
 
 # ----------------------------------------------------------------------
@@ -489,7 +604,7 @@ class VectorEngine:
         columns: _Columns,
     ) -> RunResult:
         grid_key = _grid_key(scenario)
-        t0, t1, epoch_idx, epochs, _ = _interval_grid(*grid_key)
+        _, t1, epoch_idx, epochs, _ = _interval_grid(*grid_key)
         if type(scheduler) is SnipAtScheduler:
             duty_plan, slot_key = scheduler.duty_cycle, None
         else:
@@ -500,25 +615,25 @@ class VectorEngine:
         )
 
         starts, ends = columns.starts, columns.ends
-        k0 = np.searchsorted(t1, starts, side="right")
+        placement = _placement(columns, grid_key)
         probe_k, probe_b = _probe_search_numpy(
-            starts, ends, k0, active, active_until, anchor, cycle, t1
+            starts, ends, placement.first_k, active, active_until, anchor, cycle, t1
         )
 
-        book = _ProbeBook(scenario, LinkModel(), epochs)
+        book = _ProbeBook(scenario.data_rate, LinkModel(), epochs)
         hits = np.nonzero(probe_k >= 0)[0]
         hit_k = probe_k[hits]
-        probe = book.probe
-        for end, beacon, interval_end, epoch in zip(
-            ends[hits].tolist(),
-            probe_b[hits].tolist(),
-            t1[hit_k].tolist(),
-            epoch_idx[hit_k].tolist(),
-        ):
-            probe(end, beacon, interval_end, epoch)
+        uploaded_cumulative = book.probe_all(
+            zip(
+                ends[hits].tolist(),
+                probe_b[hits].tolist(),
+                t1[hit_k].tolist(),
+                epoch_idx[hit_k].tolist(),
+            )
+        )
         return self._assemble(
-            scenario, scheduler, trace, columns, probe_k,
-            t1, epoch_idx, epochs, phi, book,
+            scenario, scheduler, trace, placement, probe_k,
+            epochs, phi, book, uploaded_cumulative,
         )
 
     # ------------------------------------------------------------------
@@ -531,7 +646,7 @@ class VectorEngine:
         trace: ContactTrace,
         columns: _Columns,
     ) -> RunResult:
-        """Event-driven SNIP-RH: walk rush intervals only.
+        """Event-driven SNIP-RH: walk rush intervals only, epoch by epoch.
 
         SNIP-RH state (the two EWMAs) changes only at probed contacts,
         and it can only probe inside rush-hour slots, so the walk visits
@@ -540,137 +655,152 @@ class VectorEngine:
         the decisions, for bit-faithful learning dynamics — and every
         other contact resolves as a bulk miss afterwards.  The threshold
         and the learned config are re-read only after ``on_probe``, the
-        one call that moves them.
+        one call that moves them, and the scheduler rebuilds that config
+        without re-validating it.
+
+        Each epoch's walk is left as soon as its budget is spent: nothing
+        can activate before the next epoch, so the rest of the epoch is
+        skipped like the non-rush intervals are — its contacts are
+        caught up, unprobed, at the next walked interval, where one may
+        still straddle in as the pending contact.
         """
         rate = scenario.data_rate
         phi_max = scenario.phi_max
         grid_key = _grid_key(scenario)
-        _, t1, epoch_idx, epochs, _ = _interval_grid(*grid_key)
+        epochs = _interval_grid(*grid_key).epochs
         walk = _rush_walk(
             tuple(scheduler.rush_flags), _slot_key(scheduler.profile), *grid_key
         )
 
         contacts = columns.contacts
         n_contacts = len(contacts)
-        starts_at = columns.starts_at
+        # +inf after the last start: no bounds check on the cursor.
+        starts_at = columns.starts_at + (math.inf,)
         ends_at = columns.ends_at
         probed_js: List[int] = []
         probed_ks: List[int] = []
 
-        book = _ProbeBook(scenario, LinkModel(), epochs)
+        book = _ProbeBook(rate, LinkModel(), epochs)
         probe = book.probe
         on_probe = scheduler.on_probe
         data_threshold = scheduler.data_threshold
         duty_cycle_config = scheduler.duty_cycle_config
         phi = np.zeros(epochs)
-        spent = 0.0
-        current_epoch = 0
-        uploaded_cumulative = 0.0  # book.uploaded_cumulative, refreshed at probes
-        phase = 0.0  # of the beacon train, anchored where it (re)starts
-        config = None
+        uploaded_cumulative = 0.0
+        # The beacon train: its duty-cycle (0.0 while stopped) and phase,
+        # anchored where it (re)starts.  Configs share the model's Ton,
+        # so equal duty-cycles mean equal configs.
+        train = 0.0
+        phase = 0.0
         pending: Optional[int] = None
         cursor = 0
         previous_k = -2
         threshold = data_threshold()
-        # scheduler.duty_cycle_config() and its duty/cycle, read lazily
-        learned = None
+        # scheduler.duty_cycle_config()'s duty/cycle, re-read lazily
+        # after each probe.
+        stale = True
 
-        for k, time, interval_end, epoch in zip(*walk):
-            if epoch != current_epoch:
-                # Epoch rollover(s): Φ is the energy spent that epoch.
-                phi[current_epoch] = spent
-                spent = 0.0
-                current_epoch = epoch
-            if previous_k != k - 1:
-                # Skipped intervals are inactive (not rush): the fast
-                # runner would have reset the train there.
-                config = None
-            previous_k = k
-            if pending is not None and ends_at[pending] <= time + TIME_EPSILON:
-                # Resolved as a miss inside a skipped interval.
-                pending = None
-            while cursor < n_contacts and starts_at[cursor] < time:
-                # Contacts that arrived in skipped intervals: unprobed;
-                # one may still straddle into this interval as pending.
-                if ends_at[cursor] > time + TIME_EPSILON:
-                    pending = cursor
-                cursor += 1
+        for epoch, ks, t0s, t1s in walk:
+            spent = 0.0
+            for k, time, interval_end in zip(ks, t0s, t1s):
+                remaining = phi_max - spent
+                if remaining <= _EXHAUSTED_EPSILON:
+                    break  # budget spent for the rest of this epoch
+                if previous_k != k - 1:
+                    # Skipped intervals are inactive (not rush, or no
+                    # budget): the fast runner would have stopped the
+                    # train there.
+                    train = 0.0
+                previous_k = k
+                # A quiet interval has no contact to catch up or resolve:
+                # only its decision and spend matter.
+                quiet = pending is None and starts_at[cursor] >= interval_end
+                if not quiet:
+                    if pending is not None and ends_at[pending] <= time + TIME_EPSILON:
+                        # Resolved as a miss inside a skipped interval.
+                        pending = None
+                    while starts_at[cursor] < time:
+                        # Contacts that arrived in skipped intervals:
+                        # unprobed; one may still straddle into this
+                        # interval as pending.
+                        if ends_at[cursor] > time + TIME_EPSILON:
+                            pending = cursor
+                        cursor += 1
 
-            # --- scheduler.decide(time, node), inlined for SNIP-RH ---
-            # The buffer level and the remaining budget are clamped at 0
-            # in the fast runner; both comparisons give the same answer
-            # unclamped (threshold > 0, epsilon > 0), and an active
-            # interval has remaining > epsilon, i.e. its clamped value.
-            remaining = phi_max - spent
-            if (
-                rate * time - uploaded_cumulative < threshold
-                or remaining <= _EXHAUSTED_EPSILON
-            ):
-                config = None
-                have_schedule = False
-            else:
-                if learned is None:
-                    learned = duty_cycle_config()
-                    duty = learned.duty_cycle
-                    cycle = learned.t_cycle
-                if learned is not config and learned != config:
-                    phase = time % cycle
-                    config = learned
-                full_cost = duty * (interval_end - time)
-                if full_cost <= remaining + TIME_EPSILON:
-                    active_until = interval_end
-                    spent += remaining if remaining < full_cost else full_cost
-                else:
-                    active_until = time + remaining / duty
-                    spent += remaining
-                have_schedule = True
-                if active_until < interval_end - TIME_EPSILON:
-                    # Budget ran dry mid-interval; the train stops.
-                    config = None
-
-            # Probe, miss or defer the pending straddler (beacons before
-            # this interval do not exist for it), then this interval's
-            # arrivals.
-            j, query = pending, time
-            pending = None
-            while j is not None or (
-                cursor < n_contacts and starts_at[cursor] < interval_end
-            ):
-                if j is None:
-                    j = cursor
-                    cursor += 1
-                    query = starts_at[j]
-                end = ends_at[j]
-                if have_schedule:
-                    start = starts_at[j]
-                    window = start if start > query else query
-                    if window <= phase:
-                        beacon = phase
-                    else:
-                        index = math.ceil((window - phase - TIME_EPSILON) / cycle)
-                        beacon = phase + (index if index > 0 else 0) * cycle
-                    if beacon < end and beacon < active_until:
-                        probed_seconds, uploaded = probe(
-                            end, beacon, interval_end, epoch
-                        )
-                        uploaded_cumulative = book.uploaded_cumulative
-                        probed_js.append(j)
-                        probed_ks.append(k)
-                        on_probe(beacon, contacts[j], probed_seconds, uploaded)
-                        threshold = data_threshold()
-                        learned = None
-                        j = None
+                # --- scheduler.decide(time, node), inlined for SNIP-RH ---
+                # The buffer level and the remaining budget are clamped
+                # at 0 in the fast runner; both comparisons give the
+                # same answer unclamped (threshold > 0, epsilon > 0),
+                # and an active interval has remaining > epsilon, i.e.
+                # its clamped value.
+                if rate * time - uploaded_cumulative < threshold:
+                    train = 0.0
+                    if quiet:
                         continue
-                if end > interval_end + TIME_EPSILON:
-                    pending = j
-                j = None
-        phi[current_epoch] = spent
+                    have_schedule = False
+                else:
+                    if stale:
+                        learned = duty_cycle_config()
+                        duty = learned.duty_cycle
+                        cycle = learned.t_cycle
+                        stale = False
+                    if duty != train:
+                        phase = time % cycle
+                        train = duty
+                    full_cost = duty * (interval_end - time)
+                    if full_cost <= remaining + TIME_EPSILON:
+                        active_until = interval_end
+                        spent += remaining if remaining < full_cost else full_cost
+                    else:
+                        active_until = time + remaining / duty
+                        spent += remaining
+                    if active_until < interval_end - TIME_EPSILON:
+                        # Budget ran dry mid-interval; the train stops.
+                        train = 0.0
+                    if quiet:
+                        continue
+                    have_schedule = True
+
+                # Probe, miss or defer the pending straddler (beacons
+                # before this interval do not exist for it), then this
+                # interval's arrivals.
+                j, query = pending, time
+                pending = None
+                while j is not None or starts_at[cursor] < interval_end:
+                    if j is None:
+                        j = cursor
+                        cursor += 1
+                        query = starts_at[j]
+                    end = ends_at[j]
+                    if have_schedule:
+                        start = starts_at[j]
+                        window = start if start > query else query
+                        if window <= phase:
+                            beacon = phase
+                        else:
+                            index = math.ceil((window - phase - TIME_EPSILON) / cycle)
+                            beacon = phase + (index if index > 0 else 0) * cycle
+                        if beacon < end and beacon < active_until:
+                            probed_seconds, uploaded, uploaded_cumulative = probe(
+                                (end, beacon, interval_end, epoch)
+                            )
+                            probed_js.append(j)
+                            probed_ks.append(k)
+                            on_probe(beacon, contacts[j], probed_seconds, uploaded)
+                            threshold = data_threshold()
+                            stale = True
+                            j = None
+                            continue
+                    if end > interval_end + TIME_EPSILON:
+                        pending = j
+                    j = None
+            phi[epoch] = spent
 
         probe_k = np.full(n_contacts, -1, dtype=np.int64)
         probe_k[probed_js] = probed_ks
         return self._assemble(
-            scenario, scheduler, trace, columns, probe_k,
-            t1, epoch_idx, epochs, phi, book,
+            scenario, scheduler, trace, _placement(columns, grid_key), probe_k,
+            epochs, phi, book, uploaded_cumulative,
         )
 
     # ------------------------------------------------------------------
@@ -681,64 +811,49 @@ class VectorEngine:
         scenario: Scenario,
         scheduler: Scheduler,
         trace: ContactTrace,
-        columns: _Columns,
+        placement: _Placement,
         probe_k: np.ndarray,
-        t1: np.ndarray,
-        epoch_idx: np.ndarray,
         epochs: int,
         phi: np.ndarray,
         book: _ProbeBook,
+        uploaded_cumulative: float,
     ) -> RunResult:
         epoch_length = scenario.profile.epoch_length
-        n_intervals = t1.shape[0]
-        starts, lengths, ends = columns.starts, columns.lengths, columns.ends
-
-        # Misses: every unprobed contact resolves in the first interval
-        # that contains its end (within TIME_EPSILON) — the exact
-        # deferral rule of the fast runner.  Contacts outliving the last
-        # interval stay pending forever and are never counted missed.
-        unprobed = probe_k < 0
-        if starts.shape[0]:
-            miss_k = np.searchsorted(t1, ends - TIME_EPSILON, side="left")
-            considered = starts < t1[-1]
-            missable = unprobed & considered & (miss_k < n_intervals)
-            missed = np.zeros(epochs, dtype=np.int64)
-            np.add.at(missed, epoch_idx[miss_k[missable]], 1)
-            arrival_epoch = np.floor_divide(starts, epoch_length).astype(np.int64)
-            in_run = arrival_epoch < epochs
-            arrived = np.zeros(epochs, dtype=np.int64)
-            arrived_capacity = np.zeros(epochs)
-            np.add.at(arrived, arrival_epoch[in_run], 1)
-            np.add.at(
-                arrived_capacity,
-                arrival_epoch[in_run],
-                lengths[in_run],
-            )
-        else:
-            missed = np.zeros(epochs, dtype=np.int64)
-            arrived = np.zeros(epochs, dtype=np.int64)
-            arrived_capacity = np.zeros(epochs)
+        missed = np.bincount(
+            placement.miss_epoch[(probe_k < 0) & placement.missable],
+            minlength=epochs,
+        )
 
         rate = scenario.data_rate
         uploads_through = np.cumsum(book.uploaded)
         epoch_ends = (np.arange(epochs) + 1.0) * epoch_length
         buffer_end = np.maximum(0.0, rate * epoch_ends - uploads_through)
 
+        # The book's columns are lists of Python numbers already; tolist()
+        # turns the arrays' numpy scalars into the same Python numbers.
         metrics = RunMetrics()
-        for e in range(epochs):
+        for e, (epoch_phi, missed_e, arrived_e, capacity_e, buffer_e) in enumerate(
+            zip(
+                phi.tolist(),
+                missed.tolist(),
+                placement.arrived.tolist(),
+                placement.arrived_capacity.tolist(),
+                buffer_end.tolist(),
+            )
+        ):
             metrics.append(
                 EpochMetrics(
                     epoch_index=e,
-                    zeta=float(book.zeta[e]),
-                    phi=float(phi[e]),
-                    uploaded=float(book.uploaded[e]),
-                    probed_contacts=int(book.probed_n[e]),
-                    missed_contacts=int(missed[e]),
-                    arrived_contacts=int(arrived[e]),
-                    arrived_capacity=float(arrived_capacity[e]),
-                    buffer_end_level=float(buffer_end[e]),
-                    delivery_delay_weight=float(book.delay_weight[e]),
-                    max_delivery_delay=float(book.max_delay[e]),
+                    zeta=book.zeta[e],
+                    phi=epoch_phi,
+                    uploaded=book.uploaded[e],
+                    probed_contacts=book.probed_n[e],
+                    missed_contacts=missed_e,
+                    arrived_contacts=arrived_e,
+                    arrived_capacity=capacity_e,
+                    buffer_end_level=buffer_e,
+                    delivery_delay_weight=book.delay_weight[e],
+                    max_delivery_delay=book.max_delay[e],
                 )
             )
 
@@ -748,9 +863,9 @@ class VectorEngine:
             buffer=DataBuffer(),
         )
         node.buffer.generate(rate * epochs * epoch_length)
-        node.buffer.upload(book.uploaded_cumulative)
+        node.buffer.upload(uploaded_cumulative)
         node.ledger.record(RadioState.LISTEN, float(np.sum(phi)))
-        node.ledger.record(RadioState.TRANSMIT, book.uploaded_cumulative)
+        node.ledger.record(RadioState.TRANSMIT, uploaded_cumulative)
         node.probed_contacts = sum(book.probed_n)
         node.probed_time = float(np.sum(book.zeta))
         node.missed_contacts = int(missed.sum())

@@ -73,3 +73,33 @@ class DataBuffer:
             - self.total_dropped
             - self._level
         )
+
+
+class FluidBuffer(DataBuffer):
+    """An uncapped buffer fed at a constant rate, read off a clock.
+
+    It is fed through :meth:`fill_to`, which sets the total generated
+    so far (``rate * t`` at clock time ``t``); after each fill and each
+    upload the level is recomputed as ``generated - uploaded``, clamped
+    at 0, instead of kept as a running sum.  The level at time ``t`` is then ``rate * t - uploaded``
+    to one rounding, however long the run: the same arithmetic as the
+    vector engine's, so both engines take the same decisions even where
+    a level ties an activation threshold.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(capacity=None)
+
+    def fill_to(self, generated: float) -> None:
+        """Set the total generated so far to *generated*."""
+        self.total_generated = generated
+        self._refresh()
+
+    def upload(self, window: float) -> float:
+        shipped = super().upload(window)
+        self._refresh()
+        return shipped
+
+    def _refresh(self) -> None:
+        level = self.total_generated - self.total_uploaded
+        self._level = level if level > 0.0 else 0.0

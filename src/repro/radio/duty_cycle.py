@@ -45,6 +45,18 @@ class DutyCycleConfig:
             )
 
     @classmethod
+    def unchecked(cls, t_on: float, duty_cycle: float) -> "DutyCycleConfig":
+        """Build without re-running ``__post_init__``'s checks.
+
+        For hot paths whose inputs already pass them: a positive finite
+        ``t_on`` and a duty-cycle in ``(0, 1]``.  The result equals (and
+        pickles like) ``DutyCycleConfig(t_on, duty_cycle)``.
+        """
+        config = object.__new__(cls)
+        config.__dict__.update(t_on=t_on, duty_cycle=duty_cycle)
+        return config
+
+    @classmethod
     def from_cycle(cls, t_on: float, t_cycle: float) -> "DutyCycleConfig":
         """Build from (Ton, Tcycle) instead of (Ton, d)."""
         require_positive("t_cycle", t_cycle)

@@ -72,6 +72,37 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             Ewma().observe(float("nan"))
 
+    @pytest.mark.parametrize("bad", (float("inf"), float("-inf"), float("nan")))
+    def test_non_finite_sample_rejected(self, bad):
+        ewma = Ewma(0.125, initial=2.0)
+        with pytest.raises(ConfigurationError, match="non-finite sample"):
+            ewma.observe(bad)
+        # The rejected sample leaves no trace: later samples fold in.
+        assert ewma.value == 2.0
+        assert ewma.sample_count == 0
+        ewma.observe(1.0)
+        assert ewma.value == 2.0 + 0.125 * (1.0 - 2.0)
+
+    @pytest.mark.parametrize("bad", (float("inf"), float("-inf"), float("nan")))
+    def test_non_finite_prior_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="initial estimate must be finite"):
+            Ewma(0.125, initial=bad)
+
+    @pytest.mark.parametrize("bad", (float("inf"), float("-inf"), float("nan")))
+    def test_non_finite_reset_rejected(self, bad):
+        ewma = Ewma(0.125, initial=2.0)
+        with pytest.raises(ConfigurationError, match="initial estimate must be finite"):
+            ewma.reset(bad)
+        assert ewma.value == 2.0
+
+    def test_finite_priors_still_accepted(self):
+        ewma = Ewma(0.5, initial=4)
+        assert ewma.value == 4
+        ewma.reset(None)
+        assert ewma.value is None
+        ewma.reset(-3.0)
+        assert ewma.value == -3.0
+
     def test_weight_one_tracks_last_sample(self):
         ewma = Ewma(weight=1.0, initial=0.0)
         ewma.observe(3.0)

@@ -1,5 +1,9 @@
 """Unit tests for the SNIP-RH scheduler (the paper's contribution)."""
 
+import pickle
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from repro.core.schedulers.rh import SnipRhScheduler
@@ -9,6 +13,7 @@ from repro.mobility.contact import Contact
 from repro.mobility.profiles import RushHourSpec
 from repro.node.buffer import DataBuffer
 from repro.node.sensor import ProbingAccount, SensorNode
+from repro.radio.duty_cycle import DutyCycleConfig
 from repro.units import HOUR
 
 MODEL = SnipModel(t_on=0.02)
@@ -124,6 +129,50 @@ class TestDutyCycleMemo:
                 scheduler.duty_cycle_config()
         scheduler.contact_length_ewma.reset(4.0)
         assert scheduler.duty_cycle_config().duty_cycle == pytest.approx(0.005)
+
+    @pytest.mark.parametrize(
+        "mean",
+        (
+            1e-6, 0.005, 0.0199999, 0.02, 0.0200001,  # at or below Ton: duty 1.0
+            0.3, 1.0, 2.0, 2.5, 3.7, 17.123456789, 1e3, 1e300,
+            4, np.float64(3.3),  # not a float: the validating path
+        ),
+    )
+    def test_cheap_rebuild_equals_validated_config(self, mean):
+        scheduler = make_scheduler()
+        scheduler.contact_length_ewma.reset(mean)
+        config = scheduler.duty_cycle_config()
+        expected = DutyCycleConfig(MODEL.t_on, MODEL.knee(mean))
+        assert config == expected
+        assert config.duty_cycle.hex() == expected.duty_cycle.hex()
+        assert config.t_on is expected.t_on
+        assert repr(config) == repr(expected)
+        assert hash(config) == hash(expected)
+        assert pickle.loads(pickle.dumps(config)) == expected
+        if mean <= MODEL.t_on:
+            assert config.duty_cycle == 1.0
+
+    def test_learned_estimates_rebuild_bit_for_bit(self):
+        scheduler = make_scheduler(ewma_weight=0.3)
+        for probed in (0.4, 7.0, 0.01, 2.2, 30.0, 0.0199, 5.5):
+            scheduler.on_probe(0.0, Contact(0.0, 40.0), probed, 0.1)
+            mean = scheduler.contact_length_ewma.value
+            assert type(mean) is float
+            assert scheduler.duty_cycle_config() == DutyCycleConfig(
+                MODEL.t_on, MODEL.knee(mean)
+            )
+
+    @pytest.mark.parametrize(
+        "bad", (0.0, 0, -2.0, float("nan"), float("inf"), float("-inf"))
+    )
+    def test_bad_estimates_still_raise(self, bad):
+        scheduler = make_scheduler()
+        # NaN and infinities no longer get into an Ewma; stand in for
+        # one so the scheduler's own guard is what is tested.
+        scheduler.contact_length_ewma = SimpleNamespace(value=bad)
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match="contact_length"):
+                scheduler.duty_cycle_config()
 
     def test_instances_never_share_memo_state(self):
         first = make_scheduler(initial_contact_length=2.0, ewma_weight=1.0)

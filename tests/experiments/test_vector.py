@@ -140,9 +140,8 @@ class TestFastVectorEquivalence:
 
     def test_rh_scheduler_end_state_matches_fast(self):
         # The walk feeds the real scheduler's EWMAs: after a run the
-        # learned state must match the fast runner's.  Contact lengths
-        # are read straight off the trace (exact); uploads pass through
-        # the buffer arithmetic, where association order differs.
+        # learned state must match the fast runner's exactly (both
+        # engines compute the buffer level as rate * t - uploaded).
         scenario = tiny_scenario(phi_max_divisor=1000.0)
         fast_scheduler = scheduler_for(scenario, "SNIP-RH")
         FastRunner(scenario, fast_scheduler).run()
@@ -152,9 +151,7 @@ class TestFastVectorEquivalence:
             vector_scheduler.contact_length_ewma.value
             == fast_scheduler.contact_length_ewma.value
         )
-        assert vector_scheduler.upload_ewma.value_or(0.0) == pytest.approx(
-            fast_scheduler.upload_ewma.value_or(0.0), rel=1e-9
-        )
+        assert vector_scheduler.upload_ewma.value == fast_scheduler.upload_ewma.value
 
     def test_unsupported_scheduler_falls_back_to_fast_runner(self):
         from repro.core.schedulers.base import Scheduler, SchedulerDecision
@@ -213,10 +210,9 @@ class TestSnipRhDifferential:
     """SNIP-RH on ``vector`` equals ``fast`` exactly, workload by workload.
 
     Exact on the gated per-epoch quantities (ζ, Φ, probed / missed /
-    arrived contacts) and on the learned contact length.  The upload
-    EWMA is fed amounts that pass through the fast runner's buffer
-    arithmetic, which associates differently from the vector engine's
-    single running total, so it is compared to 1e-9.
+    arrived contacts) and on both learned EWMAs: the two engines share
+    the buffer arithmetic (level = rate * t - uploaded), so uploads, and
+    the thresholds learned from them, agree bit for bit.
     """
 
     @staticmethod
@@ -243,9 +239,7 @@ class TestSnipRhDifferential:
             vector_scheduler.contact_length_ewma.value
             == fast_scheduler.contact_length_ewma.value
         )
-        assert vector_scheduler.upload_ewma.value_or(0.0) == pytest.approx(
-            fast_scheduler.upload_ewma.value_or(0.0), rel=1e-9
-        )
+        assert vector_scheduler.upload_ewma.value == fast_scheduler.upload_ewma.value
         return fast
 
     @pytest.mark.parametrize(
@@ -279,6 +273,24 @@ class TestSnipRhDifferential:
             assert any(c.start < boundary < c.end for c in trace)
         fast = self.assert_rh_runs_equal(scenario, trace)
         assert all(epoch.probed_contacts > 0 for epoch in fast.metrics.epochs)
+
+    def test_contact_from_a_spent_stretch_straddles_into_next_epoch(self):
+        # Epoch 0 spends its 10 s budget in the midnight rush hour, so
+        # the walk leaves epoch 0 there; the 23:00 rush hour is never
+        # walked.  One contact arrives in that spent stretch and is
+        # missed; the next starts a second before midnight and is
+        # probed by epoch 1's first rush interval.
+        scenario = midnight_rush_scenario().with_budget(10.0)
+        contacts = [Contact(120.0 + 240.0 * i, 3.0 + i % 3) for i in range(12)]
+        contacts.append(Contact(DAY - HOUR + 600.0, 4.0))
+        contacts.append(Contact(DAY - 1.0, 9.0))
+        trace = ContactTrace(contacts)
+        fast = self.assert_rh_runs_equal(scenario, trace)
+        spent_epoch, next_epoch = fast.metrics.epochs
+        assert spent_epoch.phi == pytest.approx(10.0)
+        assert spent_epoch.missed_contacts >= 1
+        assert next_epoch.probed_contacts == 1
+        assert next_epoch.zeta > 7.0
 
     @pytest.mark.parametrize("mechanism", ("SNIP-AT", "SNIP-OPT"))
     def test_open_loop_mechanisms_straddling_epoch_boundaries(self, mechanism):
@@ -419,6 +431,10 @@ class TestSharedInputs:
         assert vector._slot_indices.cache_info().misses == 1
         assert vector._rush_walk.cache_info().misses == 1
         assert len(columns_built) == 3  # once per replicate trace
+        # ... and each trace is placed on the study's grid once.
+        assert [
+            len(columns.placements) for _, columns in vector._TRACE_MEMO.values()
+        ] == [1, 1, 1]
 
     def test_memos_cannot_change_results(self):
         spec = vector_study(
@@ -449,6 +465,7 @@ class TestSharedInputs:
             vector._slot_indices(*slot_key, *grid_key),
             *timeline,
             columns.starts, columns.lengths, columns.ends,
+            *vector._placement(columns, grid_key),
         )
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -461,6 +478,11 @@ class TestSharedInputs:
         for memo in VECTOR_MEMOS:
             assert memo.cache_info().maxsize <= 4
         assert vector._TRACE_MEMO_LIMIT == 8
+        _, columns = vector._memoized_trace(tiny_scenario())
+        for epochs in range(1, 8):
+            vector._placement(columns, (DAY, 60.0, epochs))
+        assert len(columns.placements) == vector._PLACEMENT_LIMIT == 4
+        assert list(columns.placements) == [(DAY, 60.0, e) for e in range(4, 8)]
 
     def test_rush_walk_follows_changed_rush_flags(self):
         scenario = tiny_scenario()

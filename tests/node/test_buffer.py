@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.node.buffer import DataBuffer
+from repro.node.buffer import DataBuffer, FluidBuffer
 
 
 class TestUncappedBuffer:
@@ -64,3 +64,29 @@ class TestCappedBuffer:
         buffer.upload(0.5)
         buffer.generate(2.0)
         assert buffer.conservation_error() < 1e-12
+
+
+class TestFluidBuffer:
+    RATE = 10.0 / 86400.0
+
+    def test_level_is_generated_minus_uploaded_to_one_rounding(self):
+        buffer = FluidBuffer()
+        uploaded = 0.0
+        for k in range(1, 3000):
+            generated = self.RATE * (60.0 * k)
+            buffer.fill_to(generated)
+            if k % 7 == 0:
+                uploaded += buffer.upload(0.05)
+            expected = generated - uploaded
+            assert buffer.level == (expected if expected > 0.0 else 0.0)
+        assert buffer.total_uploaded == uploaded
+        assert buffer.conservation_error() < 1e-12
+
+    def test_upload_is_capped_by_the_level(self):
+        buffer = FluidBuffer()
+        buffer.fill_to(1.0)
+        assert buffer.upload(0.25) == 0.25
+        assert buffer.upload(5.0) == 0.75
+        assert buffer.level == 0.0
+        buffer.fill_to(1.5)
+        assert buffer.level == 0.5
