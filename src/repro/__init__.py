@@ -39,7 +39,6 @@ from .core import (
     upsilon,
 )
 from .errors import (
-    BudgetExceededError,
     ConfigurationError,
     InfeasibleError,
     ReproError,
@@ -96,7 +95,7 @@ from .network import (
     RoadDeployment,
     SensorSite,
 )
-from .node import DataBuffer, MobileNode, SensorNode
+from .node import DataBuffer, SensorNode
 from .radio import DutyCycleConfig, DutyCycledRadio, EnergyLedger, LinkModel
 from .radio.lifetime import Battery, LifetimeModel
 
@@ -119,7 +118,6 @@ __all__ = [
     "rush_hour_gain",
     "upsilon",
     # errors
-    "BudgetExceededError",
     "ConfigurationError",
     "InfeasibleError",
     "ReproError",
@@ -174,7 +172,6 @@ __all__ = [
     "SensorSite",
     # node
     "DataBuffer",
-    "MobileNode",
     "SensorNode",
     # radio
     "Battery",

@@ -20,14 +20,12 @@ src tests``), in the incremental spirit of verify-once/re-check-forever:
 Exemptions are explicit: ``# lint: allow[rule-id] -- reason``
 (:mod:`~repro.analysis.pragmas`; the reason is mandatory).  Rules
 register like engines do (:data:`~repro.analysis.rules.lint_rules`,
-a :class:`~repro.experiments.registry.FactoryRegistry`), files are
-walked once with per-file content-hash caching
-(:mod:`~repro.analysis.cache`), and findings render through the same
+a :class:`~repro.experiments.registry.FactoryRegistry`), every file
+is walked once per run, and findings render through the same
 table/JSON/CSV conventions as every other artifact
 (:mod:`~repro.analysis.findings`).
 """
 
-from .cache import LintCache, content_hash, ruleset_signature
 from .findings import LINT_FORMATS, Finding, LintReport
 from .pragmas import PRAGMA_PATTERN, Pragma, PragmaIndex, parse_pragmas
 from .rules import (
@@ -54,7 +52,6 @@ __all__ = [
     "Finding",
     "FileContext",
     "LINT_FORMATS",
-    "LintCache",
     "LintReport",
     "PARSE_ERROR_RULE",
     "PRAGMA_PATTERN",
@@ -64,10 +61,8 @@ __all__ = [
     "Rule",
     "all_rules",
     "collect_python_files",
-    "content_hash",
     "lint_rules",
     "parse_pragmas",
     "register_rule",
-    "ruleset_signature",
     "run_lint",
 ]

@@ -87,20 +87,17 @@ class LintReport:
 
     Attributes:
         findings: every surviving (non-suppressed) finding, sorted.
-        files_checked: Python files analyzed (cache hits included).
+        files_checked: Python files analyzed.
         examples_checked: StudySpec example documents validated by the
             spec-consistency rule.
-        rules: the rule ids that ran, sorted (part of the cache key —
-            see :mod:`repro.analysis.cache` — and of the artifact, so a
-            clean report also records *what* it checked).
-        cache_hits: files whose findings were served from the cache.
+        rules: the rule ids that ran, sorted (part of the artifact, so
+            a clean report also records *what* it checked).
     """
 
     findings: Tuple[Finding, ...] = ()
     files_checked: int = 0
     examples_checked: int = 0
     rules: Tuple[str, ...] = ()
-    cache_hits: int = 0
 
     @property
     def ok(self) -> bool:
@@ -113,14 +110,17 @@ class LintReport:
             "version": REPORT_VERSION,
             "files_checked": self.files_checked,
             "examples_checked": self.examples_checked,
-            "cache_hits": self.cache_hits,
             "rules": list(self.rules),
             "findings": [finding.to_dict() for finding in self.findings],
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "LintReport":
-        """Rebuild a report from :meth:`to_dict` output, strictly."""
+        """Rebuild a report from :meth:`to_dict` output, strictly.
+
+        ``cache_hits`` is accepted and ignored: reports written while
+        ``lint`` had a findings cache carry it.
+        """
         known = (
             "version", "files_checked", "examples_checked",
             "cache_hits", "rules", "findings",
@@ -144,7 +144,6 @@ class LintReport:
             files_checked=int(data.get("files_checked", 0)),
             examples_checked=int(data.get("examples_checked", 0)),
             rules=tuple(data.get("rules", ())),
-            cache_hits=int(data.get("cache_hits", 0)),
         )
 
     def to_json(self, *, indent: int = 2) -> str:

@@ -135,13 +135,6 @@ class ProjectContext:
     #: StudySpec example documents to validate (``examples/*.json``).
     examples: Tuple[Path, ...] = ()
 
-    def by_module(self, module: str) -> Optional[FileContext]:
-        """The context whose dotted module name is *module*, if linted."""
-        for ctx in self.files:
-            if ctx.module == module:
-                return ctx
-        return None
-
 
 class Rule:
     """Base class for lint rules; subclass and :func:`register_rule`.

@@ -11,9 +11,7 @@ lint`` and the test suite's meta-check.  The pipeline:
    not parse yields a single ``parse-error`` finding instead of
    aborting the run.
 3. **Walk** — one shared AST traversal per file dispatching to every
-   applicable rule (:func:`repro.analysis.rules.walk_file`), with
-   per-file results memoized on content hash
-   (:mod:`repro.analysis.cache`).
+   applicable rule (:func:`repro.analysis.rules.walk_file`).
 4. **Suppress** — findings carrying a matching
    ``# lint: allow[rule] -- reason`` pragma are dropped; malformed and
    unknown-rule pragmas become findings themselves.
@@ -30,7 +28,6 @@ import ast
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Union
 
-from .cache import LintCache, ruleset_signature
 from .findings import Finding, LintReport, sort_findings
 from .pragmas import audit_unknown_rules, parse_pragmas
 from .rules import (
@@ -113,7 +110,6 @@ def run_lint(
     paths: Union[PathLike, Sequence[PathLike]],
     *,
     examples_dir: Optional[PathLike] = None,
-    cache_path: Optional[str] = None,
     rules: Optional[Iterable[Rule]] = None,
 ) -> LintReport:
     """Lint *paths* and return the full :class:`LintReport`.
@@ -124,8 +120,6 @@ def run_lint(
             spec-consistency rule; default auto-discovers
             ``./examples``.  Pass a falsy non-None value (``""``) to
             skip example validation entirely.
-        cache_path: optional JSON file persisting per-file findings
-            across runs (:mod:`repro.analysis.cache`).
         rules: override the registered ruleset (tests use this to
             exercise one rule in isolation).
     """
@@ -134,7 +128,6 @@ def run_lint(
     active = list(rules) if rules is not None else all_rules()
     rule_ids = sorted(rule.rule_id for rule in active)
     known_rule_ids = set(rule_ids) | set(lint_rules.names())
-    cache = LintCache.load(cache_path, ruleset_signature(rule_ids))
 
     files = collect_python_files(paths)
     if examples_dir is not None and not examples_dir:
@@ -144,8 +137,6 @@ def run_lint(
 
     project = ProjectContext(examples=examples)
     findings: List[Finding] = []
-    #: Files that must be walked for the project rules even on a
-    #: per-file cache hit (project state is rebuilt every run).
     project_rules = [
         rule for rule in active
         if type(rule).check_project is not Rule.check_project
@@ -176,21 +167,12 @@ def run_lint(
         )
         project.files.append(ctx)
 
-        cached = cache.get(display, source)
-        if cached is not None:
-            findings.extend(cached)
-            # Project rules still need this file's walk-time state
-            # (registrations, the engine map); replay only those.
-            walk_file(ctx, project_rules)
-            continue
         file_findings = list(pragma_findings)
         file_findings.extend(
             audit_unknown_rules(display, pragma_index, known_rule_ids)
         )
         file_findings.extend(walk_file(ctx, active))
-        file_findings = _suppress(file_findings, ctx)
-        cache.put(display, source, file_findings)
-        findings.extend(file_findings)
+        findings.extend(_suppress(file_findings, ctx))
 
     ctx_by_path = {ctx.path: ctx for ctx in project.files}
     for rule in project_rules:
@@ -202,13 +184,11 @@ def run_lint(
                 continue
             findings.append(finding)
 
-    cache.save()
     return LintReport(
         findings=sort_findings(findings),
         files_checked=len(files),
         examples_checked=len(examples),
         rules=tuple(rule_ids),
-        cache_hits=cache.hits,
     )
 
 

@@ -178,8 +178,10 @@ class CellCache:
     directory referenced from a study file stays within its budget
     without a separate cron.
 
-    A *readonly* cache serves hits but silently skips writes — for
-    sharing one warm directory across CI jobs that must not grow it.
+    A *readonly* cache serves hits but silently skips writes and
+    deletions — for sharing one warm directory across CI jobs that must
+    not change it.  A corrupt entry still warns and reads as a miss, but
+    stays on disk.
     """
 
     def __init__(
@@ -239,9 +241,10 @@ class CellCache:
         """The outcome payload stored under *key*, or None on a miss.
 
         Any validation failure — unreadable file, bad JSON, key or
-        checksum mismatch, missing fields — deletes the entry, emits a
-        :class:`CacheCorruptionWarning`, and reports a miss, so the
-        caller re-executes the cell (the heal-by-recompute contract).
+        checksum mismatch, missing fields — deletes the entry (unless
+        readonly), emits a :class:`CacheCorruptionWarning`, and reports
+        a miss, so the caller re-executes the cell (the
+        heal-by-recompute contract).
         """
         path = self._entry_path(key)
         try:
@@ -290,11 +293,8 @@ class CellCache:
         )
 
     def invalidate(self, key: str) -> None:
-        """Drop the entry under *key*, if present."""
-        try:
-            os.unlink(self._entry_path(key))
-        except FileNotFoundError:
-            pass
+        """Drop the entry under *key*, if present (no-op when readonly)."""
+        self._remove(self._entry_path(key))
 
     # ------------------------------------------------------------------
     # maintenance (the `repro cache` CLI)
@@ -405,9 +405,10 @@ class CellCache:
 
     def _discard(self, path: str, reason: str) -> None:
         """Delete a bad entry and warn loudly (heal-by-recompute)."""
+        action = "leaving it (readonly)" if self.readonly else "discarding it"
         warnings.warn(
             f"cell cache entry {os.path.basename(path)!r} in {self.root!r} "
-            f"is corrupt ({reason}); discarding it — the cell will "
+            f"is corrupt ({reason}); {action} — the cell will "
             f"re-execute",
             CacheCorruptionWarning,
             stacklevel=3,
@@ -415,6 +416,8 @@ class CellCache:
         self._remove(path)
 
     def _remove(self, path: str) -> None:
+        if self.readonly:
+            return
         try:
             os.unlink(path)
         except OSError:

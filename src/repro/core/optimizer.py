@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..errors import ConfigurationError, InfeasibleError
 from ..mobility.profiles import SlotProfile
@@ -49,11 +49,6 @@ class SlotSpec:
         require_positive("duration", self.duration)
         require_non_negative("rate", self.rate)
         require_positive("mean_length", self.mean_length)
-
-    @property
-    def arriving_capacity(self) -> float:
-        """Expected contact-capacity seconds arriving in this slot."""
-        return self.duration * self.rate * self.mean_length
 
 
 @dataclass(frozen=True)
@@ -277,11 +272,6 @@ class TwoStepOptimizer:
         """dζ/dΦ on the linear branch of slot *index*."""
         spec = self.slots[index]
         return spec.rate * spec.mean_length**2 / (2.0 * self.model.t_on)
-
-    def _linear_cost(self, index: int) -> float:
-        """ρ on the linear branch (inverse of the marginal)."""
-        marginal = self._linear_marginal(index)
-        return float("inf") if marginal == 0 else 1.0 / marginal
 
     def _slot_capacity(self, index: int, duty: float) -> float:
         spec = self.slots[index]

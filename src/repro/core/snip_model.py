@@ -95,28 +95,6 @@ def duty_cycle_for_upsilon(
     return duty
 
 
-def marginal_capacity_per_energy(
-    duty_cycle: float, rate: float, contact_length: float, t_on: float
-) -> float:
-    """dζ/dΦ for a slot with contact *rate* and fixed *contact_length*.
-
-    Within a slot of length t, ``ζ = t · rate · Tc · Υ(d)`` and
-    ``Φ = t · d``, so the marginal is ``rate · Tc · dΥ/dd``:
-
-    * ``rate · Tc² / (2 Ton)`` below the knee (constant), and
-    * ``rate · Ton / (2 d²)`` above it (decreasing) —
-
-    continuous at the knee.  The optimizer water-fills against this.
-    """
-    _validate(duty_cycle if duty_cycle > 0 else 1e-12, contact_length, t_on)
-    if rate < 0:
-        raise ConfigurationError(f"rate must be >= 0, got {rate}")
-    knee = knee_duty_cycle(contact_length, t_on)
-    if duty_cycle <= knee:
-        return rate * contact_length**2 / (2.0 * t_on)
-    return rate * t_on / (2.0 * duty_cycle**2)
-
-
 def upsilon_exponential_lengths(
     duty_cycle: float, mean_length: float, t_on: float
 ) -> float:
@@ -168,10 +146,6 @@ class SnipModel:
     def knee(self, contact_length: float) -> float:
         """SNIP-RH's operating duty-cycle for a mean contact length."""
         return knee_duty_cycle(contact_length, self.t_on)
-
-    def duty_cycle_for(self, target_upsilon: float, contact_length: float) -> float:
-        """Smallest duty-cycle reaching *target_upsilon*."""
-        return duty_cycle_for_upsilon(target_upsilon, contact_length, self.t_on)
 
     def expected_probed_seconds(
         self, duty_cycle: float, contact_length: float

@@ -32,13 +32,5 @@ class TraceFormatError(ReproError, ValueError):
     """A contact-trace file could not be parsed."""
 
 
-class BudgetExceededError(ScheduleError):
-    """An operation would push probing energy past the epoch budget.
-
-    The schedulers are expected to *prevent* this (it is a hard
-    invariant), so seeing this exception indicates a scheduler bug.
-    """
-
-
 class InfeasibleError(ReproError, ValueError):
     """An optimization problem has no feasible solution."""

@@ -69,7 +69,6 @@ from .parallel import (
     ParallelFallbackWarning,
     SerialExecutor,
     ShardError,
-    cell_seed,
     replicate_seed,
 )
 from .transport import (
@@ -124,7 +123,6 @@ __all__ = [
     "transport_factories",
     "transport_names",
     "validate_transport",
-    "cell_seed",
     "replicate_seed",
     "GridResult",
     "SweepResult",

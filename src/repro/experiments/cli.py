@@ -341,11 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip example-spec validation",
     )
     lint.add_argument(
-        "--cache", default=None, metavar="PATH",
-        help="persist per-file findings keyed on content hash, so "
-             "re-lints only re-walk changed files",
-    )
-    lint.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalogue and exit",
     )
@@ -839,7 +834,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     report = run_lint(
         args.paths,
         examples_dir="" if args.no_examples else args.examples,
-        cache_path=args.cache,
     )
     if args.fmt == "json":
         print(report.to_json(), end="")

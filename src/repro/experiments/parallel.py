@@ -190,20 +190,6 @@ def replicate_seed(base_seed: int, replicate: int) -> int:
     return derive_seed(base_seed, "replicate", replicate)
 
 
-def cell_seed(
-    base_seed: int, mechanism: str, zeta_target: float, replicate: int
-) -> int:
-    """A substream seed private to one (mechanism, ζtarget, replicate) cell.
-
-    Sweeps deliberately do *not* use this for trace generation (pairing:
-    mechanisms within a replicate must see identical contact processes),
-    but any cell-private randomness — scheduler exploration noise,
-    subsampling, bootstrap draws — must come from here so that adding a
-    draw in one cell can never perturb another.
-    """
-    return derive_seed(base_seed, mechanism, zeta_target, "replicate", replicate)
-
-
 class Transport(ABC):
     """One execution backend: the contract every transport satisfies.
 

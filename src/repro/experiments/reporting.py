@@ -66,17 +66,6 @@ def format_estimate(estimate: object) -> str:
     return str(estimate)
 
 
-def _format_cell(value: object, width: int) -> str:
-    if isinstance(value, float):
-        if value == float("inf"):
-            text = "inf"
-        else:
-            text = f"{value:.3f}"
-    else:
-        text = str(value)
-    return text.rjust(width)
-
-
 def format_table(
     headers: Sequence[str],
     rows: Iterable[Sequence[object]],
@@ -122,54 +111,6 @@ def format_series(
     for index, x in enumerate(x_values):
         rows.append([x] + [values[index] for values in series.values()])
     return format_table(headers, rows, title=title)
-
-
-def ascii_line_plot(
-    x_values: Sequence[Number],
-    series: Mapping[str, Sequence[Number]],
-    *,
-    height: int = 12,
-    title: str = "",
-) -> str:
-    """Render series as a coarse ASCII scatter/line plot.
-
-    Each series gets a marker character; points are binned onto a
-    ``height``-row grid scaled to the global value range.  Used by the
-    benches to sketch the figure panels directly in a terminal.
-    """
-    if height < 2:
-        raise ValueError("height must be at least 2")
-    markers = "ox+*#@%&"
-    all_values = [v for values in series.values() for v in values
-                  if v == v and v != float("inf")]
-    if not all_values:
-        return title or "(no data)"
-    low, high = min(all_values), max(all_values)
-    span = (high - low) or 1.0
-    columns = len(x_values)
-    grid = [[" "] * columns for _ in range(height)]
-    for series_index, (name, values) in enumerate(series.items()):
-        marker = markers[series_index % len(markers)]
-        for column, value in enumerate(values[:columns]):
-            if value != value or value == float("inf"):
-                continue
-            row = int(round((value - low) / span * (height - 1)))
-            grid[height - 1 - row][column] = marker
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    lines.append(f"{high:10.2f} ┤" + " ".join(grid[0]))
-    for row in grid[1:-1]:
-        lines.append(" " * 10 + " │" + " ".join(row))
-    lines.append(f"{low:10.2f} ┤" + " ".join(grid[-1]))
-    x_axis = " " * 12 + " ".join("┬" for _ in range(columns))
-    lines.append(x_axis)
-    legend = "   ".join(
-        f"{markers[i % len(markers)]} {name}"
-        for i, name in enumerate(series)
-    )
-    lines.append(" " * 12 + legend)
-    return "\n".join(lines)
 
 
 def ascii_bars(

@@ -10,19 +10,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..errors import ConfigurationError
 from ..sim.engine import Simulator
 from ..sim.events import EventKind
 from ..sim.process import Process
 from ..units import require_positive
 from .buffer import DataBuffer
-
-
-def data_rate_for_target(zeta_target: float, epoch_length: float) -> float:
-    """Data rate (upload-seconds per second) that fills ζtarget per epoch."""
-    require_positive("zeta_target", zeta_target)
-    require_positive("epoch_length", epoch_length)
-    return zeta_target / epoch_length
 
 
 class ConstantRateDataGenerator(Process):

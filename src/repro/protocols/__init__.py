@@ -7,13 +7,14 @@
   (beacons broadcast by the mobile node; the sensor must be listening),
   modelled after Anastasi et al. and used as the comparison point the
   SNIP paper established.
-* :mod:`~repro.protocols.transfer` — what happens after a probe: the
-  upload of buffered reports during the remainder of the contact.
+
+Uploads during a probed contact are not a protocol here: the engines
+drain a :class:`~repro.node.buffer.FluidBuffer` through the
+:class:`~repro.radio.link.LinkModel`.
 """
 
 from .snip import SnipProbe, SnipProbing, probe_contact
 from .mnip import MnipProbing, mnip_probe_contact
-from .transfer import ContactTransfer, TransferResult
 
 __all__ = [
     "SnipProbe",
@@ -21,6 +22,4 @@ __all__ = [
     "probe_contact",
     "MnipProbing",
     "mnip_probe_contact",
-    "ContactTransfer",
-    "TransferResult",
 ]

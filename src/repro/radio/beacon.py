@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from ..errors import ConfigurationError
-from ..units import TIME_EPSILON, require_non_negative, require_positive
+from ..units import TIME_EPSILON, require_non_negative
 from .duty_cycle import DutyCycleConfig
 
 
@@ -70,23 +69,3 @@ class BeaconSchedule:
         first = self.beacon_index_at_or_after(start)
         last = self.beacon_index_at_or_after(end)
         return max(0, last - first)
-
-
-def expected_probed_time(config: DutyCycleConfig, contact_length: float) -> float:
-    """Expected ``Tprobed`` for a contact of given length, random phase.
-
-    Derivation (paper [10], restated): the contact start is uniformly
-    distributed relative to the beacon train of period ``Tcycle``.
-
-    * ``Tcycle >= Tcontact``: a beacon falls inside with probability
-      ``Tcontact / Tcycle``; conditioned on hitting, the hit point is
-      uniform in the contact, leaving ``Tcontact / 2`` on average.
-    * ``Tcycle < Tcontact``: a beacon always falls inside; the wait until
-      the first beacon is uniform on [0, Tcycle), i.e. ``Tcycle / 2``
-      on average.
-    """
-    require_positive("contact_length", contact_length)
-    t_cycle = config.t_cycle
-    if t_cycle >= contact_length:
-        return (contact_length / t_cycle) * (contact_length / 2.0)
-    return contact_length - t_cycle / 2.0

@@ -239,7 +239,19 @@ class _StudyRequestHandler(BaseHTTPRequestHandler):
         self.wfile.write(data)
 
     def _read_json_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body's extent is unknown, so the stream cannot be
+            # resynchronised for a next request on this connection.
+            self.close_connection = True
+            raise ConfigurationError(
+                f"Content-Length must be a non-negative integer, "
+                f"got {header!r}"
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ConfigurationError("empty request body (expected JSON)")

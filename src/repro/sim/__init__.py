@@ -5,15 +5,14 @@ evaluation: a deterministic event-driven scheduler
 (:class:`~repro.sim.engine.Simulator`), typed events
 (:mod:`repro.sim.events`), cooperative processes
 (:mod:`repro.sim.process`), reproducible per-purpose random streams
-(:mod:`repro.sim.rng`), and measurement hooks
-(:mod:`repro.sim.monitor`, :mod:`repro.sim.timeline`).
+(:mod:`repro.sim.rng`), and interval timelines for post-hoc checks
+(:mod:`repro.sim.timeline`).
 """
 
 from .engine import Simulator
 from .events import Event, EventKind
 from .process import Process, ProcessState
 from .rng import RandomStreams
-from .monitor import Monitor, Counter, TimeWeightedValue
 from .timeline import Timeline, IntervalRecord
 
 __all__ = [
@@ -23,9 +22,6 @@ __all__ = [
     "Process",
     "ProcessState",
     "RandomStreams",
-    "Monitor",
-    "Counter",
-    "TimeWeightedValue",
     "Timeline",
     "IntervalRecord",
 ]

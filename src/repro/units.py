@@ -79,11 +79,6 @@ def require_fraction(name: str, value: float) -> float:
     return float(value)
 
 
-def require_probability(name: str, value: float) -> float:
-    """Alias of :func:`require_fraction` that reads better for probabilities."""
-    return require_fraction(name, value)
-
-
 def _is_finite_number(value: object) -> bool:
     """Return True when *value* is an int/float that is neither NaN nor infinite."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):

@@ -1,4 +1,4 @@
-"""The lint driver: collection, seeded violations, caching, self-check.
+"""The lint driver: collection, seeded violations, self-check.
 
 Includes the two acceptance-criteria scenarios: a deliberately seeded
 ``time.time()`` module is reported with its rule id and file:line, and
@@ -96,30 +96,6 @@ class TestSeededViolations:
         assert report.ok
         assert report.files_checked == 1
         assert report.rules == tuple(sorted(lint_rules.names()))
-
-
-class TestCaching:
-    def test_second_run_hits_for_unchanged_files(self, tmp_path):
-        cache = str(tmp_path / "cache.json")
-        files = [
-            write(tmp_path, "repro/sim/a.py", "import time\ntime.time()\n"),
-            write(tmp_path, "repro/sim/b.py", "x = 1\n"),
-        ]
-        first = run_lint(files, examples_dir="", cache_path=cache)
-        assert first.cache_hits == 0
-        second = run_lint(files, examples_dir="", cache_path=cache)
-        assert second.cache_hits == 2
-        # Cached findings replay identically, suppressions included.
-        assert second.findings == first.findings
-
-    def test_edited_file_is_rewalked(self, tmp_path):
-        cache = str(tmp_path / "cache.json")
-        path = write(tmp_path, "repro/sim/a.py", "x = 1\n")
-        run_lint([path], examples_dir="", cache_path=cache)
-        path.write_text("import time\ntime.time()\n", encoding="utf-8")
-        report = run_lint([path], examples_dir="", cache_path=cache)
-        assert report.cache_hits == 0
-        assert [f.rule for f in report.findings] == ["wall-clock"]
 
 
 class TestSelfCheck:

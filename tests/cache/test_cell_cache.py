@@ -16,6 +16,7 @@ import warnings
 
 import pytest
 
+from repro.cache.keys import cache_key
 from repro.cache.store import (
     CACHE_OPTION_NAMES,
     CacheCorruptionWarning,
@@ -24,6 +25,7 @@ from repro.cache.store import (
     encode_result,
     validate_cache_options,
 )
+from repro.cache.transport import wrap_with_cache
 from repro.errors import ConfigurationError
 from repro.experiments.runner import RunSpec, execute_run_spec
 from repro.experiments.scenario import paper_roadside_scenario
@@ -213,6 +215,40 @@ class TestReadonly:
         cache = CellCache(root, readonly=True)
         assert cache.get(KEY_A) is None
         assert not os.path.exists(root)
+
+    def test_readonly_get_leaves_a_corrupt_entry(self, tmp_path):
+        root = str(tmp_path / "cc")
+        CellCache(root).put(KEY_A, PAYLOAD)
+        path = entry_path(CellCache(root), KEY_A)
+        with open(path, "w") as handle:
+            handle.write("not json at all")
+        before = open(path, "rb").read()
+        cache = CellCache(root, readonly=True)
+        with pytest.warns(CacheCorruptionWarning, match="re-execute"):
+            assert cache.get(KEY_A) is None
+        assert open(path, "rb").read() == before
+        cache.invalidate(KEY_A)
+        assert open(path, "rb").read() == before
+
+    def test_readonly_decode_failure_leaves_the_entry(self, tmp_path):
+        # A checksum-valid payload that no longer decodes: the writable
+        # transport invalidates it, a readonly one must not.
+        root = str(tmp_path / "cc")
+        spec = RunSpec(
+            scenario=paper_roadside_scenario(
+                phi_max_divisor=1000, zeta_target=16.0, epochs=1, seed=1
+            ),
+            mechanism="SNIP-RH",
+        )
+        writable = CellCache(root)
+        writable.put(cache_key(spec), {"epochs": [{"no_such_metric": 1}]})
+        path = entry_path(writable, cache_key(spec))
+        before = open(path, "rb").read()
+        transport = wrap_with_cache(None, root, {"readonly": True})
+        [result] = transport.map(execute_run_spec, [spec])
+        assert result.from_cache is False
+        assert transport.last_computed == 1
+        assert open(path, "rb").read() == before
 
 
 class TestConcurrency:

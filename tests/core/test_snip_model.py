@@ -6,7 +6,6 @@ from repro.core.snip_model import (
     SnipModel,
     duty_cycle_for_upsilon,
     knee_duty_cycle,
-    marginal_capacity_per_energy,
     upsilon,
     upsilon_exponential_lengths,
 )
@@ -87,31 +86,18 @@ class TestInverse:
             duty_cycle_for_upsilon(1.0, 2.0, T_ON)
 
 
-class TestMarginal:
-    def test_constant_below_knee(self):
-        rate = 1 / 300.0
-        a = marginal_capacity_per_energy(0.001, rate, 2.0, T_ON)
-        b = marginal_capacity_per_energy(0.009, rate, 2.0, T_ON)
-        assert a == pytest.approx(b)
-        assert a == pytest.approx(rate * 4.0 / (2 * T_ON))
-
-    def test_decreasing_above_knee(self):
-        rate = 1 / 300.0
-        knee_value = marginal_capacity_per_energy(0.01, rate, 2.0, T_ON)
-        above = marginal_capacity_per_energy(0.02, rate, 2.0, T_ON)
-        assert above < knee_value
-
-    def test_continuous_at_knee(self):
-        rate = 1 / 300.0
-        below = marginal_capacity_per_energy(0.01 - 1e-9, rate, 2.0, T_ON)
-        above = marginal_capacity_per_energy(0.01 + 1e-9, rate, 2.0, T_ON)
-        assert below == pytest.approx(above, rel=1e-3)
-
-
 class TestSnipModel:
     def test_expected_probed_seconds(self):
         model = SnipModel(t_on=T_ON)
         assert model.expected_probed_seconds(0.005, 2.0) == pytest.approx(0.5)
+        # Tcycle = 2, contact 1: P(hit) = 1/2, E[probed|hit] = 1/2.
+        assert model.expected_probed_seconds(0.01, 1.0) == pytest.approx(0.25)
+        # Tcycle = 2, contact 4: probed = 4 - Tcycle/2 = 3.
+        assert model.expected_probed_seconds(0.01, 4.0) == pytest.approx(3.0)
+        # Continuous in the contact length at the knee (Tc = Tcycle).
+        below = model.expected_probed_seconds(0.01, 2.0 - 1e-9)
+        above = model.expected_probed_seconds(0.01, 2.0 + 1e-9)
+        assert below == pytest.approx(above, abs=1e-6)
 
     def test_cost_per_probed_second_constant_in_linear_regime(self):
         """The property behind SNIP-RH's duty-cycle choice (§VI-C)."""

@@ -1,5 +1,5 @@
 """Unit tests for the lifetime subcommand, each study kind ``run``
-launches (paper grid, agreement grid, fleet), and the ASCII plots."""
+launches (paper grid, agreement grid, fleet)."""
 
 import json
 from pathlib import Path
@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.cli import build_parser, main
-from repro.experiments.reporting import ascii_line_plot
 from repro.experiments.spec import NetworkSection, StudySpec
 from repro.units import DAY
 
@@ -219,35 +218,3 @@ class TestNetworkEngine:
         assert code == 0
         out = capsys.readouterr().out
         assert "fleet rho" in out
-
-
-class TestAsciiLinePlot:
-    def test_contains_markers_and_legend(self):
-        text = ascii_line_plot(
-            [1, 2, 3],
-            {"a": [1.0, 2.0, 3.0], "b": [3.0, 2.0, 1.0]},
-            title="demo",
-        )
-        assert text.splitlines()[0] == "demo"
-        assert "o a" in text and "x b" in text
-        assert "o" in text and "x" in text
-
-    def test_extremes_on_first_and_last_rows(self):
-        text = ascii_line_plot([1, 2], {"a": [0.0, 10.0]}, height=5)
-        lines = text.splitlines()
-        assert lines[0].strip().startswith("10.00")
-        assert "o" in lines[0]          # the max lands on the top row
-        assert "o" in lines[-3]         # the min lands on the bottom row
-
-    def test_handles_nan_and_inf(self):
-        text = ascii_line_plot(
-            [1, 2, 3], {"a": [1.0, float("nan"), float("inf")]}
-        )
-        assert "1.00" in text
-
-    def test_empty_series(self):
-        assert ascii_line_plot([], {"a": []}, title="t") == "t"
-
-    def test_invalid_height(self):
-        with pytest.raises(ValueError):
-            ascii_line_plot([1], {"a": [1.0]}, height=1)

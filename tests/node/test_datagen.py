@@ -4,21 +4,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.node.buffer import DataBuffer
-from repro.node.datagen import ConstantRateDataGenerator, data_rate_for_target
+from repro.node.datagen import ConstantRateDataGenerator
 from repro.sim.engine import Simulator
 from repro.units import DAY
-
-
-class TestDataRateForTarget:
-    def test_paper_rate(self):
-        rate = data_rate_for_target(24.0, DAY)
-        assert rate == pytest.approx(24.0 / 86400.0)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            data_rate_for_target(0.0, DAY)
-        with pytest.raises(ConfigurationError):
-            data_rate_for_target(24.0, 0.0)
 
 
 class TestGeneratorProcess:
@@ -52,7 +40,7 @@ class TestGeneratorProcess:
     def test_total_generated_matches_horizon(self):
         sim = Simulator()
         buffer = DataBuffer()
-        rate = data_rate_for_target(48.0, DAY)
+        rate = 48.0 / DAY  # fills ζtarget = 48 upload-seconds per day
         generator = ConstantRateDataGenerator(sim, buffer, rate=rate, tick=60.0)
         generator.start()
         sim.run_until(DAY)

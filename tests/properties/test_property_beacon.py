@@ -1,9 +1,9 @@
 """Property-based tests for beacon-train arithmetic."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.radio.beacon import BeaconSchedule, expected_probed_time
+from repro.radio.beacon import BeaconSchedule
 from repro.radio.duty_cycle import DutyCycleConfig
 
 configs = st.builds(
@@ -53,21 +53,3 @@ def test_beacon_count_matches_window_over_cycle(config, phase, start, width):
     count = schedule.beacons_in(start, start + width)
     expected = width / config.t_cycle
     assert abs(count - expected) <= 1.0 + 1e-6
-
-
-@settings(max_examples=50)
-@given(configs, st.floats(min_value=1e-3, max_value=1e3))
-def test_expected_probed_time_bounded_by_contact(config, length):
-    probed = expected_probed_time(config, length)
-    assert 0.0 <= probed <= length
-
-
-@settings(max_examples=50)
-@given(configs, st.floats(min_value=1e-3, max_value=1e3), st.data())
-def test_expected_probed_time_monotone_in_length(config, length, data):
-    longer = length + data.draw(
-        st.floats(min_value=0.0, max_value=1e3), label="extra"
-    )
-    assert expected_probed_time(config, longer) >= (
-        expected_probed_time(config, length) - 1e-9
-    )

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.snip_model import (
+    SnipModel,
     duty_cycle_for_upsilon,
     knee_duty_cycle,
     upsilon,
@@ -19,6 +20,8 @@ t_ons = st.floats(min_value=1e-4, max_value=1.0, allow_nan=False)
 def test_upsilon_is_a_fraction(duty, length, t_on):
     value = upsilon(duty, length, t_on)
     assert 0.0 <= value <= 1.0
+    probed = SnipModel(t_on).expected_probed_seconds(duty, length)
+    assert 0.0 <= probed <= length
 
 
 @given(contact_lengths, t_ons, st.data())
@@ -35,6 +38,10 @@ def test_upsilon_monotone_in_contact_length(duty, t_on, data):
     l2 = data.draw(contact_lengths, label="l2")
     lo, hi = sorted((l1, l2))
     assert upsilon(duty, lo, t_on) <= upsilon(duty, hi, t_on) + 1e-12
+    model = SnipModel(t_on)
+    assert model.expected_probed_seconds(duty, lo) <= (
+        model.expected_probed_seconds(duty, hi) + 1e-9
+    )
 
 
 @given(contact_lengths, t_ons)

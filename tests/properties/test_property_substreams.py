@@ -1,11 +1,12 @@
-"""Properties of per-cell RNG substream derivation.
+"""Properties of RNG substream derivation.
 
-The parallel orchestration layer derives one substream seed per
-(mechanism, ζtarget, replicate) cell.  Determinism under parallelism
+Replicate seeds, and any other substream keyed on a cell such as
+(mechanism, ζtarget, replicate), come from
+:func:`repro.sim.rng.derive_seed`.  Determinism under parallelism
 needs two properties (see :mod:`repro.experiments.parallel`):
 
-* distinct cell keys never collide (cells stay independent), and
-* derivation is a pure function of (base seed, key) — deriving cells
+* distinct keys never collide (cells stay independent), and
+* derivation is a pure function of (base seed, key) — deriving keys
   in any order, or any subset, yields the same seeds.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.experiments.parallel import cell_seed, replicate_seed
+from repro.experiments.parallel import replicate_seed
 from repro.sim.rng import RandomStreams, derive_seed
 
 MECHANISMS = ("SNIP-AT", "SNIP-OPT", "SNIP-RH")
@@ -31,25 +32,25 @@ cell_keys = st.tuples(
 @given(base_seeds, cell_keys, cell_keys)
 def test_distinct_cell_keys_never_collide(base_seed, key_a, key_b):
     if key_a == key_b:
-        assert cell_seed(base_seed, *key_a) == cell_seed(base_seed, *key_b)
+        assert derive_seed(base_seed, *key_a) == derive_seed(base_seed, *key_b)
     else:
-        assert cell_seed(base_seed, *key_a) != cell_seed(base_seed, *key_b)
+        assert derive_seed(base_seed, *key_a) != derive_seed(base_seed, *key_b)
 
 
 @given(base_seeds, st.lists(cell_keys, unique=True, min_size=2, max_size=8))
 def test_derivation_is_insensitive_to_order(base_seed, keys):
-    forward = [cell_seed(base_seed, *key) for key in keys]
-    backward = [cell_seed(base_seed, *key) for key in reversed(keys)]
+    forward = [derive_seed(base_seed, *key) for key in keys]
+    backward = [derive_seed(base_seed, *key) for key in reversed(keys)]
     assert forward == list(reversed(backward))
     # Deriving a single key in isolation agrees with deriving it amid
     # the full batch: no hidden stream is being consumed.
     for key, seed in zip(keys, forward):
-        assert cell_seed(base_seed, *key) == seed
+        assert derive_seed(base_seed, *key) == seed
 
 
 @given(base_seeds, cell_keys)
-def test_cell_seed_depends_on_base_seed(base_seed, key):
-    assert cell_seed(base_seed, *key) != cell_seed(base_seed + 1, *key)
+def test_derived_seed_depends_on_base_seed(base_seed, key):
+    assert derive_seed(base_seed, *key) != derive_seed(base_seed + 1, *key)
 
 
 @given(base_seeds, st.integers(min_value=1, max_value=10_000))
@@ -85,7 +86,7 @@ def test_derive_seed_part_content_cannot_fake_a_boundary():
 
 @given(base_seeds, cell_keys)
 def test_derived_streams_are_usable_and_reproducible(base_seed, key):
-    seed = cell_seed(base_seed, *key)
+    seed = derive_seed(base_seed, *key)
     first = RandomStreams(seed).stream("trace").random()
     second = RandomStreams(seed).stream("trace").random()
     assert first == second

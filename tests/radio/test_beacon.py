@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.radio.beacon import Beacon, BeaconSchedule, expected_probed_time
+from repro.radio.beacon import Beacon, BeaconSchedule
 from repro.radio.duty_cycle import DutyCycleConfig
 
 
@@ -61,23 +61,7 @@ class TestBeaconSchedule:
         assert beacon - start < 2.0 + 1e-6
 
 
-class TestExpectedProbedTime:
-    def test_linear_regime_value(self):
-        # Tcycle = 2, contact 1: P(hit) = 1/2, E[probed|hit] = 1/2.
-        config = DutyCycleConfig(t_on=0.02, duty_cycle=0.01)
-        assert expected_probed_time(config, 1.0) == pytest.approx(0.25)
-
-    def test_saturated_regime_value(self):
-        # Tcycle = 2, contact 4: probed = 4 - 1 = 3.
-        config = DutyCycleConfig(t_on=0.02, duty_cycle=0.01)
-        assert expected_probed_time(config, 4.0) == pytest.approx(3.0)
-
-    def test_continuity_at_knee(self):
-        config = DutyCycleConfig(t_on=0.02, duty_cycle=0.01)
-        below = expected_probed_time(config, 2.0 - 1e-9)
-        above = expected_probed_time(config, 2.0 + 1e-9)
-        assert below == pytest.approx(above, abs=1e-6)
-
+class TestBeacon:
     def test_beacon_dataclass_defaults(self):
         beacon = Beacon(sender_id="s", time=1.0)
         assert beacon.airtime < 0.01

@@ -9,6 +9,8 @@ and fetch an artifact byte-identical to a direct ``run_study``.
 
 from __future__ import annotations
 
+import json
+import socket
 import threading
 
 import pytest
@@ -127,6 +129,32 @@ class TestValidationAndErrors:
         with pytest.raises(ServiceError) as excinfo:
             client._request("POST", "/studies", body=None)
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "-1"])
+    def test_bad_content_length_is_structured_400(self, live_server, length):
+        # Written by hand: urllib always sends a well-formed length.  The
+        # socket timeout makes a server that hangs on the read fail the
+        # test instead of blocking it.
+        host, port = live_server.server_address[:2]
+        request = (
+            f"POST /studies HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {length}\r\n\r\n{{}}"
+        ).encode("ascii")
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(request)
+            chunks = []
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == b"400"
+        error = json.loads(body)["error"]
+        assert error["type"] == "ConfigurationError"
+        assert "Content-Length" in error["message"]
+        assert repr(length) in error["message"]
 
     def test_unknown_study_is_404(self, client):
         with pytest.raises(ServiceError) as excinfo:

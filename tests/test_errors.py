@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import (
-    BudgetExceededError,
     ConfigurationError,
     InfeasibleError,
     ReproError,
@@ -21,7 +20,6 @@ class TestHierarchy:
             SimulationError,
             ScheduleError,
             TraceFormatError,
-            BudgetExceededError,
             InfeasibleError,
         ],
     )
@@ -37,9 +35,6 @@ class TestHierarchy:
     def test_simulation_error_is_runtime_error(self):
         assert issubclass(SimulationError, RuntimeError)
         assert issubclass(ScheduleError, RuntimeError)
-
-    def test_budget_exceeded_is_schedule_error(self):
-        assert issubclass(BudgetExceededError, ScheduleError)
 
     def test_single_except_clause_catches_everything(self):
         for exc in (ConfigurationError, SimulationError, TraceFormatError):
