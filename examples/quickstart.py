@@ -15,12 +15,17 @@ through JSON — ``spec.save("my_study.json")`` then
 bit-for-bit from the shell (see ``examples/paper_study.json`` for the
 full Fig. 7/8 grid).
 
+A study result holds each cell's scenario and metrics.  To look inside
+the scheduler — here, what SNIP-RH learned — build one from the
+registry and run the cell in-process: the same scenario and mechanism
+give the same run.
+
 Run::
 
     python examples/quickstart.py
 """
 
-from repro import StudySpec, run_study
+from repro import StudySpec, mechanism_factories, resolve_engine, run_study
 
 
 def main() -> None:
@@ -48,10 +53,12 @@ def main() -> None:
     result = rh.simulated
     print(f"contacts probed/missed: {result.metrics.total_probed}"
           f"/{result.metrics.total_missed}")
+    scheduler = mechanism_factories.resolve("SNIP-RH")(result.scenario)
+    resolve_engine(spec.engines[0]).run(result.scenario, scheduler)
     print(f"learned mean contact length: "
-          f"{result.scheduler.contact_length_ewma.value:.2f} s (true 2.0)")
+          f"{scheduler.contact_length_ewma.value:.2f} s (true 2.0)")
     print(f"learned data threshold:      "
-          f"{result.scheduler.data_threshold():.2f} s")
+          f"{scheduler.data_threshold():.2f} s")
 
     # The headline: compare with running SNIP all the time — the same
     # study already swept both mechanisms on identical contact traces.

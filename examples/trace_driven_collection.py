@@ -90,8 +90,10 @@ def main() -> None:
         )
     )
     print()
+    # The buffer is uncapped: everything generated was uploaded or is
+    # still buffered at the end of the last epoch.
     uploaded = sum(row.uploaded for row in result.metrics.epochs)
-    generated = result.node.buffer.total_generated
+    generated = uploaded + result.metrics.epochs[-1].buffer_end_level
     print(f"delivery: {uploaded:.1f} of {generated:.1f} generated "
           f"upload-seconds ({100 * uploaded / generated:.1f}%)")
 

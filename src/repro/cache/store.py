@@ -24,14 +24,12 @@ the reason, and the caller simply recomputes the cell.  A corrupt
 cache can cost time, never correctness.
 
 The outcome payload is the per-epoch
-:class:`~repro.experiments.metrics.EpochMetrics` series — everything
-grid assembly, agreement deltas, and progress lines read from a cell's
+:class:`~repro.experiments.metrics.EpochMetrics` series — with the
+scenario, the whole of a cell's
 :class:`~repro.experiments.runner.RunResult`.  Python's JSON float
 round-trip is exact (shortest-repr), so a decoded outcome reproduces
-the cold-run artifact byte for byte.  The rich in-memory objects
-(scheduler, node, trace) intentionally do not round-trip, exactly as
-in study artifacts; decoded results carry ``scheduler=None`` /
-``trace=None`` and ``from_cache=True``.
+the cold-run artifact byte for byte; it differs from a computed one
+only in ``from_cache=True``.
 """
 
 from __future__ import annotations
@@ -94,20 +92,14 @@ def decode_result(spec: RunSpec, payload: Dict[str, Any]) -> RunResult:
     """Rebuild *spec*'s :class:`RunResult` from a cached *payload*.
 
     The scenario comes from the spec being executed (it hashed into
-    the key, so it is identical to the one that produced the payload);
-    the rich objects (scheduler, node, trace) do not round-trip, as in
-    study artifacts.  A payload whose shape does not match the current
+    the key, so it is identical to the one that produced the payload).
+    A payload whose shape does not match the current
     :class:`~repro.experiments.metrics.EpochMetrics` raises
     ``TypeError``/``KeyError`` — callers treat that as corruption.
     """
     epochs = [EpochMetrics(**epoch) for epoch in payload["epochs"]]
     return RunResult(
-        scenario=spec.scenario,
-        scheduler=None,
-        metrics=RunMetrics(epochs=epochs),
-        node=None,
-        trace=None,
-        from_cache=True,
+        scenario=spec.scenario, metrics=RunMetrics(epochs=epochs), from_cache=True
     )
 
 
@@ -253,7 +245,7 @@ class CellCache:
         except FileNotFoundError:
             return None
         except OSError as exc:
-            self._discard(path, f"unreadable ({exc})")
+            self.discard(key, f"unreadable ({exc})")
             return None
         try:
             entry = json.loads(text)
@@ -265,7 +257,7 @@ class CellCache:
             if entry["checksum"] != _payload_checksum(payload):
                 raise ValueError("payload checksum mismatch")
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            self._discard(path, str(exc))
+            self.discard(key, str(exc))
             return None
         return payload
 
@@ -295,6 +287,19 @@ class CellCache:
     def invalidate(self, key: str) -> None:
         """Drop the entry under *key*, if present (no-op when readonly)."""
         self._remove(self._entry_path(key))
+
+    def discard(self, key: str, reason: str) -> None:
+        """Warn loudly that the entry under *key* is corrupt, and delete
+        it unless readonly (heal-by-recompute)."""
+        action = "leaving it (readonly)" if self.readonly else "discarding it"
+        warnings.warn(
+            f"cell cache entry '{key}.json' in {self.root!r} "
+            f"is corrupt ({reason}); {action} — the cell will "
+            f"re-execute",
+            CacheCorruptionWarning,
+            stacklevel=3,
+        )
+        self.invalidate(key)
 
     # ------------------------------------------------------------------
     # maintenance (the `repro cache` CLI)
@@ -357,13 +362,15 @@ class CellCache:
         }
 
     def verify(self) -> Dict[str, Any]:
-        """Re-validate every entry, discarding (and counting) corrupt ones.
+        """Re-validate every entry, counting corrupt ones found and removed.
 
         Runs each entry through the same checks as :meth:`get` — parse,
         format marker, key, checksum — so a bit-flipped or truncated
-        file is found *before* a study trusts it.  Corrupt entries are
-        deleted (with the usual loud warning); the next run re-executes
-        those cells.
+        file is found *before* a study trusts it.  Corrupt entries warn
+        loudly and are deleted (``corrupt_removed``), unless the cache
+        is readonly, which leaves them on disk (``corrupt_removed`` is
+        0 and only ``corrupt_found`` counts them); the next run
+        re-executes those cells.
         """
         checked = 0
         corrupt = 0
@@ -372,7 +379,12 @@ class CellCache:
             key = os.path.splitext(os.path.basename(path))[0]
             if self.get(key) is None:
                 corrupt += 1
-        return {"entries": checked, "ok": checked - corrupt, "corrupt_removed": corrupt}
+        return {
+            "entries": checked,
+            "ok": checked - corrupt,
+            "corrupt_found": corrupt,
+            "corrupt_removed": 0 if self.readonly else corrupt,
+        }
 
     def keys(self) -> List[str]:
         """Every key currently stored, sorted."""
@@ -402,18 +414,6 @@ class CellCache:
             except OSError:
                 continue  # raced with a concurrent gc/invalidate
             yield path, status.st_size, status.st_mtime
-
-    def _discard(self, path: str, reason: str) -> None:
-        """Delete a bad entry and warn loudly (heal-by-recompute)."""
-        action = "leaving it (readonly)" if self.readonly else "discarding it"
-        warnings.warn(
-            f"cell cache entry {os.path.basename(path)!r} in {self.root!r} "
-            f"is corrupt ({reason}); {action} — the cell will "
-            f"re-execute",
-            CacheCorruptionWarning,
-            stacklevel=3,
-        )
-        self._remove(path)
 
     def _remove(self, path: str) -> None:
         if self.readonly:

@@ -148,8 +148,10 @@ class CachedTransport(Transport):
 
         A payload that no longer decodes (metrics schema drift inside
         one :data:`~repro.cache.keys.CACHE_SCHEMA_VERSION` — a bug, but
-        a survivable one) is treated exactly like corruption: the entry
-        is invalidated and the cell recomputes.
+        a survivable one) is treated exactly like corruption: a
+        :class:`~repro.cache.store.CacheCorruptionWarning` names the
+        entry, it is deleted unless the cache is readonly, and the cell
+        recomputes.
         """
         if not isinstance(item, RunSpec):
             return None
@@ -161,8 +163,8 @@ class CachedTransport(Transport):
             return None
         try:
             return decode_result(item, payload)
-        except (KeyError, TypeError, ValueError):
-            self.cache.invalidate(key)
+        except (KeyError, TypeError, ValueError) as exc:
+            self.cache.discard(key, f"payload does not decode ({exc!r})")
             return None
 
     def __repr__(self) -> str:

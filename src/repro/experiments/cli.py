@@ -135,7 +135,7 @@ def _cell_progress(*, show_engine: bool, show_scenario: bool):
         if show_scenario and spec.scenario_ref is not None:
             scenario = f"{spec.scenario_ref.name} "
         engine = f"{spec.engine:<5} " if show_engine else ""
-        cached = " (cached)" if getattr(result, "from_cache", False) else ""
+        cached = " (cached)" if result.from_cache else ""
         print(
             f"[{completed:>{width}}/{total}] {scenario}{engine}"
             f"Phi_max=Tepoch/{divisor:g} "
@@ -914,7 +914,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
     report = cache.verify()
     print(f"cache verify: {report['ok']}/{report['entries']} entr(ies) "
           f"ok, {report['corrupt_removed']} corrupt entr(ies) removed")
-    return 0 if report["corrupt_removed"] == 0 else 1
+    return 0 if report["corrupt_found"] == 0 else 1
 
 
 def cmd_serve(args: argparse.Namespace) -> int:

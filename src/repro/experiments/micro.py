@@ -176,13 +176,7 @@ class MicroEngine:
             epoch_box["current"] = EpochMetrics(epoch_index=epoch_index + 1)
 
         radio.stop()
-        return RunResult(
-            scenario=scenario,
-            scheduler=scheduler,
-            metrics=metrics,
-            node=node,
-            trace=trace,
-        )
+        return RunResult(scenario=scenario, metrics=metrics)
 
 
 engine_factories.register("micro", MicroEngine)

@@ -32,7 +32,6 @@ from ..mobility.contact import Contact, ContactTrace
 from ..mobility.synthetic import SyntheticTraceGenerator
 from ..node.buffer import FluidBuffer
 from ..node.sensor import ProbingAccount, SensorNode
-from ..protocols.snip import SnipProbe
 from ..radio.beacon import BeaconSchedule
 from ..radio.duty_cycle import DutyCycleConfig
 from ..radio.link import LinkModel
@@ -130,21 +129,22 @@ def execute_run_spec(spec: RunSpec) -> RunResult:
 
 @dataclass
 class RunResult:
-    """Everything a benchmark or example needs from one run.
+    """One cell's outcome: its scenario and per-epoch metrics.
 
-    ``from_cache`` marks a result replayed from the content-addressed
-    cell cache (:mod:`repro.cache`) instead of executed: its metrics
-    are byte-identical to a fresh run's, but the rich in-memory objects
-    (``scheduler``, ``node``, ``trace``) are None — exactly the subset
-    that does not round-trip through study artifacts either.
+    The one type every engine, transport and the cell cache produce, so
+    a serial, pool, file-queue or cached cell looks the same to every
+    consumer.  ``from_cache`` marks a result replayed from the
+    content-addressed cell cache (:mod:`repro.cache`) instead of
+    executed; its metrics are byte-identical to a fresh run's.
+
+    Run state stays with whoever holds it: the caller keeps the
+    scheduler it passed to ``engine.run``, a :class:`FastRunner` keeps
+    its ``node`` (and ``timeline``) after ``run()``, and the contact
+    trace is ``generate_trace(scenario)``.
     """
 
     scenario: Scenario
-    scheduler: Scheduler
     metrics: RunMetrics
-    node: SensorNode
-    trace: ContactTrace
-    timeline: Optional[Timeline] = None
     from_cache: bool = False
 
     @property
@@ -164,7 +164,12 @@ class RunResult:
 
 
 class FastRunner:
-    """Contact-driven simulation of one sensor node under a scheduler."""
+    """Contact-driven simulation of one sensor node under a scheduler.
+
+    After :meth:`run`, ``node`` holds the simulated sensor node and
+    ``timeline`` the probe and probing-activity intervals (None unless
+    *record_timeline*).
+    """
 
     def __init__(
         self,
@@ -179,6 +184,8 @@ class FastRunner:
         self.link = LinkModel()
         self.record_timeline = record_timeline
         self._trace_override = trace
+        self.node: Optional[SensorNode] = None
+        self.timeline: Optional[Timeline] = None
 
     # ------------------------------------------------------------------
     # entry point
@@ -188,9 +195,9 @@ class FastRunner:
         scenario = self.scenario
         profile = scenario.profile
         trace = self._trace_override or self._generate_trace()
-        timeline = Timeline() if self.record_timeline else None
+        timeline = self.timeline = Timeline() if self.record_timeline else None
 
-        node = SensorNode(
+        node = self.node = SensorNode(
             node_id="sensor-0",
             account=ProbingAccount(budget=scenario.phi_max),
             buffer=FluidBuffer(),
@@ -280,14 +287,7 @@ class FastRunner:
             self._finish_epoch(node, epoch, contacts, epoch_start, epoch_end)
             metrics.append(epoch)
 
-        return RunResult(
-            scenario=scenario,
-            scheduler=self.scheduler,
-            metrics=metrics,
-            node=node,
-            trace=trace,
-            timeline=timeline,
-        )
+        return RunResult(scenario=scenario, metrics=metrics)
 
     # ------------------------------------------------------------------
     # contact resolution

@@ -1035,8 +1035,9 @@ def run_study(
             (:data:`~repro.experiments.sweep.ProgressCallback`), fired
             once per completed run.  For network studies the observer
             instead receives ``(node_id, result, completed, total)``,
-            one call per finished node.  A cell replayed from the cache
-            carries ``from_cache=True`` and no node, trace or scheduler.
+            one call per finished node.  Every result is a
+            :class:`~repro.experiments.runner.RunResult` (scenario and
+            metrics); one replayed from the cache has ``from_cache=True``.
 
     Returns:
         A :class:`StudyResult` with one grid per engine, paired
@@ -1226,9 +1227,7 @@ def _run_fleet(
 
 def _study_result(spec: StudySpec, results: List[Any], **parts: Any) -> StudyResult:
     """The :class:`StudyResult` of *results*, with its cache counts."""
-    cells_cached = sum(
-        1 for result in results if getattr(result, "from_cache", False)
-    )
+    cells_cached = sum(1 for result in results if result.from_cache)
     return StudyResult(
         spec=spec,
         cells_computed=len(results) - cells_cached,

@@ -37,7 +37,7 @@ from typing import Dict, Sequence
 from ..errors import ConfigurationError
 from .runner import RunResult
 
-#: The metrics replicated by default (RunResult attributes).
+#: The metrics replicated by default (RunMetrics attributes).
 DEFAULT_METRICS = ("mean_zeta", "mean_phi", "mean_rho")
 
 
@@ -243,8 +243,8 @@ def estimates_from_runs(
 ) -> Dict[str, IntervalEstimate]:
     """Interval-estimate each metric across replicate *runs*.
 
-    Metric names resolve against :class:`RunResult` first and fall back
-    to its :class:`~repro.experiments.metrics.RunMetrics`.  This is the
+    Metric names are :class:`~repro.experiments.metrics.RunMetrics`
+    attributes, read from each run's ``metrics``.  This is the
     aggregation step of every replicated study cell
     (:class:`repro.experiments.sweep.SweepPoint`,
     :class:`repro.experiments.agreement.AgreementPoint`).
@@ -253,10 +253,8 @@ def estimates_from_runs(
         raise ConfigurationError("need at least one run")
     estimates = {}
     for metric in metrics:
-        samples = [getattr(run, metric, None) for run in runs]
-        if any(sample is None for sample in samples):
-            samples = [getattr(run.metrics, metric) for run in runs]
         estimates[metric] = interval_from_samples(
-            [float(s) for s in samples], confidence=confidence
+            [float(getattr(run.metrics, metric)) for run in runs],
+            confidence=confidence,
         )
     return estimates

@@ -80,10 +80,7 @@ from ..core.schedulers.rh import SnipRhScheduler
 from ..errors import ConfigurationError
 from ..mobility.contact import Contact, ContactTrace
 from ..mobility.traces import TraceFileSource
-from ..node.buffer import DataBuffer
-from ..node.sensor import ProbingAccount, SensorNode
 from ..radio.link import LinkModel
-from ..radio.states import RadioState
 from ..units import TIME_EPSILON
 from .metrics import EpochMetrics, RunMetrics
 from .registry import engine_factories
@@ -179,11 +176,9 @@ class _ProbeBook:
         next(fifo)
         self.probe = fifo.send
 
-    def probe_all(self, rows: Iterable[_ProbeRow]) -> float:
-        """Apply every row in order; returns the cumulative upload after
-        the last one (0.0 for no rows, on a fresh book)."""
-        last = deque(map(self.probe, rows), maxlen=1)
-        return last[0][2] if last else 0.0
+    def probe_all(self, rows: Iterable[_ProbeRow]) -> None:
+        """Apply every row in order."""
+        deque(map(self.probe, rows), maxlen=0)
 
 
 def _fifo(
@@ -513,7 +508,7 @@ def _memoized_trace(scenario: Scenario) -> Tuple[ContactTrace, _Columns]:
     (its replay is the file's), so it is keyed on its file's size and
     modification time instead: every replicate shares one read, and an
     edited file is read again.  Traces are treated as immutable by every
-    engine, so sharing one instance across :class:`RunResult` s is safe.
+    engine, so sharing one instance across runs is safe.
     """
     source = scenario.contact_source
     stamp = source.file_stamp() if isinstance(source, TraceFileSource) else None
@@ -591,7 +586,7 @@ class VectorEngine:
             return FastRunner(scenario, scheduler, trace=trace).run()
         if columns is None:
             columns = _columns(trace)
-        return kernel(scenario, scheduler, trace, columns)
+        return kernel(scenario, scheduler, columns)
 
     # ------------------------------------------------------------------
     # static (open-loop) kernel: SNIP-AT and SNIP-OPT
@@ -600,7 +595,6 @@ class VectorEngine:
         self,
         scenario: Scenario,
         scheduler: Scheduler,
-        trace: ContactTrace,
         columns: _Columns,
     ) -> RunResult:
         grid_key = _grid_key(scenario)
@@ -623,7 +617,7 @@ class VectorEngine:
         book = _ProbeBook(scenario.data_rate, LinkModel(), epochs)
         hits = np.nonzero(probe_k >= 0)[0]
         hit_k = probe_k[hits]
-        uploaded_cumulative = book.probe_all(
+        book.probe_all(
             zip(
                 ends[hits].tolist(),
                 probe_b[hits].tolist(),
@@ -631,10 +625,7 @@ class VectorEngine:
                 epoch_idx[hit_k].tolist(),
             )
         )
-        return self._assemble(
-            scenario, scheduler, trace, placement, probe_k,
-            epochs, phi, book, uploaded_cumulative,
-        )
+        return self._assemble(scenario, placement, probe_k, epochs, phi, book)
 
     # ------------------------------------------------------------------
     # adaptive (feedback) kernel: SNIP-RH
@@ -643,7 +634,6 @@ class VectorEngine:
         self,
         scenario: Scenario,
         scheduler: SnipRhScheduler,
-        trace: ContactTrace,
         columns: _Columns,
     ) -> RunResult:
         """Event-driven SNIP-RH: walk rush intervals only, epoch by epoch.
@@ -799,8 +789,7 @@ class VectorEngine:
         probe_k = np.full(n_contacts, -1, dtype=np.int64)
         probe_k[probed_js] = probed_ks
         return self._assemble(
-            scenario, scheduler, trace, _placement(columns, grid_key), probe_k,
-            epochs, phi, book, uploaded_cumulative,
+            scenario, _placement(columns, grid_key), probe_k, epochs, phi, book
         )
 
     # ------------------------------------------------------------------
@@ -809,14 +798,11 @@ class VectorEngine:
     def _assemble(
         self,
         scenario: Scenario,
-        scheduler: Scheduler,
-        trace: ContactTrace,
         placement: _Placement,
         probe_k: np.ndarray,
         epochs: int,
         phi: np.ndarray,
         book: _ProbeBook,
-        uploaded_cumulative: float,
     ) -> RunResult:
         epoch_length = scenario.profile.epoch_length
         missed = np.bincount(
@@ -857,27 +843,7 @@ class VectorEngine:
                 )
             )
 
-        node = SensorNode(
-            node_id="sensor-0",
-            account=ProbingAccount(budget=scenario.phi_max),
-            buffer=DataBuffer(),
-        )
-        node.buffer.generate(rate * epochs * epoch_length)
-        node.buffer.upload(uploaded_cumulative)
-        node.ledger.record(RadioState.LISTEN, float(np.sum(phi)))
-        node.ledger.record(RadioState.TRANSMIT, uploaded_cumulative)
-        node.probed_contacts = sum(book.probed_n)
-        node.probed_time = float(np.sum(book.zeta))
-        node.missed_contacts = int(missed.sum())
-
-        return RunResult(
-            scenario=scenario,
-            scheduler=scheduler,
-            metrics=metrics,
-            node=node,
-            trace=trace,
-            timeline=None,
-        )
+        return RunResult(scenario=scenario, metrics=metrics)
 
 
 engine_factories.register("vector", VectorEngine)

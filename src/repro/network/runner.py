@@ -121,9 +121,9 @@ def commuter_node_sources(nodes: int, commuters: int) -> List[CommuterNodeSource
 class NodeOutcome:
     """One node's run and headline metrics.
 
-    Every metric reads only ``result.metrics`` and ``result.scenario``,
-    so a result replayed from the cell cache (no node, no trace) reports
-    the same numbers as a fresh one.
+    *result* is the node's cell outcome (scenario and per-epoch
+    metrics), the same type whether it was computed or replayed from
+    the cell cache; every metric here derives from ``result.metrics``.
     """
 
     node_id: str

@@ -388,7 +388,7 @@ class StudyScheduler:
                 "mean_zeta": result.mean_zeta,
                 "mean_phi": result.mean_phi,
             })
-            if getattr(result, "from_cache", False):
+            if result.from_cache:
                 event["cached"] = True
             log.append(event)
 

@@ -9,6 +9,7 @@ directory by age and size without ever affecting correctness.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import threading
@@ -27,7 +28,7 @@ from repro.cache.store import (
 )
 from repro.cache.transport import wrap_with_cache
 from repro.errors import ConfigurationError
-from repro.experiments.runner import RunSpec, execute_run_spec
+from repro.experiments.runner import RunResult, RunSpec, execute_run_spec
 from repro.experiments.scenario import paper_roadside_scenario
 from repro.experiments.transport import _TEMP_SUFFIX
 
@@ -83,7 +84,11 @@ class TestRoundTrip:
         result = execute_run_spec(spec)
         decoded = decode_result(spec, encode_result(result))
         assert decoded.from_cache is True
-        assert decoded.scheduler is None and decoded.trace is None
+        assert type(decoded) is RunResult
+        assert [field.name for field in dataclasses.fields(decoded)] == [
+            "scenario", "metrics", "from_cache",
+        ]
+        assert decoded.scenario == result.scenario
         assert decoded.metrics.epochs == result.metrics.epochs
         assert decoded.mean_zeta == result.mean_zeta
         assert decoded.mean_phi == result.mean_phi
@@ -155,8 +160,36 @@ class TestCorruption:
             handle.write("garbage")
         with pytest.warns(CacheCorruptionWarning):
             report = cache.verify()
-        assert report == {"entries": 2, "ok": 1, "corrupt_removed": 1}
-        assert cache.verify() == {"entries": 1, "ok": 1, "corrupt_removed": 0}
+        assert report == {
+            "entries": 2, "ok": 1, "corrupt_found": 1, "corrupt_removed": 1
+        }
+        assert cache.verify() == {
+            "entries": 1, "ok": 1, "corrupt_found": 0, "corrupt_removed": 0
+        }
+
+    def test_decode_failure_warns_and_recomputes_once(self, tmp_path):
+        # A checksum-valid payload that no longer decodes is corruption:
+        # it warns, names the entry, and is replaced by the recomputed
+        # cell.
+        root = str(tmp_path / "cc")
+        spec = RunSpec(
+            scenario=paper_roadside_scenario(
+                phi_max_divisor=1000, zeta_target=16.0, epochs=1, seed=1
+            ),
+            mechanism="SNIP-RH",
+        )
+        key = cache_key(spec)
+        CellCache(root).put(key, {"epochs": [{"no_such_metric": 1}]})
+        transport = wrap_with_cache(None, root)
+        with pytest.warns(CacheCorruptionWarning, match=key):
+            [result] = transport.map(execute_run_spec, [spec])
+        assert result.from_cache is False
+        assert transport.last_computed == 1
+        assert transport.last_hits == 0
+        assert CellCache(root).get(key) == encode_result(result)
+        [again] = transport.map(execute_run_spec, [spec])
+        assert again.from_cache is True
+        assert transport.last_computed == 0
 
 
 class TestGc:
@@ -230,9 +263,23 @@ class TestReadonly:
         cache.invalidate(KEY_A)
         assert open(path, "rb").read() == before
 
+    def test_readonly_verify_finds_but_keeps_a_corrupt_entry(self, tmp_path):
+        root = str(tmp_path / "cc")
+        CellCache(root).put(KEY_A, PAYLOAD)
+        path = entry_path(CellCache(root), KEY_A)
+        with open(path, "w") as handle:
+            handle.write("garbage")
+        cache = CellCache(root, readonly=True)
+        with pytest.warns(CacheCorruptionWarning, match="leaving it"):
+            report = cache.verify()
+        assert report == {
+            "entries": 1, "ok": 0, "corrupt_found": 1, "corrupt_removed": 0
+        }
+        assert open(path).read() == "garbage"
+
     def test_readonly_decode_failure_leaves_the_entry(self, tmp_path):
         # A checksum-valid payload that no longer decodes: the writable
-        # transport invalidates it, a readonly one must not.
+        # transport discards it, a readonly one must not.
         root = str(tmp_path / "cc")
         spec = RunSpec(
             scenario=paper_roadside_scenario(
@@ -245,11 +292,11 @@ class TestReadonly:
         path = entry_path(writable, cache_key(spec))
         before = open(path, "rb").read()
         transport = wrap_with_cache(None, root, {"readonly": True})
-        [result] = transport.map(execute_run_spec, [spec])
+        with pytest.warns(CacheCorruptionWarning, match="leaving it"):
+            [result] = transport.map(execute_run_spec, [spec])
         assert result.from_cache is False
         assert transport.last_computed == 1
         assert open(path, "rb").read() == before
-
 
 class TestConcurrency:
     def test_concurrent_writers_one_directory(self, tmp_path):

@@ -24,7 +24,13 @@ from repro.experiments.parallel import (
     Transport,
 )
 from repro.experiments.registry import engine_factories, mechanism_factories
-from repro.experiments.runner import FastEngine, FastRunner, RunSpec, execute_run_spec
+from repro.experiments.runner import (
+    FastEngine,
+    FastRunner,
+    RunSpec,
+    execute_run_spec,
+    generate_trace,
+)
 from repro.experiments.scenario import paper_roadside_scenario
 from repro.experiments.spec import StudySpec, run_study
 from repro.units import DAY
@@ -89,7 +95,12 @@ class TestFastEngineIdentity:
         assert modern.mean_zeta == legacy.mean_zeta
         assert modern.mean_phi == legacy.mean_phi
         assert modern.metrics.total_probed == legacy.metrics.total_probed
-        assert list(modern.trace) == list(legacy.trace)
+        assert list(generate_trace(modern.scenario)) == list(
+            generate_trace(legacy.scenario)
+        )
+        assert [e.arrived_contacts for e in modern.metrics.epochs] == [
+            e.arrived_contacts for e in legacy.metrics.epochs
+        ]
 
     def test_spec_default_engine_is_fast(self):
         spec = RunSpec(scenario=tiny_scenario(), mechanism="SNIP-AT")

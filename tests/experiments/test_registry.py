@@ -81,8 +81,11 @@ class TestNamedFactory:
     """A mechanism crosses process boundaries as its registry name."""
 
     def test_builds_scheduler_through_registry(self, scenario):
+        factory = mechanism_factories.resolve("SNIP-RH")
+        assert isinstance(factory(scenario), SnipRhScheduler)
         result = execute_run_spec(RunSpec(scenario=scenario, mechanism="SNIP-RH"))
-        assert isinstance(result.scheduler, SnipRhScheduler)
+        expected = resolve_engine("fast").run(scenario, factory(scenario))
+        assert result.metrics == expected.metrics
 
     def test_pickles_as_a_name(self, scenario):
         node_scenario = dataclasses.replace(

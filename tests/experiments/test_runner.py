@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.schedulers.at import SnipAtScheduler
 from repro.core.schedulers.rh import SnipRhScheduler
-from repro.experiments.runner import FastRunner
+from repro.experiments.runner import FastRunner, generate_trace
 from repro.experiments.scenario import paper_roadside_scenario
 from repro.mobility.contact import Contact, ContactTrace
 
@@ -33,7 +33,7 @@ class TestBasicRun:
         result = FastRunner(tight_scenario, at_scheduler(tight_scenario)).run()
         resolved = result.metrics.total_probed + result.metrics.total_missed
         # The final contact can stay pending if it crosses the horizon.
-        assert resolved >= len(result.trace) - 1
+        assert resolved >= len(generate_trace(tight_scenario)) - 1
 
     def test_deterministic_given_seed(self, tight_scenario):
         a = FastRunner(tight_scenario, at_scheduler(tight_scenario)).run()
@@ -65,11 +65,10 @@ class TestRushInvariant:
         scenario = paper_roadside_scenario(
             phi_max_divisor=100, zeta_target=32.0, epochs=3, seed=7
         )
-        result = FastRunner(
-            scenario, rh_scheduler(scenario), record_timeline=True
-        ).run()
+        runner = FastRunner(scenario, rh_scheduler(scenario), record_timeline=True)
+        runner.run()
         profile = scenario.profile
-        probes = result.timeline.intervals("probe")
+        probes = runner.timeline.intervals("probe")
         assert probes, "expected at least one probed contact"
         for record in probes:
             assert profile.is_rush_at(record.start)
@@ -78,10 +77,9 @@ class TestRushInvariant:
         scenario = paper_roadside_scenario(
             phi_max_divisor=100, zeta_target=32.0, epochs=3, seed=7
         )
-        result = FastRunner(
-            scenario, rh_scheduler(scenario), record_timeline=True
-        ).run()
-        for record in result.timeline.intervals("probing_active"):
+        runner = FastRunner(scenario, rh_scheduler(scenario), record_timeline=True)
+        runner.run()
+        for record in runner.timeline.intervals("probing_active"):
             assert scenario.profile.is_rush_at(record.start)
 
 
@@ -132,8 +130,9 @@ class TestDataPlane:
         assert total_uploaded <= generated + 1e-6
 
     def test_buffer_conservation(self, loose_scenario):
-        result = FastRunner(loose_scenario, rh_scheduler(loose_scenario)).run()
-        assert result.node.buffer.conservation_error() < 1e-9
+        runner = FastRunner(loose_scenario, rh_scheduler(loose_scenario))
+        runner.run()
+        assert runner.node.buffer.conservation_error() < 1e-9
 
     def test_zeta_counts_probed_time_not_uploads(self, loose_scenario):
         result = FastRunner(loose_scenario, rh_scheduler(loose_scenario)).run()

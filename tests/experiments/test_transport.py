@@ -21,8 +21,10 @@ The contract under test:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -36,7 +38,7 @@ from repro.experiments.parallel import (
     SerialExecutor,
 )
 from repro.experiments.registry import mechanism_factories, transport_factories
-from repro.experiments.runner import RunSpec, execute_run_spec
+from repro.experiments.runner import RunResult, RunSpec, execute_run_spec
 from repro.experiments.scenario import paper_roadside_scenario
 from repro.experiments.spec import StudySpec, run_study
 from repro.experiments.transport import (
@@ -258,6 +260,59 @@ class TestByteIdentityAcrossTransports:
                 tiny_study(jobs=2, transport=name, transport_options=options)
             )
             assert study_bytes(study) == study_bytes(serial_reference), name
+
+
+def collected_results(spec: StudySpec, executor) -> list:
+    """Every result a study's progress observer receives."""
+    results = []
+    run_study(
+        spec,
+        executor=executor,
+        progress=lambda shard, result, done, total: results.append(result),
+    )
+    return results
+
+
+class TestOneOutcomeType:
+    """Every transport and the cell cache yield one slim ``RunResult``."""
+
+    OUTCOME_FIELDS = ["scenario", "metrics", "from_cache"]
+
+    @pytest.mark.parametrize(
+        "name, options",
+        [("serial", {}), ("pool", {}), ("file-queue", {"workers": 2})],
+    )
+    def test_computed_and_cached_cells_share_one_type(
+        self, tmp_path, name, options
+    ):
+        spec = tiny_study(
+            replicates=1,
+            jobs=2,
+            transport=name,
+            transport_options=options,
+            cache=str(tmp_path / "cache"),
+        )
+        cold = collected_results(spec, None)
+        warm = collected_results(spec, None)
+        assert len(cold) == len(warm) == 12
+        assert not any(result.from_cache for result in cold)
+        assert all(result.from_cache for result in warm)
+        for result in cold + warm:
+            assert type(result) is RunResult
+            assert [
+                field.name for field in dataclasses.fields(result)
+            ] == self.OUTCOME_FIELDS
+            assert all(
+                getattr(result, field) is not None for field in self.OUTCOME_FIELDS
+            )
+
+    def test_a_vector_paper_cell_pickles_small(self):
+        scenario = paper_roadside_scenario(
+            phi_max_divisor=100, zeta_target=24.0, epochs=14, seed=7
+        )
+        spec = RunSpec(scenario=scenario, mechanism="SNIP-RH", engine="vector")
+        result = execute_run_spec(spec)
+        assert len(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)) < 4096
 
 
 class TestFileQueueSemantics:

@@ -132,4 +132,9 @@ class TestGoldenAgreementGrid:
         for point in agreement:
             for base, cand in zip(point.baseline, point.candidate):
                 assert base.scenario.seed == cand.scenario.seed
-                assert list(base.trace) == list(cand.trace)
+                assert list(generate_trace(base.scenario)) == list(
+                    generate_trace(cand.scenario)
+                )
+                assert [e.arrived_contacts for e in base.metrics.epochs] == [
+                    e.arrived_contacts for e in cand.metrics.epochs
+                ]

@@ -77,8 +77,9 @@ def test_rh_probes_only_rush_contacts(scenario):
         scenario.profile, scenario.model,
         initial_contact_length=scenario.profile.mean_lengths[0],
     )
-    result = FastRunner(scenario, scheduler, record_timeline=True).run()
-    for record in result.timeline.intervals("probe"):
+    runner = FastRunner(scenario, scheduler, record_timeline=True)
+    runner.run()
+    for record in runner.timeline.intervals("probe"):
         assert scenario.profile.is_rush_at(record.start)
 
 

@@ -23,7 +23,7 @@ def fake_cell(replicate: int = 0) -> tuple:
         replicate=replicate,
         scenario=SimpleNamespace(zeta_target=16.0, phi_max=864.0),
     )
-    result = SimpleNamespace(mean_zeta=10.0, mean_phi=5.0)
+    result = SimpleNamespace(mean_zeta=10.0, mean_phi=5.0, from_cache=False)
     return shard, result
 
 
