@@ -11,8 +11,7 @@ src tests``), in the incremental spirit of verify-once/re-check-forever:
   ``np.random`` state, no wall-clock reads, no salted ``hash()`` in
   the determinism-scoped subpackages;
 * :mod:`~repro.analysis.registry_rules` — registrations visible to
-  workers, ``_ENGINE_MODULES`` in lockstep with the engine registry,
-  argparse ``choices=`` derived from registries, every
+  workers, argparse ``choices=`` derived from registries, every
   ``examples/*.json`` valid under the strict spec loader;
 * :mod:`~repro.analysis.worker_safety` — no unpicklable lambdas on
   pool-crossing APIs, no unannotated broad ``except``.

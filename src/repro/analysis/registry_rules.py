@@ -1,25 +1,18 @@
 """Registry/CLI consistency rules: one source of truth for every name.
 
-Four named registries drive the experiment layer (mechanisms, node
-factories, engines, transports — :mod:`repro.experiments.registry`),
-and three other surfaces must stay in lockstep with them: the lazy
-worker-side import map (``_ENGINE_MODULES`` in
-:mod:`repro.experiments.engine`), every argparse ``choices=`` the CLI
-exposes, and the shipped ``examples/*.json`` study documents.  Each of
-these drifted — or can drift — silently: a hand-maintained CLI engine
-set, an engine registered but missing from the lazy map (resolvable in
-the parent, a ``ConfigurationError`` inside a spawned worker), an
-example spec naming a mechanism that no longer exists.  These rules pin
-all three surfaces to the registries:
+Four named registries drive the experiment layer (mechanisms, engines,
+transports, scenarios — :mod:`repro.experiments.registry`), and two
+other surfaces must stay in lockstep with them: every argparse
+``choices=`` the CLI exposes, and the shipped ``examples/*.json`` study
+documents.  Each can drift silently: a hand-maintained CLI engine set,
+an example spec naming a mechanism that no longer exists.  These rules
+pin both surfaces to the registries, and keep every registration
+visible to workers:
 
 * ``registry-worker-resolvable`` — a ``*_factories.register(...)``
   call nested inside a function body only exists after that function
   runs, so a worker that merely imports the module cannot resolve the
   name; registrations must be module-level (decorator or direct call);
-* ``engine-module-map`` — every registered engine name must appear in
-  ``_ENGINE_MODULES`` mapped to its defining module, and every map
-  entry must correspond to a real registration (both directions, so
-  neither the map nor the registrations can drift);
 * ``literal-choices`` — an ``add_argument(choices=...)`` whose value
   embeds a literal name list duplicates a registry by hand; choices
   must be derived from a registry call
@@ -34,7 +27,7 @@ from __future__ import annotations
 
 import ast
 import json
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .findings import Finding
 from .rules import (
@@ -46,9 +39,6 @@ from .rules import (
     dotted_name,
     register_rule,
 )
-
-#: The module whose ``_ENGINE_MODULES`` dict is the lazy import map.
-ENGINE_MAP_MODULE = "repro.experiments.engine"
 
 #: Registry helper calls accepted as "derived from a registry" by the
 #: ``literal-choices`` rule (all return live registry names).
@@ -63,7 +53,7 @@ def _registration(node: ast.Call) -> Optional[Tuple[str, Optional[str]]]:
     """``(registry, name)`` when *node* is ``X_factories.register(...)``.
 
     *name* is None for a dynamic (non-literal) first argument — still a
-    registration for nesting checks, but unusable for map comparison.
+    registration for nesting checks.
     """
     parts = dotted_name(node.func)
     if parts is None or len(parts) < 2 or parts[-1] != "register":
@@ -119,110 +109,6 @@ class WorkerResolvableRule(RegistryRule):
                 "worker importing this module cannot resolve the name; "
                 "register at module level (decorator or direct call)",
             )
-
-
-@register_rule
-class EngineModuleMapRule(RegistryRule):
-    """``_ENGINE_MODULES`` and the engine registrations must agree.
-
-    Both an AST rule (it collects registrations and the map during the
-    shared walk) and a project rule (it reconciles them once all files
-    are walked).  The reverse direction — a map key with no
-    registration — is only checked when the mapped module was among the
-    linted files, so linting a subtree never false-positives.
-    """
-
-    rule_id = "engine-module-map"
-    description = (
-        "every registered engine must appear in _ENGINE_MODULES mapped "
-        "to its defining module, and vice versa"
-    )
-    node_types = (ast.Call, ast.Assign)
-
-    def __init__(self) -> None:
-        #: engine name → (module, display path, line) per registration.
-        self._registrations: Dict[str, Tuple[str, str, int]] = {}
-        #: map name → module from the ``_ENGINE_MODULES`` literal.
-        self._map: Dict[str, str] = {}
-        self._map_site: Optional[Tuple[str, int]] = None
-        self._map_ctx_module: Optional[str] = None
-
-    def check_node(
-        self, node: ast.AST, ctx: FileContext, scope: Tuple[ast.AST, ...]
-    ) -> Iterator[Finding]:
-        if isinstance(node, ast.Call):
-            registration = _registration(node)
-            if registration is not None:
-                registry, name = registration
-                if registry == "engine_factories" and name is not None:
-                    self._registrations[name] = (
-                        ctx.module, ctx.path, node.lineno
-                    )
-            return iter(())
-        assert isinstance(node, ast.Assign)
-        if scope or len(node.targets) != 1:
-            return iter(())
-        target = node.targets[0]
-        if not (
-            isinstance(target, ast.Name)
-            and target.id == "_ENGINE_MODULES"
-            and isinstance(node.value, ast.Dict)
-        ):
-            return iter(())
-        self._map_site = (ctx.path, node.lineno)
-        self._map_ctx_module = ctx.module
-        for key, value in zip(node.value.keys, node.value.values):
-            if (
-                isinstance(key, ast.Constant)
-                and isinstance(key.value, str)
-                and isinstance(value, ast.Constant)
-                and isinstance(value.value, str)
-            ):
-                self._map[key.value] = value.value
-        return iter(())
-
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        if self._map_site is None:
-            # The engine module was not among the linted files; there
-            # is nothing to reconcile against.
-            return
-        map_path, map_line = self._map_site
-        for name, (module, path, line) in sorted(self._registrations.items()):
-            if name not in self._map:
-                yield Finding(
-                    path=path, line=line, column=0,
-                    rule=self.rule_id, category=self.category,
-                    message=(
-                        f"engine {name!r} is registered in {module} but "
-                        f"missing from _ENGINE_MODULES ({map_path}); "
-                        "spawned workers cannot lazily import it"
-                    ),
-                )
-            elif self._map[name] != module:
-                yield Finding(
-                    path=map_path, line=map_line, column=0,
-                    rule=self.rule_id, category=self.category,
-                    message=(
-                        f"_ENGINE_MODULES maps engine {name!r} to "
-                        f"{self._map[name]!r} but it is registered in "
-                        f"{module!r}; workers would import the wrong "
-                        "module"
-                    ),
-                )
-        linted_modules = {ctx.module for ctx in project.files}
-        for name, module in sorted(self._map.items()):
-            if name in self._registrations:
-                continue
-            if module in linted_modules:
-                yield Finding(
-                    path=map_path, line=map_line, column=0,
-                    rule=self.rule_id, category=self.category,
-                    message=(
-                        f"_ENGINE_MODULES names engine {name!r} in "
-                        f"{module!r} but that module registers no such "
-                        "engine; the map entry is stale"
-                    ),
-                )
 
 
 @register_rule

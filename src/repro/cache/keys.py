@@ -58,7 +58,9 @@ __all__ = ["CACHE_SCHEMA_VERSION", "cell_fingerprint", "cache_key"]
 #: becomes unreachable instead of silently wrong.
 #: v2: named-scenario fingerprints (``RunSpec.scenario_ref``) and the
 #: ``Scenario.contact_source`` field.
-CACHE_SCHEMA_VERSION = 2
+#: v3: micro's last epoch buffer level includes the data generated in
+#: its final decision period (``buffer_end_level``, ``delivery_ratio``).
+CACHE_SCHEMA_VERSION = 3
 
 
 def _canonical(value: Any) -> Any:

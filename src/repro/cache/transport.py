@@ -26,9 +26,10 @@ Two properties make crashed or cancelled studies resumable:
 
 The decorator only engages for the study shard function
 (:func:`~repro.experiments.runner.execute_run_spec` over cacheable
-:class:`~repro.experiments.runner.RunSpec` shards); any other workload
-— e.g. a network study's per-node fan-out — passes through to the
-inner transport untouched.
+:class:`~repro.experiments.runner.RunSpec` shards, grid cells and fleet
+nodes alike); any other workload passes through to the inner transport
+untouched.  A result replayed from the cache carries
+``from_cache=True``, the one per-cell record of a hit.
 """
 
 from __future__ import annotations
@@ -50,18 +51,13 @@ class CachedTransport(Transport):
     with index reassembly) that forwards the attributes the study layer
     reads — ``transport_name``, ``label``, ``last_map_parallel``,
     ``jobs`` — to the wrapped transport, so wrapping is invisible to
-    everything except wall-clock time.  After each ``imap``,
-    :attr:`last_hits` / :attr:`last_computed` report the partition.
+    everything except wall-clock time.
     """
 
     def __init__(self, inner: Any, cache: CellCache) -> None:
         """Wrap transport *inner* with *cache*."""
         self.inner = inner
         self.cache = cache
-        #: Cells served from the cache by the most recent map/imap.
-        self.last_hits = 0
-        #: Cells executed by the inner transport most recently.
-        self.last_computed = 0
 
     # ------------------------------------------------------------------
     # forwarded transport surface
@@ -105,8 +101,6 @@ class CachedTransport(Transport):
         the cache too.
         """
         items = list(items)
-        self.last_hits = 0
-        self.last_computed = 0
         if fn is not execute_run_spec:
             yield from self.inner.imap(fn, items)
             return
@@ -114,7 +108,6 @@ class CachedTransport(Transport):
         for index, item in enumerate(items):
             result = self._lookup(item)
             if result is not None:
-                self.last_hits += 1
                 yield index, result
             else:
                 key = cache_key(item) if isinstance(item, RunSpec) else None
@@ -138,7 +131,6 @@ class CachedTransport(Transport):
                 index, _, key = misses[position]
                 if key is not None:
                     self.cache.put(key, encode_result(value))
-                self.last_computed += 1
                 yield index, value
         finally:
             self.inner.outcome_sink = None

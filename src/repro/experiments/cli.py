@@ -77,6 +77,7 @@ from .reporting import (
 )
 from .scenario import PAPER_ZETA_TARGETS, paper_roadside_scenario
 from .spec import StudySpec, run_study
+from .sweep import progress_event
 
 
 def _positive_int(text: str) -> int:
@@ -123,43 +124,6 @@ def _write_output(path: str, result) -> None:
     """Write *result* (anything with to_json/to_csv) to *path*."""
     write_artifact(path, result)
     print(f"wrote {path}")
-
-
-def _cell_progress(*, show_engine: bool, show_scenario: bool):
-    """A streaming per-cell progress printer for grid/agreement studies."""
-
-    def report_cell(spec, result, completed, total) -> None:
-        divisor = DAY / spec.scenario.phi_max
-        width = len(str(total))
-        scenario = ""
-        if show_scenario and spec.scenario_ref is not None:
-            scenario = f"{spec.scenario_ref.name} "
-        engine = f"{spec.engine:<5} " if show_engine else ""
-        cached = " (cached)" if result.from_cache else ""
-        print(
-            f"[{completed:>{width}}/{total}] {scenario}{engine}"
-            f"Phi_max=Tepoch/{divisor:g} "
-            f"zeta_target={spec.scenario.zeta_target:g} {spec.mechanism} "
-            f"replicate {spec.replicate}: zeta={result.mean_zeta:.2f} "
-            f"Phi={result.mean_phi:.2f}{cached}",
-            flush=True,
-        )
-
-    return report_cell
-
-
-def _node_progress():
-    """A streaming per-node progress printer for network studies."""
-
-    def report_node(node_id, result, completed, total) -> None:
-        width = len(str(total))
-        print(
-            f"[{completed:>{width}}/{total}] node {node_id}: "
-            f"zeta={result.mean_zeta:.2f} Phi={result.mean_phi:.2f}",
-            flush=True,
-        )
-
-    return report_node
 
 
 def _report_pool(jobs: int, executor) -> None:
@@ -599,28 +563,33 @@ def _apply_gate(agreements, tolerance: float) -> int:
     return 0
 
 
-def _print_event_line(event: dict, *, show_engine: bool) -> None:
-    """Render one server-sent progress event as the local progress line.
+def _show_progress(spec: StudySpec, args: argparse.Namespace) -> bool:
+    """Whether ``run`` streams progress lines (fleets opt in with --progress)."""
+    return args.progress or (not spec.is_network and not args.no_progress)
 
-    Mirrors :func:`_cell_progress` / :func:`_node_progress` so ``run
-    --server`` output reads the same as a local run.
+
+def _print_event_line(event: dict, spec: StudySpec) -> None:
+    """Print one progress event (:func:`~repro.experiments.sweep.progress_event`).
+
+    Local and ``run --server`` progress both print through here, so the
+    two read the same.  A cell line names its scenario label and engine
+    only when the study has several.
     """
-    total = event.get("total", 0)
-    width = len(str(total))
-    prefix = f"[{event.get('completed', 0):>{width}}/{total}]"
-    if event.get("event") == "node":
+    total = event["total"]
+    prefix = f"[{event['completed']:>{len(str(total))}}/{total}]"
+    if event["event"] == "node":
         print(
             f"{prefix} node {event['node']}: "
             f"zeta={event['mean_zeta']:.2f} Phi={event['mean_phi']:.2f}",
             flush=True,
         )
         return
-    divisor = DAY / event["phi_max"]
-    engine = f"{event['engine']:<5} " if show_engine else ""
+    scenario = f"{event['scenario']} " if len(spec.scenarios) > 1 else ""
+    engine = f"{event['engine']:<5} " if len(spec.engines) > 1 else ""
     cached = " (cached)" if event.get("cached") else ""
     print(
-        f"{prefix} {engine}"
-        f"Phi_max=Tepoch/{divisor:g} "
+        f"{prefix} {scenario}{engine}"
+        f"Phi_max=Tepoch/{DAY / event['phi_max']:g} "
         f"zeta_target={event['zeta_target']:g} {event['mechanism']} "
         f"replicate {event['replicate']}: zeta={event['mean_zeta']:.2f} "
         f"Phi={event['mean_phi']:.2f}{cached}",
@@ -644,10 +613,7 @@ def _run_remote(spec: StudySpec, args: argparse.Namespace) -> int:
     print(f"study {spec.name!r}: {spec.total_runs} runs, "
           f"submitted as {study_id} to {args.server} "
           f"({submitted['state']})")
-    show_progress = args.progress or (
-        not spec.is_network and not args.no_progress
-    )
-    show_engine = len(spec.engines) > 1
+    show_progress = _show_progress(spec, args)
     final = submitted["state"]
     error = submitted.get("error")
     for event in client.stream(study_id):
@@ -656,7 +622,7 @@ def _run_remote(spec: StudySpec, args: argparse.Namespace) -> int:
             final = kind
             error = event.get("error")
         elif kind in ("cell", "node") and show_progress:
-            _print_event_line(event, show_engine=show_engine)
+            _print_event_line(event, spec)
     if show_progress:
         print()
     if final != "done":
@@ -705,20 +671,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     # name (explicit or derived from jobs), batch size, and options all
     # resolve through the registry.
     executor = spec.build_transport()
-    if spec.is_network:
-        # Fleets default to quiet; --progress opts into per-node lines.
-        show_progress = args.progress
-        progress = _node_progress() if show_progress else None
-    else:
-        show_progress = not args.no_progress
-        progress = (
-            _cell_progress(
-                show_engine=len(spec.engines) > 1,
-                show_scenario=len(spec.scenarios) > 1,
+    show_progress = _show_progress(spec, args)
+    progress = None
+    if show_progress:
+        def progress(shard, result, completed, total) -> None:
+            _print_event_line(
+                progress_event(shard, result, completed, total), spec
             )
-            if show_progress
-            else None
-        )
+
     print(f"study {spec.name!r}: {spec.total_runs} runs, "
           f"{spec.jobs} job(s), transport {spec.resolved_transport!r}")
     study = run_study(spec, executor=executor, progress=progress)

@@ -31,7 +31,6 @@ any other grid.
 
 from __future__ import annotations
 
-import importlib
 from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
 
 from .registry import engine_factories
@@ -44,18 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
 
 #: The engine names exercised by the paper reproduction, in speed order.
 PAPER_ENGINES = ("fast", "micro")
-
-#: Defining module per built-in engine name: resolution imports the
-#: module lazily so that a spawned worker which unpickled only
-#: ``execute_run_spec`` (hence imported only ``runner``) can still
-#: resolve ``"micro"``, and so this module never has to import the
-#: engine implementations (which import it back to register).
-_ENGINE_MODULES = {
-    "fast": "repro.experiments.runner",
-    "micro": "repro.experiments.micro",
-    "vector": "repro.experiments.vector",
-}
-
 
 @runtime_checkable
 class Engine(Protocol):
@@ -95,28 +82,27 @@ def resolve_engine(name: str) -> Engine:
 
     Unknown names raise
     :class:`~repro.errors.ConfigurationError` listing the known
-    engines.  Built-in names lazily import their defining module first,
-    so resolution works in spawned workers that have not imported the
-    full :mod:`repro.experiments` package (sharding contract: a
-    :class:`~repro.experiments.runner.RunSpec` names its engine, the
-    worker re-resolves it).
+    engines.  Imports the built-in engine modules first so their
+    registrations exist in any process (spawned workers included)
+    regardless of import order — a
+    :class:`~repro.experiments.runner.RunSpec` names its engine and the
+    worker re-resolves it — mirroring
+    :func:`repro.scenarios.resolve_scenario`.
     """
-    if name not in engine_factories and name in _ENGINE_MODULES:
-        importlib.import_module(_ENGINE_MODULES[name])
+    from . import micro, runner, vector  # noqa: F401  (registers the built-ins)
+
     return engine_factories.resolve(name)()
 
 
 def available_engines() -> list:
     """All resolvable engine names (built-ins plus runtime registrations).
 
-    Imports every module in :data:`_ENGINE_MODULES` first, so the
-    lazily-registered built-ins are present whether or not anything has
-    resolved them yet.  This is the single source for CLI
-    ``choices=`` — the registry-consistency lint rule
-    (``literal-choices``, :mod:`repro.analysis.registry_rules`) rejects
-    hand-maintained engine sets there.
+    This is the single source for CLI ``choices=`` — the
+    registry-consistency lint rule (``literal-choices``,
+    :mod:`repro.analysis.registry_rules`) rejects hand-maintained engine
+    sets there.
     """
-    for module in _ENGINE_MODULES.values():
-        importlib.import_module(module)
+    from . import micro, runner, vector  # noqa: F401  (registers the built-ins)
+
     return engine_factories.names()
 

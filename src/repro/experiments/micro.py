@@ -166,6 +166,10 @@ class MicroEngine:
             if epoch_index > 0:
                 scheduler.on_epoch_start(epoch_index, node)
             sim.run_until(epoch_end, inclusive=False)
+            # The generator's tick at epoch_end belongs to this epoch's
+            # data; every reader deposits before it looks, so depositing
+            # early moves no decision.
+            generator.deposit_up_to_now()
             epoch = epoch_box["current"]
             epoch.phi = node.account.rollover()
             epoch.buffer_end_level = node.buffer.level

@@ -64,7 +64,7 @@ from .engine import resolve_engine
 from .parallel import Transport, _validate_batch_size, replicate_seed
 from .registry import PAPER_MECHANISMS, mechanism_factories
 from .transport import resolve_transport, validate_transport
-from .runner import RunSpec
+from .runner import RunResult, RunSpec
 from .scenario import PAPER_ZETA_TARGETS, Scenario, paper_roadside_scenario
 from .sweep import (
     GRID_EXPORT_COLUMNS,
@@ -1032,10 +1032,11 @@ def run_study(
             behaviour exactly).  Fallback warnings are labelled with
             the study name either way.
         progress: optional streaming observer
-            (:data:`~repro.experiments.sweep.ProgressCallback`), fired
-            once per completed run.  For network studies the observer
-            instead receives ``(node_id, result, completed, total)``,
-            one call per finished node.  Every result is a
+            (:data:`~repro.experiments.sweep.ProgressCallback`), called
+            as ``progress(shard, result, completed, total)`` once per
+            finished shard — a grid cell or a fleet node alike;
+            :func:`~repro.experiments.sweep.progress_event` describes
+            one call.  Every result is a
             :class:`~repro.experiments.runner.RunResult` (scenario and
             metrics); one replayed from the cache has ``from_cache=True``.
 
@@ -1048,7 +1049,24 @@ def run_study(
     for engine_name in spec.engines:
         resolve_engine(engine_name)
     if spec.network is not None:
-        return _run_fleet(spec, executor, progress)
+        shards = _fleet_shards(spec)
+    else:
+        templates, shards = _grid_shards(spec)
+    with _StudyExecutor(spec, executor) as resolved:
+        results = _stream_results(resolved, shards, progress)
+    if spec.network is not None:
+        return _fleet_result(spec, shards, results)
+    return _grid_result(spec, templates, results)
+
+
+def _grid_shards(
+    spec: StudySpec,
+) -> Tuple[List[Tuple[ScenarioRef, Scenario]], List[RunSpec]]:
+    """A grid study's scenario templates and its shards, in shard order.
+
+    Scenario outermost, then Φmax, ζtarget, mechanism, replicate, and
+    engine innermost.
+    """
     for name in spec.mechanisms:
         mechanism_factories.resolve(name)
     seeds = spec.resolved_seeds()
@@ -1060,20 +1078,16 @@ def run_study(
         (ref, materialize_scenario(ref, epochs=spec.epochs, seed=spec.seed))
         for ref in spec.scenarios
     ]
-    names = list(spec.mechanisms)
-    engines = spec.engines
-    targets = spec.zeta_targets
-
     shards: List[RunSpec] = []
     for ref, template in templates:
         for phi_max in spec.phi_maxes:
             budget_base = template.with_budget(phi_max)
-            for target in targets:
+            for target in spec.zeta_targets:
                 cell_base = budget_base.with_target(target)
-                for name in names:
+                for name in spec.mechanisms:
                     for index, seed in enumerate(seeds):
                         seeded = cell_base.with_seed(seed)
-                        for engine_name in engines:
+                        for engine_name in spec.engines:
                             shards.append(
                                 RunSpec(
                                     scenario=seeded,
@@ -1083,9 +1097,19 @@ def run_study(
                                     scenario_ref=ref,
                                 )
                             )
+    return templates, shards
 
-    with _StudyExecutor(spec, executor) as resolved:
-        results = _stream_results(resolved, shards, progress)
+
+def _grid_result(
+    spec: StudySpec,
+    templates: List[Tuple[ScenarioRef, Scenario]],
+    results: List[RunResult],
+) -> StudyResult:
+    """Fold a grid study's index-ordered *results* into its grids."""
+    names = list(spec.mechanisms)
+    engines = spec.engines
+    targets = spec.zeta_targets
+    seeds = spec.resolved_seeds()
 
     # One GridResult per (scenario, engine): each scenario owns a
     # contiguous result block, inside which the shard list interleaves
@@ -1188,18 +1212,14 @@ def run_study(
     return _study_result(spec, results, grids=grids, agreements=agreements)
 
 
-def _run_fleet(
-    spec: StudySpec,
-    executor: Optional[Transport],
-    progress: Optional[Any],
-) -> StudyResult:
-    """Lower a network study onto one ordinary cell per node and run it."""
-    from ..network.runner import NetworkResult, NodeOutcome, commuter_node_sources
+def _fleet_shards(spec: StudySpec) -> List[RunSpec]:
+    """A network study's shards: one ordinary cell per node, by node id."""
+    from ..network.runner import commuter_node_sources
 
     assert spec.network is not None
     mechanism_factories.resolve(spec.network.node_factory)
     base = spec.base_scenario()
-    shards = [
+    return [
         RunSpec(
             scenario=dataclasses.replace(base, contact_source=source),
             mechanism=spec.network.node_factory,
@@ -1209,15 +1229,14 @@ def _run_fleet(
             spec.network.nodes, spec.network.commuters
         )
     ]
-    node_progress = None
-    if progress is not None:
-        def node_progress(shard, result, completed, total) -> None:
-            progress(
-                shard.scenario.contact_source.node_id, result, completed, total
-            )
 
-    with _StudyExecutor(spec, executor) as resolved:
-        results = _stream_results(resolved, shards, node_progress)
+
+def _fleet_result(
+    spec: StudySpec, shards: List[RunSpec], results: List[RunResult]
+) -> StudyResult:
+    """Fold a network study's per-node *results* into its fleet result."""
+    from ..network.runner import NetworkResult, NodeOutcome
+
     network = NetworkResult()
     for shard, result in zip(shards, results):
         node_id = shard.scenario.contact_source.node_id

@@ -7,7 +7,8 @@ pairing the simulated replicates (with Student-t confidence intervals)
 with the cell's closed-form prediction; one :class:`SweepResult` per
 Φmax budget; and the whole-grid :class:`GridResult` with its
 JSON-clean document form.  The helpers here stream shards through an executor —
-reporting each completed cell through a :data:`ProgressCallback` —
+reporting each completed shard through a :data:`ProgressCallback`,
+described by :func:`progress_event` —
 and fold the index-ordered results back into those types, so the
 assembled result is byte-identical for any worker count or completion
 order.  The sharding/seeding contract is documented in
@@ -33,12 +34,53 @@ __all__ = [
     "GridResult",
     "GRID_EXPORT_COLUMNS",
     "ProgressCallback",
+    "progress_event",
 ]
 
-#: Streaming observer: ``progress(spec, result, completed, total)`` is
-#: invoked once per finished shard, in completion order, where
-#: *completed* counts shards done so far out of *total*.
+#: Streaming observer: ``progress(shard, result, completed, total)`` is
+#: invoked once per finished shard of any study (grid cell or fleet
+#: node), in completion order, where *completed* counts shards done so
+#: far out of *total*.  :func:`progress_event` describes one call.
 ProgressCallback = Callable[[RunSpec, RunResult, int, int], None]
+
+
+def progress_event(
+    shard: RunSpec, result: RunResult, completed: int, total: int
+) -> Dict[str, object]:
+    """The JSON-clean event for one :data:`ProgressCallback` call.
+
+    A grid shard (one on the scenario axis) is a ``"cell"`` event
+    carrying its coordinates, the scenario as its axis label; a fleet
+    shard (no axis entry: its contacts come from one node of the
+    commuter fleet) is a ``"node"`` event carrying the node id.  Both
+    carry the counters and the run's mean ζ/Φ, plus ``cached: True``
+    when the cell cache served the result.  The service streams these
+    events and the CLI prints them, so local and served progress agree.
+    """
+    if shard.scenario_ref is None:
+        event: Dict[str, object] = {
+            "event": "node",
+            "node": shard.scenario.contact_source.node_id,
+        }
+    else:
+        event = {
+            "event": "cell",
+            "scenario": shard.scenario_ref.label,
+            "mechanism": shard.mechanism,
+            "engine": shard.engine,
+            "replicate": shard.replicate,
+            "zeta_target": shard.scenario.zeta_target,
+            "phi_max": shard.scenario.phi_max,
+        }
+    event.update({
+        "completed": completed,
+        "total": total,
+        "mean_zeta": result.mean_zeta,
+        "mean_phi": result.mean_phi,
+    })
+    if result.from_cache:
+        event["cached"] = True
+    return event
 
 
 @dataclass

@@ -31,6 +31,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional
 from ..cache.store import validate_cache_options
 from ..experiments.parallel import SerialExecutor
 from ..experiments.spec import StudySpec, run_study
+from ..experiments.sweep import progress_event
 from ..experiments.transport import validate_transport
 from .store import StudyRecord, StudyStore
 
@@ -326,7 +327,7 @@ class StudyScheduler:
             "name": spec.name,
             "total": spec.total_runs,
         })
-        progress = self._progress_callback(study_id, spec, log)
+        progress = self._progress_callback(study_id, log)
         try:
             executor = self._build_executor(spec)
             result = run_study(spec, executor=executor, progress=progress)
@@ -358,38 +359,15 @@ class StudyScheduler:
                 log,
             )
 
-    def _progress_callback(self, study_id: str, spec: StudySpec, log: EventLog):
-        """The per-cell observer bridging ``run_study`` into the log."""
-        network = spec.is_network
+    def _progress_callback(self, study_id: str, log: EventLog):
+        """The per-shard observer bridging ``run_study`` into the log."""
 
         def progress(shard, result, completed, total) -> None:
             """One completed run: publish it, honouring cancellation."""
             if study_id in self._cancel_requested:
                 raise StudyCancelled(study_id)
-            if network:
-                event = {
-                    "event": "node",
-                    "study": study_id,
-                    "node": str(shard),
-                }
-            else:
-                event = {
-                    "event": "cell",
-                    "study": study_id,
-                    "mechanism": shard.mechanism,
-                    "engine": shard.engine,
-                    "replicate": shard.replicate,
-                    "zeta_target": shard.scenario.zeta_target,
-                    "phi_max": shard.scenario.phi_max,
-                }
-            event.update({
-                "completed": completed,
-                "total": total,
-                "mean_zeta": result.mean_zeta,
-                "mean_phi": result.mean_phi,
-            })
-            if result.from_cache:
-                event["cached"] = True
+            event = progress_event(shard, result, completed, total)
+            event["study"] = study_id
             log.append(event)
 
         return progress

@@ -1,10 +1,7 @@
 """Fixture tests for the registry/CLI-consistency rule family.
 
-Covers worker-side registration visibility, both directions of the
-``_ENGINE_MODULES`` reconciliation (including the seeded-violation
-scenario from the acceptance criteria: a registered engine removed from
-the map), literal argparse ``choices=``, and example-spec validation
-against the live registries.
+Covers worker-side registration visibility, literal argparse
+``choices=``, and example-spec validation against the live registries.
 """
 
 from __future__ import annotations
@@ -14,7 +11,6 @@ from pathlib import Path
 
 from repro.analysis import run_lint
 from repro.analysis.registry_rules import (
-    EngineModuleMapRule,
     LiteralChoicesRule,
     SpecExamplesRule,
     WorkerResolvableRule,
@@ -76,79 +72,6 @@ class TestWorkerResolvable:
                 """
             },
             rules=[WorkerResolvableRule()],
-        )
-        assert report.ok
-
-
-class TestEngineModuleMap:
-    def test_agreeing_map_is_clean(self, lint_tree):
-        report = lint_tree(
-            {
-                "repro/experiments/fast.py": FAST_MODULE,
-                "repro/experiments/engine.py": (
-                    '_ENGINE_MODULES = {"fast": "repro.experiments.fast"}\n'
-                ),
-            },
-            rules=[EngineModuleMapRule()],
-        )
-        assert report.ok
-
-    def test_registered_engine_missing_from_map(self, lint_tree):
-        # The seeded violation from the acceptance criteria: an engine's
-        # map entry removed while its registration stays behind.
-        report = lint_tree(
-            {
-                "repro/experiments/fast.py": FAST_MODULE,
-                "repro/experiments/engine.py": "_ENGINE_MODULES = {}\n",
-            },
-            rules=[EngineModuleMapRule()],
-        )
-        assert rule_ids(report) == ["engine-module-map"]
-        finding = report.findings[0]
-        assert finding.path.endswith("fast.py")
-        assert finding.line == 3
-        assert "missing from _ENGINE_MODULES" in finding.message
-
-    def test_map_pointing_at_wrong_module(self, lint_tree):
-        report = lint_tree(
-            {
-                "repro/experiments/fast.py": FAST_MODULE,
-                "repro/experiments/engine.py": (
-                    '_ENGINE_MODULES = {"fast": "repro.experiments.micro"}\n'
-                ),
-            },
-            rules=[EngineModuleMapRule()],
-        )
-        assert rule_ids(report) == ["engine-module-map"]
-        assert report.findings[0].path.endswith("engine.py")
-        assert "wrong module" in report.findings[0].message
-
-    def test_stale_map_entry_for_linted_module(self, lint_tree):
-        report = lint_tree(
-            {
-                "repro/experiments/fast.py": FAST_MODULE,
-                "repro/experiments/engine.py": (
-                    '_ENGINE_MODULES = {\n'
-                    '    "fast": "repro.experiments.fast",\n'
-                    '    "ghost": "repro.experiments.fast",\n'
-                    '}\n'
-                ),
-            },
-            rules=[EngineModuleMapRule()],
-        )
-        assert rule_ids(report) == ["engine-module-map"]
-        assert "stale" in report.findings[0].message
-
-    def test_map_entry_for_unlinted_module_not_flagged(self, lint_tree):
-        # Linting a subtree must not false-positive on engines whose
-        # defining module was simply not part of the run.
-        report = lint_tree(
-            {
-                "repro/experiments/engine.py": (
-                    '_ENGINE_MODULES = {"vector": "repro.experiments.vector"}\n'
-                ),
-            },
-            rules=[EngineModuleMapRule()],
         )
         assert report.ok
 

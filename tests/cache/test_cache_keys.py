@@ -94,12 +94,12 @@ class TestSchemaVersion:
 
 
 class TestPinnedKeys:
-    """Only file-backed keys gained a field: every other key is the one
-    earlier releases computed, so existing caches stay warm."""
+    """The schema-v3 addresses of two paper cells: a key moves only when
+    the schema version does, never by accident of encoding."""
 
     def test_materialized_paper_roadside_key_is_unchanged(self):
         assert cache_key(make_spec()) == (
-            "ea1280b19bbf52c30802355a55371b5b46610d4ef7a7051e1077b9d0848afe07"
+            "0d032ba40c0f0e65d7dad0e01f0ec07dd012fee803340edcfbb7a1a1f0984d41"
         )
 
     def test_named_paper_roadside_key_is_unchanged(self):
@@ -113,7 +113,7 @@ class TestPinnedKeys:
             mechanism="SNIP-RH", scenario=scenario, engine="vector", scenario_ref=ref
         )
         assert cache_key(spec) == (
-            "66ff1fbdc205f9171addbcb7a7fed8659879a3883bc46a210e54bab36e799b96"
+            "20dd32e8cafc630c037a565a671162c19fbba4dccdc6e2ca93e74342d3b672f8"
         )
 
 

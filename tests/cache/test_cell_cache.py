@@ -184,12 +184,9 @@ class TestCorruption:
         with pytest.warns(CacheCorruptionWarning, match=key):
             [result] = transport.map(execute_run_spec, [spec])
         assert result.from_cache is False
-        assert transport.last_computed == 1
-        assert transport.last_hits == 0
         assert CellCache(root).get(key) == encode_result(result)
         [again] = transport.map(execute_run_spec, [spec])
         assert again.from_cache is True
-        assert transport.last_computed == 0
 
 
 class TestGc:
@@ -295,7 +292,6 @@ class TestReadonly:
         with pytest.warns(CacheCorruptionWarning, match="leaving it"):
             [result] = transport.map(execute_run_spec, [spec])
         assert result.from_cache is False
-        assert transport.last_computed == 1
         assert open(path, "rb").read() == before
 
 class TestConcurrency:

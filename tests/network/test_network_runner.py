@@ -104,16 +104,14 @@ class TestNodeOutcomeMetrics:
         result = resolve_engine(engine).run(scenario, factory(scenario), trace=trace)
         outcome = NodeOutcome(node_id="sensor-1", result=result)
         assert outcome.contacts == len(trace)
+        # Every engine generates data at the scenario rate over the
+        # whole horizon.
+        uploaded = sum(epoch.uploaded for epoch in result.metrics.epochs)
+        horizon = scenario.epochs * scenario.profile.epoch_length
+        assert uploaded / outcome.delivery_ratio == pytest.approx(
+            scenario.data_rate * horizon, rel=1e-12
+        )
         if engine == "micro":
-            # Data arrives in decision-period ticks, and the tick on the
-            # horizon falls outside the run.
-            uploaded = sum(epoch.uploaded for epoch in result.metrics.epochs)
-            generated = uploaded / outcome.delivery_ratio
-            horizon = scenario.epochs * scenario.profile.epoch_length
-            period = scenario.decision_period
-            assert generated == pytest.approx(
-                scenario.data_rate * (horizon - period), rel=1e-12
-            )
             return
         # fast and vector share one buffer arithmetic: the fast runner's
         # node is both engines' node.

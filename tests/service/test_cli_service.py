@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.experiments.cli import build_parser, main
 from repro.experiments.spec import run_study
+from repro.scenarios import ScenarioRef
+from repro.service.client import ServiceClient
 from service_specs import make_tiny_spec
 
 
@@ -50,6 +54,44 @@ class TestRunServer:
         study = live_server.service.store.list()[-1]
         stored = live_server.service.store.load_spec(study.study_id)
         assert stored.epochs == 2
+
+    def test_served_progress_lines_match_local_ones(
+        self, live_server, tmp_path, capsys
+    ):
+        # Two scenarios, so each line must name its scenario to tell the
+        # cells apart; completion order may differ, so compare sorted
+        # lines with the [n/N] counters stripped.
+        path = tmp_path / "two_scenarios.json"
+        make_tiny_spec(
+            engines=("vector",),
+            scenarios=(
+                ScenarioRef("paper-roadside"),
+                ScenarioRef("diurnal", {"ratio": 12.0}),
+            ),
+        ).save(str(path))
+
+        def progress_lines(extra):
+            assert main(["run", "--spec", str(path), *extra]) == 0
+            printed = capsys.readouterr().out.splitlines()
+            return sorted(
+                re.sub(r"^\[\s*\d+/\d+\] ", "", line)
+                for line in printed
+                if line.startswith("[")
+            )
+
+        local = progress_lines([])
+        served = progress_lines(["--server", live_server.url])
+        assert len(local) == 2
+        assert served == local
+        study = live_server.service.store.list()[-1]
+        cells = [
+            event
+            for event in ServiceClient(live_server.url).stream(study.study_id)
+            if event["event"] == "cell"
+        ]
+        assert sorted(event["scenario"] for event in cells) == [
+            'diurnal{"ratio":12.0}', "paper-roadside",
+        ]
 
     def test_gate_with_server_is_usage_error(
         self, live_server, spec_path, capsys

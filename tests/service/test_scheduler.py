@@ -10,6 +10,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.spec import run_study
+from repro.scenarios import ScenarioRef
 from repro.service.scheduler import EventLog, StudyScheduler
 from repro.service.store import StudyStore
 from service_specs import make_tiny_spec
@@ -22,6 +23,7 @@ def fake_cell(replicate: int = 0) -> tuple:
         engine="fast",
         replicate=replicate,
         scenario=SimpleNamespace(zeta_target=16.0, phi_max=864.0),
+        scenario_ref=ScenarioRef("paper-roadside"),
     )
     result = SimpleNamespace(mean_zeta=10.0, mean_phi=5.0, from_cache=False)
     return shard, result
