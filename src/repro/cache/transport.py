@@ -86,6 +86,10 @@ class CachedTransport(Transport):
         """The wrapped transport's worker count."""
         return getattr(self.inner, "jobs", 1)
 
+    def close(self) -> None:
+        """Close the wrapped transport; the cache holds nothing open."""
+        self.inner.close()
+
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------

@@ -681,7 +681,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     print(f"study {spec.name!r}: {spec.total_runs} runs, "
           f"{spec.jobs} job(s), transport {spec.resolved_transport!r}")
-    study = run_study(spec, executor=executor, progress=progress)
+    try:
+        study = run_study(spec, executor=executor, progress=progress)
+    finally:
+        if executor is not None:
+            executor.close()
     if show_progress:
         print()
 

@@ -79,6 +79,14 @@ register them by name in :mod:`repro.experiments.registry` and pass the
 name instead — workers re-resolve the name on their side of the
 boundary.
 
+A :class:`ParallelExecutor`'s workers live as long as the executor, not
+one :meth:`Transport.imap` call: they fork at its first fan-out and
+serve every later one until :meth:`Transport.close` (the study service
+keeps one pool from its first pool study to its shutdown).  A forked
+worker sees the registries as they were at the fork, so a mechanism,
+scenario or engine registered afterwards is not visible to it: register
+plugins before the first pool study (before serving).
+
 Both executors are registered by name
 (:mod:`repro.experiments.transport`): ``"serial"`` and ``"pool"`` in
 :data:`repro.experiments.registry.transport_factories`, next to the
@@ -101,6 +109,8 @@ from __future__ import annotations
 import os
 import pickle
 import sys
+import threading
+import time
 import traceback
 import warnings
 from abc import ABC, abstractmethod
@@ -227,6 +237,15 @@ class Transport(ABC):
         for index, result in self.imap(fn, items):
             results[index] = result
         return results
+
+    def close(self) -> None:
+        """Release what the transport keeps between :meth:`imap` calls.
+
+        The base transport keeps nothing, so this does nothing; a
+        backend whose workers outlive one call (:class:`ParallelExecutor`)
+        stops them here.  Closing is idempotent and a closed transport
+        stays usable: its next :meth:`imap` starts over.
+        """
 
 
 def _serial(
@@ -511,7 +530,11 @@ class ParallelExecutor(_FallbackTransport):
 
     Usage::
 
-        study = run_study(spec, executor=ParallelExecutor(jobs=4))
+        executor = ParallelExecutor(jobs=4)
+        try:
+            study = run_study(spec, executor=executor)
+        finally:
+            executor.close()
 
     Determinism is inherited from the sharding contract (module
     docstring): because every shard is pure and results are reassembled
@@ -522,6 +545,11 @@ class ParallelExecutor(_FallbackTransport):
     once with no serial re-run of completed shards.
     :attr:`last_map_parallel` is True only when the whole workload ran
     on the pool.
+
+    The workers fork at the first fan-out and serve every later
+    :meth:`imap` until :meth:`close`; whoever builds the executor
+    closes it.  A shard error or an abandoned stream keeps the pool; a
+    transport failure closes it, and the next fan-out forks a new one.
     """
 
     transport_name = "pool"
@@ -565,9 +593,24 @@ class ParallelExecutor(_FallbackTransport):
         super().__init__(
             jobs if jobs is not None else available_cpus(), batch_size, label
         )
+        #: The worker pool: forked by the first fan-out, sized
+        #: :attr:`jobs`, and reused by every later one until
+        #: :meth:`close`.
+        self._pool: Optional[ProcessPoolExecutor] = None
 
     def _in_process_only(self, n_items: int) -> bool:
         return self.jobs <= 1 or n_items <= 1
+
+    def close(self) -> None:
+        """Stop the worker pool; the next fan-out forks a fresh one.
+
+        Tasks not yet started are cancelled and the workers are joined,
+        so no worker process outlives the call.  Idempotent, and safe
+        before the first fan-out (there is no pool to stop yet).
+        """
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
 
     def _fan_out(
         self, fn: Callable[[SpecT], ResultT], items: List[SpecT]
@@ -575,26 +618,35 @@ class ParallelExecutor(_FallbackTransport):
         batch = self._effective_batch_size(len(items))
         indexed = list(enumerate(items))
         chunks = [indexed[i : i + batch] for i in range(0, len(indexed), batch)]
-        with ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(chunks)),
-            mp_context=self._context(),
-            initializer=_init_worker,
-            initargs=(list(sys.path),),
-        ) as pool:
-            futures = [pool.submit(_guarded_batch, fn, chunk) for chunk in chunks]
-            try:
-                for future in as_completed(futures):
-                    for index, outcome in future.result():
-                        if outcome.error is not None:
-                            raise _ShardFailure(outcome)
-                        yield index, outcome.value
-            finally:
-                # A shard error or an abandoned stream (break, head of a
-                # pipe, ...): cancel every not-yet-started batch so the
-                # with-block's shutdown only waits for the few already
-                # running, not the whole remaining grid.
-                for future in futures:
-                    future.cancel()
+        futures: list = []
+        try:
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.jobs,
+                    mp_context=self._context(),
+                    initializer=_init_worker,
+                    initargs=(list(sys.path), os.getpid()),
+                )
+            futures = [
+                self._pool.submit(_guarded_batch, fn, chunk) for chunk in chunks
+            ]
+            for future in as_completed(futures):
+                for index, outcome in future.result():
+                    if outcome.error is not None:
+                        raise _ShardFailure(outcome)
+                    yield index, outcome.value
+        except self._FAILURES:
+            # A dead worker breaks a pool for good: drop it, so the
+            # shell's serial finish runs and the next fan-out starts over.
+            self.close()
+            raise
+        finally:
+            # A shard error or an abandoned stream (break, head of a
+            # pipe, ...): cancel every not-yet-started batch.  The pool
+            # stays up for the next call; only the few batches already
+            # running finish, and their results are dropped.
+            for future in futures:
+                future.cancel()
         self.last_map_parallel = True
 
     @staticmethod
@@ -608,15 +660,30 @@ class ParallelExecutor(_FallbackTransport):
         return f"ParallelExecutor(jobs={self.jobs})"
 
 
-def _init_worker(parent_sys_path: List[str]) -> None:
-    """Mirror the parent's sys.path so spawned workers can import repro.
+def _init_worker(parent_sys_path: List[str], parent_pid: int) -> None:
+    """Mirror the parent's sys.path and end the worker with its parent.
 
     Parent entries are *prepended in parent order*: appending them after
     the worker's defaults could resolve ``repro`` to a different
     (shadowing) installation than the parent's, silently mixing two
     versions of the code in one experiment.
+
+    A pool outlives one fan-out, so an idle worker of a parent killed
+    without :meth:`ParallelExecutor.close` (SIGKILL, the OOM killer)
+    would wait for work forever; a daemon thread exits the worker once
+    it has been re-parented.
     """
     parent_entries = list(parent_sys_path)
     parent_set = set(parent_entries)
     worker_only = [entry for entry in sys.path if entry not in parent_set]
     sys.path[:] = parent_entries + worker_only
+    threading.Thread(
+        target=_exit_when_orphaned, args=(parent_pid,), daemon=True
+    ).start()
+
+
+def _exit_when_orphaned(parent_pid: int) -> None:
+    """Exit this worker process within a second of *parent_pid* dying."""
+    while os.getppid() == parent_pid:
+        time.sleep(1.0)
+    os._exit(1)

@@ -966,12 +966,17 @@ class _StudyExecutor:
     undone on exit via the with-statement's try/finally — including
     when ``run_study`` raises mid-flight — so reusing one executor
     across studies never misattributes a later study's warnings.
+
+    A transport built here is closed on exit, so a one-shot study leaves
+    no pool workers behind; an explicit *executor* belongs to its
+    caller, who closes it.
     """
 
     def __init__(self, spec: StudySpec, executor: Optional[Transport]) -> None:
         self.spec = spec
         self.executor = executor
         self._labelled = False
+        self._owned = False
 
     def __enter__(self) -> Optional[Transport]:
         executor = self.executor
@@ -979,6 +984,7 @@ class _StudyExecutor:
             executor = self.spec.build_transport()
             if executor is None:
                 return None  # the historical in-process path
+            self._owned = True
         if getattr(executor, "label", False) is None:
             executor.label = self.spec.name
             self._labelled = True
@@ -986,12 +992,14 @@ class _StudyExecutor:
         return executor
 
     def __exit__(self, *exc_info) -> None:
-        if self._labelled:
-            try:
+        try:
+            if self._labelled:
                 # Back to unset — the only prior state this branch sees.
                 self.executor.label = None
-            finally:
-                self._labelled = False
+        finally:
+            self._labelled = False
+            if self._owned:
+                self.executor.close()
 
 
 def run_study(
@@ -1029,8 +1037,10 @@ def run_study(
             its ``transport`` name is resolved with the spec's jobs,
             batch size, and ``transport_options`` (the null-transport derivation — ``"pool"`` above one job,
             ``"serial"`` otherwise — reproduces the historical
-            behaviour exactly).  Fallback warnings are labelled with
-            the study name either way.
+            behaviour exactly) and the transport built that way is
+            closed when the study ends.  A passed *executor* stays open:
+            its caller reuses and closes it.  Fallback warnings are
+            labelled with the study name either way.
         progress: optional streaming observer
             (:data:`~repro.experiments.sweep.ProgressCallback`), called
             as ``progress(shard, result, completed, total)`` once per

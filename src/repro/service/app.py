@@ -390,6 +390,12 @@ class StudyServer(ThreadingHTTPServer):
         """Bind *address* and attach *service* for the handlers."""
         super().__init__(address, _StudyRequestHandler)
         self.service = service
+        # Whether serve_forever is looping (or closed before it began):
+        # shutdown() waits for a loop to acknowledge, so it must only
+        # be asked of a running one.
+        self._loop_lock = threading.Lock()
+        self._serving = False
+        self._closed = False
 
     @property
     def url(self) -> str:
@@ -397,9 +403,30 @@ class StudyServer(ThreadingHTTPServer):
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
 
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        """Handle requests until :meth:`close` (returns at once if closed)."""
+        with self._loop_lock:
+            if self._closed:
+                return
+            self._serving = True
+        try:
+            super().serve_forever(poll_interval)
+        finally:
+            with self._loop_lock:
+                self._serving = False
+
     def close(self) -> None:
-        """Stop accepting, stop the scheduler, release the socket."""
-        self.shutdown()
+        """Stop accepting, stop the scheduler, release the socket.
+
+        Works whether or not :meth:`serve_forever` ever ran: the loop
+        is shut down only while it is serving, and the scheduler (with
+        its pool workers) is stopped either way.
+        """
+        with self._loop_lock:
+            self._closed = True
+            serving = self._serving
+        if serving:
+            self.shutdown()
         self.service.close()
         self.server_close()
 

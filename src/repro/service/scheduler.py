@@ -15,6 +15,12 @@ a server fronting a ``file-queue`` directory funnels every study
 through one coordinator sharing one worker fleet — concurrent
 submitters queue behind each other instead of racing for the workers.
 
+The scheduler keeps the inner transport it built from one study to the
+next while the execution settings stay the same, so a ``pool`` server
+forks its workers at the first pool study and keeps them until
+:meth:`StudyScheduler.close` (server shutdown).  Workers see the
+registries as they were at that fork: register plugins before serving.
+
 Cancellation is cooperative and per-cell: ``DELETE /studies/{id}``
 flags the study, and the progress callback raises
 :class:`StudyCancelled` at the next completed cell; a queued study is
@@ -29,7 +35,8 @@ from collections import deque
 from typing import Any, Dict, Iterator, List, Mapping, Optional
 
 from ..cache.store import validate_cache_options
-from ..experiments.parallel import SerialExecutor
+from ..cache.transport import wrap_with_cache
+from ..experiments.parallel import SerialExecutor, Transport
 from ..experiments.spec import StudySpec, run_study
 from ..experiments.sweep import progress_event
 from ..experiments.transport import validate_transport
@@ -177,6 +184,10 @@ class StudyScheduler:
         self._active: Optional[str] = None
         self._cancel_requested: set = set()
         self._events: Dict[str, EventLog] = {}
+        # The one live inner transport and the execution settings it was
+        # built from: (transport name, jobs, batch_size, options).
+        self._inner: Optional[Transport] = None
+        self._inner_key: Optional[tuple] = None
         self._thread = threading.Thread(
             target=self._loop, name="study-scheduler", daemon=True
         )
@@ -199,9 +210,11 @@ class StudyScheduler:
     def close(self, *, timeout: float = 30.0) -> None:
         """Stop the thread; a running study aborts and is marked cancelled.
 
-        (A *hard* kill — no close — leaves the study ``running`` on
-        disk; the next start's :meth:`~repro.service.store.StudyStore.recover`
-        marks it failed as interrupted.)
+        Once the thread has joined, the live transport is closed, so its
+        pool workers exit with the scheduler.  (A *hard* kill — no
+        close — leaves the study ``running`` on disk; the next start's
+        :meth:`~repro.service.store.StudyStore.recover` marks it failed
+        as interrupted.)
         """
         with self._cond:
             self._stop = True
@@ -210,6 +223,7 @@ class StudyScheduler:
             self._cond.notify_all()
         if self._thread.is_alive():
             self._thread.join(timeout=timeout)
+        self._close_inner()
 
     def is_alive(self) -> bool:
         """Whether the scheduler thread is running (``/healthz``)."""
@@ -372,7 +386,7 @@ class StudyScheduler:
 
         return progress
 
-    def _build_executor(self, spec: StudySpec):
+    def _build_executor(self, spec: StudySpec) -> Transport:
         """The transport this study runs on (pinned name or spec-derived).
 
         The server's pinned transport and cache directory (when set)
@@ -381,6 +395,13 @@ class StudyScheduler:
         the stored spec and the artifact stay the submitted one.  One
         shared cache across every submission is what makes
         near-duplicate studies cheap.
+
+        The inner transport outlives the study, so pool workers fork
+        once, not per study: the next study resolving to the same
+        ``(transport, jobs, batch_size, transport_options)`` reuses it,
+        and the cache is wrapped around it per study.  At most one is
+        alive — a study resolving differently closes it first, so a
+        client varying ``jobs`` cannot pile up pools.
         """
         pinned: Dict[str, Any] = {}
         if self.transport is not None:
@@ -390,10 +411,31 @@ class StudyScheduler:
             )
         if self.cache is not None:
             pinned.update(cache=self.cache, cache_options=self.cache_options)
-        executor = dataclasses.replace(spec, **pinned).build_transport()
-        # None is the plain in-process path; pass it explicitly, or
-        # run_study would rebuild from the submitted spec's own section.
-        return executor if executor is not None else SerialExecutor()
+        effective = dataclasses.replace(spec, **pinned)
+        key = (
+            effective.resolved_transport,
+            effective.jobs,
+            effective.batch_size,
+            dict(effective.transport_options),
+        )
+        if key != self._inner_key:
+            self._close_inner()
+            inner = dataclasses.replace(effective, cache=None).build_transport()
+            # None is the plain in-process path; pass it explicitly, or
+            # run_study would rebuild from the submitted spec's own section.
+            self._inner = inner if inner is not None else SerialExecutor()
+            self._inner_key = key
+        if effective.cache is None:
+            return self._inner
+        return wrap_with_cache(
+            self._inner, effective.cache, dict(effective.cache_options)
+        )
+
+    def _close_inner(self) -> None:
+        """Close the live inner transport, if any (its pool workers exit)."""
+        inner, self._inner, self._inner_key = self._inner, None, None
+        if inner is not None:
+            inner.close()
 
     def _finish_events(
         self,

@@ -9,8 +9,12 @@ cell is a pure function of its pre-derived spec.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import random
+import subprocess
+import sys
+import time
 import warnings
 from collections import Counter
 from typing import Callable, Sequence
@@ -379,6 +383,176 @@ def fleet_spec() -> StudySpec:
         seed=9,
         network=NetworkSection(nodes=3, commuters=20),
     )
+
+
+def _pid_once_two_workers_ran(directory: str) -> int:
+    """Shard returning its worker's pid once two workers have checked in.
+
+    Each shard leaves its pid in *directory* and waits (up to 10 s) for a
+    second pid, so a two-worker pool must run shards on both workers.
+    """
+    open(os.path.join(directory, str(os.getpid())), "w").close()
+    deadline = time.monotonic() + 10
+    while len(os.listdir(directory)) < 2 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return os.getpid()
+
+
+def _square_outside(item) -> int:
+    """Square ``item[1]``, killing any worker process that runs it."""
+    parent_pid, n = item
+    if os.getpid() != parent_pid:
+        os._exit(1)
+    return n * n
+
+
+def _new_children(before) -> set:
+    """Live multiprocessing children not in *before* (reaps the dead)."""
+    return set(multiprocessing.active_children()) - set(before)
+
+
+#: A parent that forks a two-worker pool, prints the worker pids, and
+#: idles (until the test kills it).
+_ORPHAN_SCRIPT = """
+import multiprocessing, time
+from repro.experiments.parallel import ParallelExecutor
+pool = ParallelExecutor(jobs=2)
+assert pool.map(abs, [-1, -2, -3]) == [1, 2, 3]
+print(*[child.pid for child in multiprocessing.active_children()], flush=True)
+time.sleep(60)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether *pid* is a live, non-zombie process (reads /proc)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state != "Z"
+
+
+class TestPoolLifetime:
+    """A ParallelExecutor's workers live until close(), not one imap."""
+
+    def test_one_pool_serves_two_studies(self, tmp_path):
+        pool = ParallelExecutor(jobs=2)
+        specs = (sweep_spec(), sweep_spec(seed=10, mechanisms=("SNIP-AT",)))
+        pids = []
+        try:
+            for number, spec in enumerate(specs):
+                directory = tmp_path / f"pids-{number}"
+                directory.mkdir()
+                pids.append(
+                    set(pool.map(_pid_once_two_workers_ran, [str(directory)] * 4))
+                )
+                pooled = run_study(spec, executor=pool)
+                assert pool.last_map_parallel
+                assert pooled.to_json() == run_study(spec).to_json()
+        finally:
+            pool.close()
+        assert len(pids[0]) == 2 and os.getpid() not in pids[0]
+        assert pids[1] == pids[0]
+
+    def test_shard_error_keeps_the_pool(self, tmp_path):
+        log = tmp_path / "calls.log"
+        pool = ParallelExecutor(jobs=2)
+        try:
+            with pytest.raises(ValueError, match="shard 3 exploded"):
+                pool.map(
+                    _record_and_maybe_raise, [(str(log), n) for n in range(6)]
+                )
+            assert not pool.last_map_parallel
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ParallelFallbackWarning)
+                assert pool.map(_square, list(range(6))) == [
+                    n * n for n in range(6)
+                ]
+            assert pool.last_map_parallel
+        finally:
+            pool.close()
+        counts = Counter(int(line.split()[1]) for line in log.read_text().splitlines())
+        assert counts[3] == 1
+
+    def test_dead_worker_falls_back_then_next_call_forks_again(self):
+        pool = ParallelExecutor(jobs=2)
+        items = [(os.getpid(), n) for n in range(6)]
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert pool.map(_square_outside, items) == [
+                    n * n for n in range(6)
+                ]
+            fallbacks = [
+                w for w in caught if issubclass(w.category, ParallelFallbackWarning)
+            ]
+            assert len(fallbacks) == 1
+            assert "BrokenProcessPool" in str(fallbacks[0].message)
+            assert not pool.last_map_parallel
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ParallelFallbackWarning)
+                assert pool.map(_square, list(range(6))) == [
+                    n * n for n in range(6)
+                ]
+            assert pool.last_map_parallel
+        finally:
+            pool.close()
+
+    def test_close_joins_the_workers(self):
+        before = multiprocessing.active_children()
+        pool = ParallelExecutor(jobs=2)
+        pool.map(_square, list(range(4)))
+        assert len(_new_children(before)) == 2
+        pool.close()
+        pool.close()  # idempotent
+        assert not _new_children(before)
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self"), reason="reads process state from /proc"
+    )
+    def test_workers_exit_when_the_parent_is_killed(self):
+        # An idle pool outlives its map; a parent killed without close()
+        # must not leave its workers waiting for work forever.
+        parent = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_SCRIPT],
+            stdout=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        try:
+            workers = [int(pid) for pid in parent.stdout.readline().split()]
+            assert len(workers) == 2 and parent.pid not in workers
+        finally:
+            parent.kill()
+            parent.wait()
+            parent.stdout.close()
+        deadline = time.monotonic() + 15
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not any(map(_running, workers))
+
+    def test_run_study_closes_the_pool_it_builds(self):
+        before = multiprocessing.active_children()
+        alive = []
+
+        def progress(shard, result, completed, total) -> None:
+            alive.append(len(_new_children(before)))
+
+        run_study(sweep_spec(transport="pool", jobs=2), progress=progress)
+        assert max(alive) == 2  # the study did run on a two-worker pool
+        assert not _new_children(before)
+
+    def test_run_study_leaves_a_passed_executor_open(self):
+        before = multiprocessing.active_children()
+        pool = ParallelExecutor(jobs=2)
+        try:
+            run_study(sweep_spec(), executor=pool)
+            assert pool.last_map_parallel
+            assert len(_new_children(before)) == 2
+        finally:
+            pool.close()
+        assert not _new_children(before)
 
 
 class TestNetworkFanOut:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 import time
 from types import SimpleNamespace
@@ -104,6 +105,32 @@ class TestSchedulerExecution:
             assert store.load_spec(record.study_id).jobs == 2
         finally:
             scheduler.close()
+
+    def test_new_execution_settings_close_the_previous_pool(self, tmp_path):
+        # A client varying jobs must not pile up pools: each study with
+        # new settings closes the previous transport before it runs.
+        before = set(multiprocessing.active_children())
+        store = StudyStore(str(tmp_path))
+        scheduler = StudyScheduler(store)
+        scheduler.start()
+        workers = []
+        try:
+            for index, jobs in enumerate((2, 3, 3)):
+                spec = make_tiny_spec(
+                    name=f"svc-jobs-{index}", zeta_targets=(16.0, 24.0), jobs=jobs
+                )
+                record, _ = store.submit(spec)
+                scheduler.submit(record.study_id)
+                events = list(scheduler.events(record.study_id).stream())
+                assert events[-1]["event"] == "done"
+                live = set(multiprocessing.active_children()) - before
+                assert len(live) == jobs
+                workers.append(live)
+        finally:
+            scheduler.close()
+        assert not workers[0] & workers[1]  # jobs changed: a new pool
+        assert workers[2] == workers[1]  # same settings: the same pool
+        assert not set(multiprocessing.active_children()) - before
 
     def test_unknown_pinned_transport_raises_at_construction(self, tmp_path):
         store = StudyStore(str(tmp_path))

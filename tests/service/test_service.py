@@ -10,11 +10,13 @@ and fetch an artifact byte-identical to a direct ``run_study``.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import socket
 import threading
 
 import pytest
 
+from repro.experiments.parallel import SerialExecutor
 from repro.experiments.spec import StudyDocument, run_study
 from repro.service.app import make_server
 from repro.service.client import ServiceClient, ServiceError
@@ -224,6 +226,41 @@ class TestHealthz:
         assert health["queue_depth"] == 0
         assert health["studies"]["done"] == 1
         assert health["transport"] is None
+
+
+class TestServerLifetime:
+    def test_close_before_serving_returns(self, tmp_path):
+        # socketserver's shutdown() waits for a serve_forever loop that
+        # never started; close() must not ask it of an idle server.
+        server = make_server(str(tmp_path / "store"))
+        closer = threading.Thread(target=server.close, daemon=True)
+        closer.start()
+        closer.join(timeout=5)
+        assert not closer.is_alive()
+        assert not server.service.scheduler.is_alive()
+
+    def test_pool_server_keeps_one_pool_and_close_stops_it(self, tmp_path):
+        before = set(multiprocessing.active_children())
+        server = make_server(str(tmp_path / "store"), transport="pool")
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = ServiceClient(server.url, timeout=30.0)
+            for seed in (1, 2):
+                spec = make_tiny_spec(
+                    seed=seed, zeta_targets=(16.0, 24.0), jobs=2
+                )
+                study_id = client.submit(spec)["id"]
+                assert list(client.stream(study_id))[-1]["event"] == "done"
+                # Both studies ran on the same two live workers.
+                assert len(set(multiprocessing.active_children()) - before) == 2
+                assert client.result_text(study_id) == run_study(
+                    spec, executor=SerialExecutor()
+                ).to_json()
+        finally:
+            server.close()
+            thread.join(timeout=10)
+        assert not set(multiprocessing.active_children()) - before
 
 
 class TestRestartSemantics:
