@@ -60,7 +60,10 @@ def generate_ablation():
         analytic_capacity.append(capacity)
         analytic_rho.append(phi / capacity)
     pool = ParallelExecutor(jobs=min(4, len(MULTIPLIERS)))
-    cells = pool.map(_run_duty_cell, MULTIPLIERS)
+    try:
+        cells = pool.map(_run_duty_cell, MULTIPLIERS)
+    finally:
+        pool.close()
     simulated_capacity = [zeta for zeta, _rho in cells]
     simulated_rho = [rho for _zeta, rho in cells]
     return analytic_capacity, analytic_rho, simulated_capacity, simulated_rho

@@ -75,7 +75,10 @@ def generate_ablation():
         streams=RandomStreams(3),
     ).generate()
     pool = ParallelExecutor(jobs=min(4, len(SLOT_COUNTS)))
-    cells = pool.map(_run_slot_cell, [(n, trace) for n in SLOT_COUNTS])
+    try:
+        cells = pool.map(_run_slot_cell, [(n, trace) for n in SLOT_COUNTS])
+    finally:
+        pool.close()
     zetas, phis, marked_hours = (list(values) for values in zip(*cells))
     return zetas, phis, marked_hours
 

@@ -87,8 +87,11 @@ def run_paper_grid(divisors, *, epochs, replicate_seeds, jobs=JOBS):
     serial_seconds = time.perf_counter() - start
     pool = ParallelExecutor(jobs=jobs)
     start = time.perf_counter()
-    parallel = run_study(spec, executor=pool).grid()
-    parallel_seconds = time.perf_counter() - start
+    try:
+        parallel = run_study(spec, executor=pool).grid()
+        parallel_seconds = time.perf_counter() - start
+    finally:
+        pool.close()
     assert pool.last_map_parallel, "pool fell back to serial; timing is meaningless"
     for phi_max in spec.phi_maxes:
         for metric in METRICS:

@@ -174,9 +174,10 @@ def wrap_with_cache(
 ) -> CachedTransport:
     """Decorate *executor* with a :class:`CellCache` at *cache_dir*.
 
-    The single construction path shared by
+    The single construction path behind
+    :meth:`~repro.experiments.spec.StudySpec.wrap_cache` (which
     :meth:`~repro.experiments.spec.StudySpec.build_transport` and the
-    service scheduler: *options* are validated strictly
+    service scheduler both go through): *options* are validated strictly
     (:func:`~repro.cache.store.validate_cache_options`), and a None
     *executor* (the historical plain-serial path) is wrapped around a
     :class:`~repro.experiments.parallel.SerialExecutor` so the caching

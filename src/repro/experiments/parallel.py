@@ -108,6 +108,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import signal
 import sys
 import threading
 import time
@@ -546,8 +547,10 @@ class ParallelExecutor(_FallbackTransport):
     :attr:`last_map_parallel` is True only when the whole workload ran
     on the pool.
 
-    The workers fork at the first fan-out and serve every later
-    :meth:`imap` until :meth:`close`; whoever builds the executor
+    The workers fork at the first fan-out, one per batch up to
+    :attr:`jobs`, and serve every later :meth:`imap` until
+    :meth:`close`; a later fan-out with more batches than workers
+    replaces the pool with a larger one.  Whoever builds the executor
     closes it.  A shard error or an abandoned stream keeps the pool; a
     transport failure closes it, and the next fan-out forks a new one.
     """
@@ -593,10 +596,12 @@ class ParallelExecutor(_FallbackTransport):
         super().__init__(
             jobs if jobs is not None else available_cpus(), batch_size, label
         )
-        #: The worker pool: forked by the first fan-out, sized
-        #: :attr:`jobs`, and reused by every later one until
-        #: :meth:`close`.
+        #: The worker pool and its worker count: forked by the first
+        #: fan-out with as many workers as it has batches (at most
+        #: :attr:`jobs`), reused by every later one until :meth:`close`,
+        #: and re-forked larger only when a fan-out has more batches.
         self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool_workers = 0
 
     def _in_process_only(self, n_items: int) -> bool:
         return self.jobs <= 1 or n_items <= 1
@@ -608,7 +613,7 @@ class ParallelExecutor(_FallbackTransport):
         so no worker process outlives the call.  Idempotent, and safe
         before the first fan-out (there is no pool to stop yet).
         """
-        pool, self._pool = self._pool, None
+        pool, self._pool, self._pool_workers = self._pool, None, 0
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
 
@@ -618,15 +623,19 @@ class ParallelExecutor(_FallbackTransport):
         batch = self._effective_batch_size(len(items))
         indexed = list(enumerate(items))
         chunks = [indexed[i : i + batch] for i in range(0, len(indexed), batch)]
+        workers = min(self.jobs, len(chunks))
+        if workers > self._pool_workers:
+            self.close()
         futures: list = []
         try:
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(
-                    max_workers=self.jobs,
+                    max_workers=workers,
                     mp_context=self._context(),
                     initializer=_init_worker,
                     initargs=(list(sys.path), os.getpid()),
                 )
+                self._pool_workers = workers
             futures = [
                 self._pool.submit(_guarded_batch, fn, chunk) for chunk in chunks
             ]
@@ -672,7 +681,16 @@ def _init_worker(parent_sys_path: List[str], parent_pid: int) -> None:
     without :meth:`ParallelExecutor.close` (SIGKILL, the OOM killer)
     would wait for work forever; a daemon thread exits the worker once
     it has been re-parented.
+
+    A forked worker also inherits the parent's signal handlers (the
+    study server's graceful shutdown, say), which would keep a plain
+    ``kill`` from ending it.  SIGTERM goes back to the default, so it
+    ends a worker; SIGINT is ignored, so a terminal's Ctrl-C reaches the
+    parent alone, and the parent's :meth:`ParallelExecutor.close` stops
+    the workers.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     parent_entries = list(parent_sys_path)
     parent_set = set(parent_entries)
     worker_only = [entry for entry in sys.path if entry not in parent_set]

@@ -502,29 +502,40 @@ class StudySpec:
     def build_transport(self) -> Optional[Transport]:
         """The transport this spec's execution section describes.
 
-        The one construction path, shared by :func:`run_study`, the CLI,
-        and the service (which pins its transport and cache by
-        replacing those fields first): the plain ``"serial"`` case (no
-        explicit options) returns None — the historical in-process
-        path — and anything else resolves the transport name with the
-        spec's jobs, batch size, and options through
-        :func:`~repro.experiments.transport.resolve_transport`.
+        The one construction path, shared by :func:`run_study` and the
+        CLI: :meth:`build_inner_transport` decorated by
+        :meth:`wrap_cache`.  The service runs the same two steps apart,
+        so one inner transport (and its pool) can serve many studies.
+        """
+        return self.wrap_cache(self.build_inner_transport())
 
-        When the spec names a ``cache`` directory the resolved
-        transport (including the plain-serial None) is decorated with
-        :class:`~repro.cache.transport.CachedTransport`, so cells hit
-        the content-addressed cache before the inner transport runs.
+    def build_inner_transport(self) -> Optional[Transport]:
+        """The transport this spec names, before any cache decorates it.
+
+        The plain ``"serial"`` case (no explicit options) returns None —
+        the historical in-process path — and anything else resolves the
+        transport name with the spec's jobs, batch size, and options
+        through :func:`~repro.experiments.transport.resolve_transport`.
         """
         name = self.resolved_transport
         if name == "serial" and not self.transport_options:
-            executor: Optional[Transport] = None
-        else:
-            executor = resolve_transport(
-                name,
-                jobs=self.jobs,
-                batch_size=self.batch_size,
-                options=self.transport_options,
-            )
+            return None
+        return resolve_transport(
+            name,
+            jobs=self.jobs,
+            batch_size=self.batch_size,
+            options=self.transport_options,
+        )
+
+    def wrap_cache(self, executor: Optional[Transport]) -> Optional[Transport]:
+        """*executor* behind this spec's cell cache, if it names one.
+
+        When the spec names a ``cache`` directory the transport
+        (including the plain-serial None) is decorated with
+        :class:`~repro.cache.transport.CachedTransport`, so cells hit
+        the content-addressed cache before the inner transport runs;
+        otherwise *executor* is returned as it is.
+        """
         if self.cache is None:
             return executor
         from ..cache.transport import wrap_with_cache

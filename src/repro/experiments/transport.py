@@ -206,7 +206,7 @@ def resolve_transport(
     factory's signature before construction.  This is the single
     resolution path behind :func:`~repro.experiments.spec.run_study`,
     the service, and the CLI (all through
-    :meth:`~repro.experiments.spec.StudySpec.build_transport`).
+    :meth:`~repro.experiments.spec.StudySpec.build_inner_transport`).
     """
     validate_transport(name, options)
     factory = transport_factories.resolve(name)

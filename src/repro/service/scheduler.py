@@ -35,7 +35,6 @@ from collections import deque
 from typing import Any, Dict, Iterator, List, Mapping, Optional
 
 from ..cache.store import validate_cache_options
-from ..cache.transport import wrap_with_cache
 from ..experiments.parallel import SerialExecutor, Transport
 from ..experiments.spec import StudySpec, run_study
 from ..experiments.sweep import progress_event
@@ -211,7 +210,8 @@ class StudyScheduler:
         """Stop the thread; a running study aborts and is marked cancelled.
 
         Once the thread has joined, the live transport is closed, so its
-        pool workers exit with the scheduler.  (A *hard* kill — no
+        pool workers exit with the scheduler; a thread still running a
+        study after *timeout* keeps its transport.  (A *hard* kill — no
         close — leaves the study ``running`` on disk; the next start's
         :meth:`~repro.service.store.StudyStore.recover` marks it failed
         as interrupted.)
@@ -223,7 +223,10 @@ class StudyScheduler:
             self._cond.notify_all()
         if self._thread.is_alive():
             self._thread.join(timeout=timeout)
-        self._close_inner()
+        if not self._thread.is_alive():
+            # Never under a study still running on the thread: its pool
+            # is left to process exit (idle workers follow their parent).
+            self._close_inner()
 
     def is_alive(self) -> bool:
         """Whether the scheduler thread is running (``/healthz``)."""
@@ -390,8 +393,11 @@ class StudyScheduler:
         """The transport this study runs on (pinned name or spec-derived).
 
         The server's pinned transport and cache directory (when set)
-        replace the spec's own, then the spec builds the transport like
-        any other study.  The replaced spec only builds the transport:
+        replace the spec's own, then the spec builds the transport in
+        the two steps of :meth:`~repro.experiments.spec.StudySpec.build_transport`
+        (:meth:`~repro.experiments.spec.StudySpec.build_inner_transport`,
+        then :meth:`~repro.experiments.spec.StudySpec.wrap_cache`).  The
+        replaced spec only builds the transport:
         the stored spec and the artifact stay the submitted one.  One
         shared cache across every submission is what makes
         near-duplicate studies cheap.
@@ -399,7 +405,7 @@ class StudyScheduler:
         The inner transport outlives the study, so pool workers fork
         once, not per study: the next study resolving to the same
         ``(transport, jobs, batch_size, transport_options)`` reuses it,
-        and the cache is wrapped around it per study.  At most one is
+        and only the cache step runs per study.  At most one is
         alive — a study resolving differently closes it first, so a
         client varying ``jobs`` cannot pile up pools.
         """
@@ -420,16 +426,12 @@ class StudyScheduler:
         )
         if key != self._inner_key:
             self._close_inner()
-            inner = dataclasses.replace(effective, cache=None).build_transport()
+            inner = effective.build_inner_transport()
             # None is the plain in-process path; pass it explicitly, or
             # run_study would rebuild from the submitted spec's own section.
             self._inner = inner if inner is not None else SerialExecutor()
             self._inner_key = key
-        if effective.cache is None:
-            return self._inner
-        return wrap_with_cache(
-            self._inner, effective.cache, dict(effective.cache_options)
-        )
+        return effective.wrap_cache(self._inner)
 
     def _close_inner(self) -> None:
         """Close the live inner transport, if any (its pool workers exit)."""

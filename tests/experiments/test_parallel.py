@@ -12,6 +12,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -423,6 +424,19 @@ time.sleep(60)
 """
 
 
+#: A parent with its own SIGTERM handler (as the study server installs)
+#: that forks a two-worker pool, prints the worker pids, and idles.
+_HANDLER_SCRIPT = """
+import multiprocessing, signal, time
+from repro.experiments.parallel import ParallelExecutor
+signal.signal(signal.SIGTERM, lambda signum, frame: None)
+pool = ParallelExecutor(jobs=2)
+assert pool.map(abs, [-1, -2, -3]) == [1, 2, 3]
+print(*[child.pid for child in multiprocessing.active_children()], flush=True)
+time.sleep(60)
+"""
+
+
 def _running(pid: int) -> bool:
     """Whether *pid* is a live, non-zombie process (reads /proc)."""
     try:
@@ -531,6 +545,45 @@ class TestPoolLifetime:
         while any(map(_running, workers)) and time.monotonic() < deadline:
             time.sleep(0.1)
         assert not any(map(_running, workers))
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self"), reason="reads process state from /proc"
+    )
+    def test_sigterm_ends_a_worker_whose_parent_handles_it(self):
+        parent = subprocess.Popen(
+            [sys.executable, "-c", _HANDLER_SCRIPT],
+            stdout=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        try:
+            workers = [int(pid) for pid in parent.stdout.readline().split()]
+            assert len(workers) == 2 and parent.pid not in workers
+            os.kill(workers[0], signal.SIGTERM)
+            deadline = time.monotonic() + 10
+            while _running(workers[0]) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _running(workers[0])
+        finally:
+            parent.kill()
+            parent.wait()
+            parent.stdout.close()
+
+    def test_first_pool_has_one_worker_per_batch_and_grows(self):
+        before = multiprocessing.active_children()
+        pool = ParallelExecutor(jobs=3)
+        try:
+            assert pool.map(_square, [1, 2]) == [1, 4]
+            small = _new_children(before)
+            assert len(small) == 2
+            assert pool.map(_square, list(range(6))) == [n * n for n in range(6)]
+            grown = _new_children(before)
+            assert len(grown) == 3 and not grown & small
+            assert pool.map(_square, [1, 2]) == [1, 4]
+            assert _new_children(before) == grown  # fewer batches: same pool
+        finally:
+            pool.close()
+        assert not _new_children(before)
 
     def test_run_study_closes_the_pool_it_builds(self):
         before = multiprocessing.active_children()

@@ -117,7 +117,9 @@ class TestSchedulerExecution:
         try:
             for index, jobs in enumerate((2, 3, 3)):
                 spec = make_tiny_spec(
-                    name=f"svc-jobs-{index}", zeta_targets=(16.0, 24.0), jobs=jobs
+                    name=f"svc-jobs-{index}",
+                    zeta_targets=(16.0, 24.0, 32.0),
+                    jobs=jobs,
                 )
                 record, _ = store.submit(spec)
                 scheduler.submit(record.study_id)
@@ -210,6 +212,40 @@ class TestCancellation:
         scheduler.submit(record.study_id)
         assert started.wait(timeout=10)
         scheduler.close()
+        assert store.get(record.study_id).state == "cancelled"
+
+    def test_close_keeps_the_transport_of_a_study_still_running(
+        self, tmp_path, monkeypatch
+    ):
+        # A thread that outlives close()'s timeout is still streaming
+        # from its transport; closing the pool under it would fail the
+        # study instead of letting it end.
+        store = StudyStore(str(tmp_path))
+        scheduler = StudyScheduler(store)
+        started, release = threading.Event(), threading.Event()
+        closed = []
+
+        def stuck_run_study(spec, *, executor=None, progress=None, **kwargs):
+            executor.close = lambda: closed.append(executor)
+            started.set()
+            release.wait(timeout=30)
+            shard, result = fake_cell()
+            progress(shard, result, 1, 1)  # stopping: raises StudyCancelled
+
+        monkeypatch.setattr(
+            "repro.service.scheduler.run_study", stuck_run_study
+        )
+        record, _ = store.submit(make_tiny_spec())
+        scheduler.start()
+        scheduler.submit(record.study_id)
+        assert started.wait(timeout=10)
+        try:
+            scheduler.close(timeout=0.2)
+            assert scheduler.is_alive()
+            assert closed == []
+        finally:
+            release.set()
+            scheduler._thread.join(timeout=10)
         assert store.get(record.study_id).state == "cancelled"
 
 
