@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
-from ..experiments.parallel import SerialExecutor, Transport
+from ..experiments.parallel import Transport
 from ..experiments.runner import RunSpec, execute_run_spec
 from .keys import cache_key
 from .store import CellCache, decode_result, encode_result, validate_cache_options
@@ -49,12 +49,12 @@ class CachedTransport(Transport):
 
     A :class:`~repro.experiments.parallel.Transport` itself (``imap``
     with index reassembly) that forwards the attributes the study layer
-    reads — ``transport_name``, ``label``, ``last_map_parallel``,
-    ``jobs`` — to the wrapped transport, so wrapping is invisible to
-    everything except wall-clock time.
+    reads — ``label`` and ``last_map_parallel`` — to the wrapped
+    transport, so wrapping is invisible to everything except wall-clock
+    time.
     """
 
-    def __init__(self, inner: Any, cache: CellCache) -> None:
+    def __init__(self, inner: Transport, cache: CellCache) -> None:
         """Wrap transport *inner* with *cache*."""
         self.inner = inner
         self.cache = cache
@@ -63,14 +63,9 @@ class CachedTransport(Transport):
     # forwarded transport surface
     # ------------------------------------------------------------------
     @property
-    def transport_name(self) -> str:
-        """The wrapped transport's registry name (wrapping is invisible)."""
-        return getattr(self.inner, "transport_name", type(self.inner).__name__)
-
-    @property
     def label(self) -> Optional[str]:
         """The wrapped transport's workload label (study name tagging)."""
-        return getattr(self.inner, "label", None)
+        return self.inner.label
 
     @label.setter
     def label(self, value: Optional[str]) -> None:
@@ -79,12 +74,7 @@ class CachedTransport(Transport):
     @property
     def last_map_parallel(self) -> bool:
         """Whether the inner transport's last run actually fanned out."""
-        return getattr(self.inner, "last_map_parallel", False)
-
-    @property
-    def jobs(self) -> int:
-        """The wrapped transport's worker count."""
-        return getattr(self.inner, "jobs", 1)
+        return self.inner.last_map_parallel
 
     def close(self) -> None:
         """Close the wrapped transport; the cache holds nothing open."""
@@ -168,23 +158,20 @@ class CachedTransport(Transport):
 
 
 def wrap_with_cache(
-    executor: Optional[Any],
+    executor: Transport,
     cache_dir: str,
     options: Optional[dict] = None,
 ) -> CachedTransport:
-    """Decorate *executor* with a :class:`CellCache` at *cache_dir*.
+    """Decorate transport *executor* with a :class:`CellCache` at *cache_dir*.
 
     The single construction path behind
     :meth:`~repro.experiments.spec.StudySpec.wrap_cache` (which
     :meth:`~repro.experiments.spec.StudySpec.build_transport` and the
     service scheduler both go through): *options* are validated strictly
-    (:func:`~repro.cache.store.validate_cache_options`), and a None
-    *executor* (the historical plain-serial path) is wrapped around a
-    :class:`~repro.experiments.parallel.SerialExecutor` so the caching
-    layer always has a downstream transport.
+    (:func:`~repro.cache.store.validate_cache_options`).  *executor* is
+    the downstream transport the misses run on — a plain serial study
+    passes its :class:`~repro.experiments.parallel.SerialExecutor` — and
+    closing the returned decorator closes it.
     """
     validated = validate_cache_options(options)
-    cache = CellCache(cache_dir, **validated)
-    return CachedTransport(
-        executor if executor is not None else SerialExecutor(), cache
-    )
+    return CachedTransport(executor, CellCache(cache_dir, **validated))

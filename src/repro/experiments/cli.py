@@ -69,6 +69,7 @@ from ..errors import ConfigurationError, ReproError
 from ..scenarios import available_scenarios
 from ..units import DAY, require_non_negative, require_positive
 from .agreement import AGREEMENT_METRICS, AgreementResult
+from .parallel import Transport
 from .reporting import (
     format_estimate,
     format_series,
@@ -126,21 +127,21 @@ def _write_output(path: str, result) -> None:
     print(f"wrote {path}")
 
 
-def _report_pool(jobs: int, executor) -> None:
+def _report_pool(spec: StudySpec, executor: Transport) -> None:
     """The transport diagnostic line (asserted by the CI smokes).
 
-    ``pool used`` means the distributed path was actually taken — for
-    the pool transport that the shards ran on worker processes, for the
-    file queue that at least one ticket was completed by another
-    process (a spawned or external worker).
+    Printed for every transport, named by the registry name it was
+    built from.  ``pool used`` means the distributed path was actually
+    taken — for the pool transport that the shards ran on worker
+    processes, for the file queue that at least one ticket was
+    completed by another process (a spawned or external worker); a
+    serial run always reports ``no``.
     """
-    if executor is not None:
-        used = "yes" if getattr(executor, "last_map_parallel", False) else "no"
-        name = getattr(executor, "transport_name", type(executor).__name__)
-        print(
-            f"study fan-out: {jobs} jobs via {name!r} transport, "
-            f"pool used: {used}"
-        )
+    used = "yes" if executor.last_map_parallel else "no"
+    print(
+        f"study fan-out: {spec.jobs} jobs via {spec.resolved_transport!r} "
+        f"transport, pool used: {used}"
+    )
 
 
 def _scenario_entry(args: argparse.Namespace):
@@ -684,8 +685,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         study = run_study(spec, executor=executor, progress=progress)
     finally:
-        if executor is not None:
-            executor.close()
+        executor.close()
     if show_progress:
         print()
 
@@ -721,7 +721,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         # smoke): how much of the study came from the cell cache.
         print(f"cache: {study.cells_cached} hit(s), "
               f"{study.cells_computed} computed")
-    _report_pool(spec.jobs, executor)
+    _report_pool(spec, executor)
     if args.gate is not None:
         if not study.agreements:
             print("--gate requires a study listing >= 2 engines")

@@ -47,7 +47,8 @@ all produce byte-identical series for every Φmax budget.
 Transports
 ==========
 
-:class:`Transport` is the base class of every backend.
+:class:`Transport` is the base class of every backend, and every study
+runs on one: there is no "no transport" path.
 :class:`SerialExecutor` runs shards in-process, lazily, one shard per
 pair pulled (the default everywhere, and the reference semantics).
 Backends that ship shards out of process — :class:`ParallelExecutor`
@@ -92,7 +93,10 @@ Both executors are registered by name
 :data:`repro.experiments.registry.transport_factories`, next to the
 directory-backed ``"file-queue"`` backend — so a
 :class:`~repro.experiments.spec.StudySpec` selects its execution
-backend by name exactly like it selects mechanisms and engines.
+backend by name exactly like it selects mechanisms and engines.  That
+registry name is a transport's only name: a plain serial spec builds a
+:class:`SerialExecutor` like any other, and whoever builds a transport
+closes it.
 
 Because shards are pure (rule 1), their outcomes are also
 **memoizable**: :class:`repro.cache.transport.CachedTransport`
@@ -216,8 +220,15 @@ class Transport(ABC):
     of how to execute a study travels inside the study file itself.
     """
 
-    #: The registry name this transport answers to.
-    transport_name: str
+    #: Optional workload name a backend includes in its fallback
+    #: warnings.  :func:`repro.experiments.spec.run_study` tags an unset
+    #: label with the study name for the duration of a run.
+    label: Optional[str] = None
+
+    #: Whether the most recent :meth:`imap` actually fanned out (each
+    #: backend defines what counts): a diagnostic for benches, the CLI
+    #: and tests.  Results are identical either way.
+    last_map_parallel = False
 
     @abstractmethod
     def imap(
@@ -266,10 +277,6 @@ def _serial(
 
 class SerialExecutor(Transport):
     """In-process execution: the reference semantics for every executor."""
-
-    jobs = 1
-
-    transport_name = "serial"
 
     def imap(
         self, fn: Callable[[SpecT], ResultT], items: Sequence[SpecT]
@@ -429,19 +436,13 @@ class _FallbackTransport(Transport):
     def __init__(
         self, jobs: int, batch_size: int | str, label: Optional[str] = None
     ) -> None:
-        if jobs < 1:
-            raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+        # bool is an int subclass but never a worker count.
+        if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
+            raise ConfigurationError(f"jobs must be an int >= 1, got {jobs!r}")
         _validate_batch_size(batch_size)
         self.jobs = jobs
         self.batch_size = batch_size
-        #: Optional workload name included in every fallback warning.
-        #: :func:`repro.experiments.spec.run_study` fills it with the
-        #: study name for the duration of a run when it is unset.
         self.label = label
-        #: Whether the most recent :meth:`imap` actually fanned out (each
-        #: backend defines what counts) — diagnostic for benches, the
-        #: CLI, and tests; results are identical either way.
-        self.last_map_parallel = False
 
     def imap(
         self, fn: Callable[[SpecT], ResultT], items: Sequence[SpecT]
@@ -555,8 +556,6 @@ class ParallelExecutor(_FallbackTransport):
     transport failure closes it, and the next fan-out forks a new one.
     """
 
-    transport_name = "pool"
-
     #: Pool startup, spec/result pickling, worker process lifetime —
     #: never the shard function, whose exceptions are captured
     #: worker-side by :func:`_guarded_shard`.
@@ -578,7 +577,8 @@ class ParallelExecutor(_FallbackTransport):
         """Configure the pool fan-out.
 
         Args:
-            jobs: worker processes; default: the available CPU count.
+            jobs: worker processes, an int >= 1; default: the
+                available CPU count.
             batch_size: shards grouped into one pool task.  The default
                 ``1`` ships every shard separately (the historical
                 behaviour); an integer ``k`` groups k consecutive shards

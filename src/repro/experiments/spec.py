@@ -499,42 +499,39 @@ class StudySpec:
             )
         return list(self.replicate_seeds)
 
-    def build_transport(self) -> Optional[Transport]:
+    def build_transport(self) -> Transport:
         """The transport this spec's execution section describes.
 
         The one construction path, shared by :func:`run_study` and the
         CLI: :meth:`build_inner_transport` decorated by
         :meth:`wrap_cache`.  The service runs the same two steps apart,
         so one inner transport (and its pool) can serve many studies.
+        Whoever calls this closes the transport it returns.
         """
         return self.wrap_cache(self.build_inner_transport())
 
-    def build_inner_transport(self) -> Optional[Transport]:
+    def build_inner_transport(self) -> Transport:
         """The transport this spec names, before any cache decorates it.
 
-        The plain ``"serial"`` case (no explicit options) returns None —
-        the historical in-process path — and anything else resolves the
-        transport name with the spec's jobs, batch size, and options
-        through :func:`~repro.experiments.transport.resolve_transport`.
+        :attr:`resolved_transport` resolves through
+        :func:`~repro.experiments.transport.resolve_transport` with the
+        spec's jobs, batch size, and options, so a plain serial spec
+        builds a :class:`~repro.experiments.parallel.SerialExecutor`.
         """
-        name = self.resolved_transport
-        if name == "serial" and not self.transport_options:
-            return None
         return resolve_transport(
-            name,
+            self.resolved_transport,
             jobs=self.jobs,
             batch_size=self.batch_size,
             options=self.transport_options,
         )
 
-    def wrap_cache(self, executor: Optional[Transport]) -> Optional[Transport]:
+    def wrap_cache(self, executor: Transport) -> Transport:
         """*executor* behind this spec's cell cache, if it names one.
 
-        When the spec names a ``cache`` directory the transport
-        (including the plain-serial None) is decorated with
-        :class:`~repro.cache.transport.CachedTransport`, so cells hit
-        the content-addressed cache before the inner transport runs;
-        otherwise *executor* is returned as it is.
+        When the spec names a ``cache`` directory the transport is
+        decorated with :class:`~repro.cache.transport.CachedTransport`,
+        so cells hit the content-addressed cache before the inner
+        transport runs; otherwise *executor* is returned as it is.
         """
         if self.cache is None:
             return executor
@@ -962,57 +959,6 @@ class StudyDocument:
 # ----------------------------------------------------------------------
 # execution
 # ----------------------------------------------------------------------
-class _StudyExecutor:
-    """Context manager resolving the transport a study runs on.
-
-    An explicit *executor* wins; otherwise
-    :meth:`StudySpec.build_transport` resolves the spec's execution
-    section **by name** — the plain ``"serial"`` derivation keeps the
-    historical in-process path (no object constructed at all).  Either
-    way a transport carrying an unset ``label`` is tagged with the study
-    name for the duration of the run, so any
-    :class:`~repro.experiments.parallel.ParallelFallbackWarning` it
-    emits names the study that degraded.  Only an *unset* label is ever
-    overwritten (an explicit label always wins), and the overwrite is
-    undone on exit via the with-statement's try/finally — including
-    when ``run_study`` raises mid-flight — so reusing one executor
-    across studies never misattributes a later study's warnings.
-
-    A transport built here is closed on exit, so a one-shot study leaves
-    no pool workers behind; an explicit *executor* belongs to its
-    caller, who closes it.
-    """
-
-    def __init__(self, spec: StudySpec, executor: Optional[Transport]) -> None:
-        self.spec = spec
-        self.executor = executor
-        self._labelled = False
-        self._owned = False
-
-    def __enter__(self) -> Optional[Transport]:
-        executor = self.executor
-        if executor is None:
-            executor = self.spec.build_transport()
-            if executor is None:
-                return None  # the historical in-process path
-            self._owned = True
-        if getattr(executor, "label", False) is None:
-            executor.label = self.spec.name
-            self._labelled = True
-        self.executor = executor
-        return executor
-
-    def __exit__(self, *exc_info) -> None:
-        try:
-            if self._labelled:
-                # Back to unset — the only prior state this branch sees.
-                self.executor.label = None
-        finally:
-            self._labelled = False
-            if self._owned:
-                self.executor.close()
-
-
 def run_study(
     spec: StudySpec,
     *,
@@ -1043,15 +989,16 @@ def run_study(
             any shard runs; unknown names raise
             :class:`~repro.errors.ConfigurationError` parent-side.
         executor: overrides the spec's execution section (e.g. a
-            pre-built pool, or a test's shuffled executor).  When None
-            the spec decides through :meth:`StudySpec.build_transport`:
-            its ``transport`` name is resolved with the spec's jobs,
-            batch size, and ``transport_options`` (the null-transport derivation — ``"pool"`` above one job,
-            ``"serial"`` otherwise — reproduces the historical
-            behaviour exactly) and the transport built that way is
-            closed when the study ends.  A passed *executor* stays open:
-            its caller reuses and closes it.  Fallback warnings are
-            labelled with the study name either way.
+            pre-built pool, or a test's shuffled executor); any object
+            with an ``imap`` will do.  A passed *executor* stays open:
+            its caller reuses and closes it.  When None the spec builds
+            its transport through :meth:`StudySpec.build_transport` (its
+            :attr:`~StudySpec.resolved_transport` name with the spec's
+            jobs, batch size, and ``transport_options``), and that
+            transport is closed when the study ends.  Either way an
+            unset ``label`` is set to the study name for the run, so a
+            fallback warning names the study, and is unset again
+            afterwards, even when the study raises.
         progress: optional streaming observer
             (:data:`~repro.experiments.sweep.ProgressCallback`), called
             as ``progress(shard, result, completed, total)`` once per
@@ -1073,8 +1020,21 @@ def run_study(
         shards = _fleet_shards(spec)
     else:
         templates, shards = _grid_shards(spec)
-    with _StudyExecutor(spec, executor) as resolved:
-        results = _stream_results(resolved, shards, progress)
+    owned = executor is None
+    if owned:
+        executor = spec.build_transport()
+    # Only an unset label is tagged: an explicit one always wins, and an
+    # imap-only executor without the attribute is left alone.
+    labelled = getattr(executor, "label", "") is None
+    if labelled:
+        executor.label = spec.name
+    try:
+        results = _stream_results(executor, shards, progress)
+    finally:
+        if labelled:
+            executor.label = None
+        if owned:
+            executor.close()
     if spec.network is not None:
         return _fleet_result(spec, shards, results)
     return _grid_result(spec, templates, results)

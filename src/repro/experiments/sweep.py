@@ -23,7 +23,7 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, 
 
 from ..core.analysis import AnalysisPoint, evaluate_schedulers
 from ..errors import ConfigurationError
-from .parallel import SerialExecutor, Transport
+from .parallel import Transport
 from .runner import RunResult, RunSpec, execute_run_spec
 from .scenario import Scenario
 from .stats import IntervalEstimate, estimates_from_runs
@@ -301,7 +301,7 @@ class GridResult:
 
 
 def _stream_results(
-    executor: Optional[Transport],
+    executor: Transport,
     specs: Sequence[RunSpec],
     progress: Optional[ProgressCallback],
 ) -> List[RunResult]:
@@ -310,7 +310,6 @@ def _stream_results(
     Streams through the executor's ``imap``; *progress* fires per shard
     as it completes.
     """
-    executor = executor if executor is not None else SerialExecutor()
     results: List[Optional[RunResult]] = [None] * len(specs)
     completed = 0
     for index, result in executor.imap(execute_run_spec, specs):

@@ -394,8 +394,6 @@ class FileQueueTransport(_FallbackTransport):
     naming the cause, matching the pool's observable-fallback policy.
     """
 
-    transport_name = "file-queue"
-
     #: Queue trouble — never the shard function's own errors, which are
     #: captured worker-side by the guarded batch and surface as
     #: :class:`~repro.experiments.parallel._ShardFailure` instead.

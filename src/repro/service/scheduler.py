@@ -35,7 +35,7 @@ from collections import deque
 from typing import Any, Dict, Iterator, List, Mapping, Optional
 
 from ..cache.store import validate_cache_options
-from ..experiments.parallel import SerialExecutor, Transport
+from ..experiments.parallel import Transport
 from ..experiments.spec import StudySpec, run_study
 from ..experiments.sweep import progress_event
 from ..experiments.transport import validate_transport
@@ -426,10 +426,7 @@ class StudyScheduler:
         )
         if key != self._inner_key:
             self._close_inner()
-            inner = effective.build_inner_transport()
-            # None is the plain in-process path; pass it explicitly, or
-            # run_study would rebuild from the submitted spec's own section.
-            self._inner = inner if inner is not None else SerialExecutor()
+            self._inner = effective.build_inner_transport()
             self._inner_key = key
         return effective.wrap_cache(self._inner)
 

@@ -18,6 +18,7 @@ from repro.cache.store import CellCache
 from repro.cache.transport import CachedTransport
 from repro.errors import ConfigurationError
 from repro.experiments.cli import build_parser, main
+from repro.experiments.parallel import SerialExecutor
 from repro.experiments.spec import StudySpec
 
 
@@ -76,7 +77,8 @@ class TestSpecWiring:
         spec = make_spec(cache=str(tmp_path / "cc"))
         transport = spec.build_transport()
         assert isinstance(transport, CachedTransport)
-        assert make_spec().build_transport() is None  # plain serial
+        # Plain serial is a real transport too, left undecorated.
+        assert isinstance(make_spec().build_transport(), SerialExecutor)
 
 
 class TestCliRun:

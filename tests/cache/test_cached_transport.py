@@ -184,8 +184,6 @@ class TestPartitioning:
         inner = SerialExecutor()
         transport = wrap_with_cache(inner, str(tmp_path / "cc"))
         assert transport.inner is inner
-        assert transport.transport_name == "serial"
-        assert transport.jobs == inner.jobs
         assert transport.label is None
         transport.label = "tagged"
         assert inner.label == "tagged"
@@ -193,8 +191,10 @@ class TestPartitioning:
 
     def test_wrap_with_cache_validates_options(self, tmp_path):
         with pytest.raises(ConfigurationError, match="cache_options"):
-            wrap_with_cache(None, str(tmp_path / "cc"), {"nope": 1})
-        transport = wrap_with_cache(None, str(tmp_path / "cc"), {"readonly": True})
+            wrap_with_cache(SerialExecutor(), str(tmp_path / "cc"), {"nope": 1})
+        transport = wrap_with_cache(
+            SerialExecutor(), str(tmp_path / "cc"), {"readonly": True}
+        )
         assert isinstance(transport.inner, SerialExecutor)
         assert transport.cache.readonly is True
 

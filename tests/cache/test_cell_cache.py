@@ -28,6 +28,7 @@ from repro.cache.store import (
 )
 from repro.cache.transport import wrap_with_cache
 from repro.errors import ConfigurationError
+from repro.experiments.parallel import SerialExecutor
 from repro.experiments.runner import RunResult, RunSpec, execute_run_spec
 from repro.experiments.scenario import paper_roadside_scenario
 from repro.experiments.transport import _TEMP_SUFFIX
@@ -180,7 +181,7 @@ class TestCorruption:
         )
         key = cache_key(spec)
         CellCache(root).put(key, {"epochs": [{"no_such_metric": 1}]})
-        transport = wrap_with_cache(None, root)
+        transport = wrap_with_cache(SerialExecutor(), root)
         with pytest.warns(CacheCorruptionWarning, match=key):
             [result] = transport.map(execute_run_spec, [spec])
         assert result.from_cache is False
@@ -288,7 +289,7 @@ class TestReadonly:
         writable.put(cache_key(spec), {"epochs": [{"no_such_metric": 1}]})
         path = entry_path(writable, cache_key(spec))
         before = open(path, "rb").read()
-        transport = wrap_with_cache(None, root, {"readonly": True})
+        transport = wrap_with_cache(SerialExecutor(), root, {"readonly": True})
         with pytest.warns(CacheCorruptionWarning, match="leaving it"):
             [result] = transport.map(execute_run_spec, [spec])
         assert result.from_cache is False

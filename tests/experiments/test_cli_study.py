@@ -43,6 +43,8 @@ class TestRunCommand:
         assert "study 'cli-study'" in out
         assert "Simulation zeta" in out
         assert "SNIP-RH" in out
+        # A serial run reports the transport it ran on, like any other.
+        assert "1 jobs via 'serial' transport, pool used: no" in out
 
     def test_streams_progress_by_default(self, tmp_path, capsys):
         path = write_spec(tmp_path)

@@ -102,9 +102,15 @@ class TestRegistry:
 
     def test_every_builtin_satisfies_the_protocol(self):
         for name in BUILTIN_TRANSPORTS:
-            instance = resolve_transport(name, options={})
-            assert isinstance(instance, Transport)
-            assert instance.transport_name == name
+            assert isinstance(resolve_transport(name, options={}), Transport)
+            # Every study runs on a real Transport, plain serial included.
+            built = tiny_study(transport=name).build_transport()
+            try:
+                assert isinstance(built, Transport)
+            finally:
+                built.close()
+        for spec in (tiny_study(), tiny_study(transport="serial")):
+            assert isinstance(spec.build_transport(), SerialExecutor)
 
     def test_unknown_transport_name(self):
         with pytest.raises(ConfigurationError, match="carrier-pigeon"):
@@ -140,8 +146,6 @@ class TestRegistry:
         # The acceptance pin: the historical names keep working.
         assert repro.SerialExecutor is SerialExecutor
         assert repro.ParallelExecutor is ParallelExecutor
-        assert SerialExecutor.transport_name == "serial"
-        assert ParallelExecutor.transport_name == "pool"
 
 
 class TestSpecExecutionFields:
@@ -569,6 +573,16 @@ class TestStudyExecutorLabelRestore:
         transport = FileQueueTransport(workers=0)
         run_study(tiny_study(name="fq-label"), executor=transport)
         assert transport.label is None  # restored after the run
+
+
+class TestJobsValidation:
+    @pytest.mark.parametrize(
+        "make", [ParallelExecutor, FileQueueTransport], ids=["pool", "file-queue"]
+    )
+    @pytest.mark.parametrize("jobs", [2.5, True, "2"], ids=repr)
+    def test_bad_jobs_fails_loudly(self, make, jobs):
+        with pytest.raises(ConfigurationError, match="jobs must be an int"):
+            make(jobs=jobs)
 
 
 def _raise_factory(scenario):
