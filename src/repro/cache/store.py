@@ -34,7 +34,6 @@ only in ``from_cache=True``.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -81,11 +80,11 @@ def encode_result(result: RunResult) -> Dict[str, Any]:
     The payload is the full per-epoch metrics series — the complete
     input to grid assembly, agreement deltas, and progress lines.  All
     fields are ints and finite floats, so strict JSON round-trips them
-    exactly.
+    exactly.  Every field is a scalar, so a shallow copy of each
+    epoch's fields is the whole record (``dataclasses.asdict`` would
+    deep-copy them one by one).
     """
-    return {
-        "epochs": [dataclasses.asdict(epoch) for epoch in result.metrics.epochs],
-    }
+    return {"epochs": [dict(vars(epoch)) for epoch in result.metrics.epochs]}
 
 
 def decode_result(spec: RunSpec, payload: Dict[str, Any]) -> RunResult:
@@ -153,10 +152,14 @@ def validate_cache_options(
     return validated
 
 
+def _compact(value: Any) -> str:
+    """The compact, key-sorted JSON encoding entries and checksums use."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def _payload_checksum(payload: Dict[str, Any]) -> str:
     """sha256 over the compact, key-sorted JSON encoding of *payload*."""
-    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_compact(payload).encode("utf-8")).hexdigest()
 
 
 class CellCache:
@@ -270,19 +273,19 @@ class CellCache:
         """
         if self.readonly:
             return
-        entry = {
-            "format": CACHE_FORMAT,
-            "schema": CACHE_SCHEMA_VERSION,
-            "key": key,
-            "payload": payload,
-            "checksum": _payload_checksum(payload),
-        }
-        _atomic_write(
-            self._entry_path(key),
-            (
-                json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n"
-            ).encode("utf-8"),
+        # The payload is encoded once: the checksum is taken over that
+        # text and the entry is spliced around it, field by field in
+        # sorted-key order — the bytes of _compact(entry) + "\n".
+        payload_text = _compact(payload)
+        checksum = hashlib.sha256(payload_text.encode("utf-8")).hexdigest()
+        text = (
+            f'{{"checksum":{_compact(checksum)},'
+            f'"format":{_compact(CACHE_FORMAT)},'
+            f'"key":{_compact(key)},'
+            f'"payload":{payload_text},'
+            f'"schema":{_compact(CACHE_SCHEMA_VERSION)}}}\n'
         )
+        _atomic_write(self._entry_path(key), text.encode("utf-8"))
 
     def invalidate(self, key: str) -> None:
         """Drop the entry under *key*, if present (no-op when readonly)."""

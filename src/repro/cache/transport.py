@@ -100,11 +100,11 @@ class CachedTransport(Transport):
             return
         misses: List[Tuple[int, Any, Optional[str]]] = []
         for index, item in enumerate(items):
-            result = self._lookup(item)
+            key = cache_key(item) if isinstance(item, RunSpec) else None
+            result = None if key is None else self._lookup(item, key)
             if result is not None:
                 yield index, result
             else:
-                key = cache_key(item) if isinstance(item, RunSpec) else None
                 misses.append((index, item, key))
         if not misses:
             return
@@ -129,8 +129,8 @@ class CachedTransport(Transport):
         finally:
             self.inner.outcome_sink = None
 
-    def _lookup(self, item: Any) -> Optional[Any]:
-        """A decoded cached result for *item*, or None on any miss.
+    def _lookup(self, item: RunSpec, key: str) -> Optional[Any]:
+        """The decoded result cached under *item*'s *key*, or None on a miss.
 
         A payload that no longer decodes (metrics schema drift inside
         one :data:`~repro.cache.keys.CACHE_SCHEMA_VERSION` — a bug, but
@@ -139,11 +139,6 @@ class CachedTransport(Transport):
         entry, it is deleted unless the cache is readonly, and the cell
         recomputes.
         """
-        if not isinstance(item, RunSpec):
-            return None
-        key = cache_key(item)
-        if key is None:
-            return None
         payload = self.cache.get(key)
         if payload is None:
             return None

@@ -135,12 +135,14 @@ def _report_pool(spec: StudySpec, executor: Transport) -> None:
     taken — for the pool transport that the shards ran on worker
     processes, for the file queue that at least one ticket was
     completed by another process (a spawned or external worker); a
-    serial run always reports ``no``.
+    serial run always reports ``no``.  The job count is the spec's
+    ``jobs`` when the run fanned out and 1 for any in-process run.
     """
-    used = "yes" if executor.last_map_parallel else "no"
+    parallel = executor.last_map_parallel
+    jobs = spec.jobs if parallel else 1
     print(
-        f"study fan-out: {spec.jobs} jobs via {spec.resolved_transport!r} "
-        f"transport, pool used: {used}"
+        f"study fan-out: {jobs} jobs via {spec.resolved_transport!r} "
+        f"transport, pool used: {'yes' if parallel else 'no'}"
     )
 
 

@@ -68,12 +68,18 @@ share one fallback shell that distinguishes two failure classes:
   the shards not yet yielded are re-run, and the assembled answer is
   identical.
 
-When per-shard work is tiny (closed-form cells, 1-epoch micro runs),
-per-task pickling dominates the fan-out; ``batch_size="auto"`` groups
-consecutive shards into one task to amortize it.  Batching changes only
-the transport granularity — results are still reassembled by original
-shard index, so the assembled answer stays byte-identical for any batch
-size.
+Shards ship in batches, one pool task (or file-queue ticket) each.
+``batch_size="auto"`` cuts the shards, in study order, into near-equal
+contiguous pieces, one per worker per round: ``jobs`` pieces per
+:data:`AUTO_BATCH_EPOCHS` simulated cell-epochs per worker, so every
+round keeps every worker busy and no piece holds much more than that
+much work.  A cheap study ships as one task per worker (2 for a
+12-cell, 2-epoch study on 2 jobs); the 108-cell, 14-epoch paper grid
+ships as 12 tasks of 9 on 2 or 4 jobs and 16 of 6–7 on 8.  An int
+``batch_size`` cuts contiguous chunks of that many shards instead.
+Batching changes only the transport granularity — results are still
+reassembled by original shard index, so the assembled answer stays
+byte-identical for any batch size.
 
 Scheduler factories that are closures cannot cross a process boundary;
 register them by name in :mod:`repro.experiments.registry` and pass the
@@ -140,6 +146,17 @@ from ..sim.rng import derive_seed
 
 SpecT = TypeVar("SpecT")
 ResultT = TypeVar("ResultT")
+
+#: One pool task or file-queue ticket: ``(shard index, shard)`` pairs.
+_Batch = List[Tuple[int, Any]]
+
+#: ``batch_size="auto"`` gives each worker about this many cell-epochs
+#: (shards × simulated epochs; a shard with no scenario counts 1) per
+#: batch: 10–20 ms of vector-engine work against well under 1 ms of
+#: per-task overhead, while a big study still gets several batches per
+#: worker to balance the end of the run.
+AUTO_BATCH_EPOCHS = 128
+
 
 class ParallelFallbackWarning(RuntimeWarning):
     """Emitted when :class:`ParallelExecutor` degrades to serial execution.
@@ -416,18 +433,13 @@ class _FallbackTransport(Transport):
     ``(index, value)`` pairs as they come back, raise
     :class:`_ShardFailure` for a shard's own error and anything in
     :attr:`_FAILURES` for trouble of its own.  The shell owns the rest,
-    so it is identical for every backend: the ``"auto"`` batch policy,
-    the picklability pre-flight, the in-process path for trivial
-    workloads, and the observable fallback — a
+    so it is identical for every backend: cutting the shards into
+    batches (:meth:`_batches`), the picklability pre-flight, the
+    in-process path for trivial workloads, and the observable fallback — a
     :class:`ParallelFallbackWarning` naming the cause, then the shards
     not yet yielded finished in-process.  A shard's own exception is
     raised exactly once and never triggers the fallback.
     """
-
-    #: ``batch_size="auto"`` targets this many batches per worker: small
-    #: enough to amortize per-task pickling on tiny shards, large enough
-    #: to keep the workers load-balanced when shard durations vary.
-    AUTO_BATCHES_PER_WORKER = 4
 
     #: Exceptions meaning the backend itself failed (shard errors arrive
     #: as :class:`_ShardFailure` instead, whatever their type).
@@ -468,7 +480,7 @@ class _FallbackTransport(Transport):
             return
         yielded = set()
         failure: Optional[_ShardOutcome] = None
-        stream = self._fan_out(fn, items)
+        stream = self._fan_out(fn, self._batches(items))
         try:
             for index, value in stream:
                 yielded.add(index)
@@ -499,21 +511,30 @@ class _FallbackTransport(Transport):
 
     @abstractmethod
     def _fan_out(
-        self, fn: Callable[[SpecT], ResultT], items: List[SpecT]
+        self, fn: Callable[[SpecT], ResultT], batches: List[_Batch]
     ) -> Iterator[Tuple[int, ResultT]]:
-        """The backend: ship *items*, yield ``(index, value)`` as they return."""
+        """The backend: ship *batches*, yield ``(index, value)`` as they return."""
 
-    def _effective_batch_size(self, n_items: int) -> int:
-        """The shards grouped per task for a workload of *n_items*.
+    def _batches(self, items: Sequence[SpecT]) -> List[_Batch]:
+        """The ``(index, shard)`` batches *items* ship as, one per task.
 
-        ``"auto"`` aims for :data:`AUTO_BATCHES_PER_WORKER` batches per
-        worker — enough slack to load-balance uneven shard durations
-        while still amortizing per-task pickling when the grid is much
-        larger than the worker count.
+        An int ``batch_size`` cuts contiguous chunks of that many shards.
+        ``"auto"`` cuts ``jobs`` near-equal contiguous pieces per round,
+        with as many rounds as the study has :data:`AUTO_BATCH_EPOCHS`
+        cell-epochs per worker (at least one), and never more pieces
+        than shards.
         """
-        if self.batch_size == "auto":
-            return max(1, n_items // (self.jobs * self.AUTO_BATCHES_PER_WORKER))
-        return int(self.batch_size)
+        indexed = list(enumerate(items))
+        if self.batch_size != "auto":
+            size = int(self.batch_size)
+            return [indexed[i : i + size] for i in range(0, len(indexed), size)]
+        epochs = sum(
+            getattr(getattr(shard, "scenario", None), "epochs", 1) for shard in items
+        )
+        rounds = max(1, -(-epochs // (self.jobs * AUTO_BATCH_EPOCHS)))
+        count = min(len(indexed), self.jobs * rounds)
+        bounds = [len(indexed) * k // count for k in range(count + 1)]
+        return [indexed[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     def _warn_fallback(self, cause: str) -> None:
         """Emit the (observable) degradation diagnostic."""
@@ -582,13 +603,13 @@ class ParallelExecutor(_FallbackTransport):
             batch_size: shards grouped into one pool task.  The default
                 ``1`` ships every shard separately (the historical
                 behaviour); an integer ``k`` groups k consecutive shards
-                per task; ``"auto"`` picks a size from the workload
-                (roughly ``len(items) / (jobs *``
-                :data:`AUTO_BATCHES_PER_WORKER` ``)``) so that tiny
-                per-shard work — e.g. closed-form cells — stops being
-                dominated by pickling.  Reassembly is by original shard
-                index either way, so results are byte-identical for any
-                batch size.
+                per task; ``"auto"`` cuts ``jobs`` near-equal
+                contiguous tasks per :data:`AUTO_BATCH_EPOCHS`
+                cell-epochs per worker (module docstring), so a cheap
+                study ships as one task per worker and a big one still
+                load-balances.  Reassembly is by original shard index
+                either way, so results are byte-identical for any batch
+                size.
             label: optional workload name included in every
                 :class:`ParallelFallbackWarning` so a degraded run can be
                 traced back to the study/spec that issued it.
@@ -618,12 +639,9 @@ class ParallelExecutor(_FallbackTransport):
             pool.shutdown(wait=True, cancel_futures=True)
 
     def _fan_out(
-        self, fn: Callable[[SpecT], ResultT], items: List[SpecT]
+        self, fn: Callable[[SpecT], ResultT], batches: List[_Batch]
     ) -> Iterator[Tuple[int, ResultT]]:
-        batch = self._effective_batch_size(len(items))
-        indexed = list(enumerate(items))
-        chunks = [indexed[i : i + batch] for i in range(0, len(indexed), batch)]
-        workers = min(self.jobs, len(chunks))
+        workers = min(self.jobs, len(batches))
         if workers > self._pool_workers:
             self.close()
         futures: list = []
@@ -637,7 +655,7 @@ class ParallelExecutor(_FallbackTransport):
                 )
                 self._pool_workers = workers
             futures = [
-                self._pool.submit(_guarded_batch, fn, chunk) for chunk in chunks
+                self._pool.submit(_guarded_batch, fn, batch) for batch in batches
             ]
             for future in as_completed(futures):
                 for index, outcome in future.result():

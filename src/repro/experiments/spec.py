@@ -202,7 +202,9 @@ class StudySpec:
       spec byte-identically, and the key is omitted from serialized
       form when left at that default);
     * **execution** — ``jobs`` (worker processes; 1 = in-process),
-      ``batch_size`` (shards per pool task, or ``"auto"``),
+      ``batch_size`` (shards per pool task or file-queue ticket, or
+      ``"auto"``: one near-equal contiguous batch per worker
+      per round, see :mod:`~repro.experiments.parallel`),
       ``transport`` (a transport-registry name — ``"serial"``,
       ``"pool"``, ``"file-queue"``, or any runtime registration; null
       derives ``"pool"`` when ``jobs > 1``, else ``"serial"``),

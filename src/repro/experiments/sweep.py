@@ -19,10 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.analysis import AnalysisPoint, evaluate_schedulers
+from ..core.snip_model import SnipModel
 from ..errors import ConfigurationError
+from ..mobility.profiles import SlotProfile
 from .parallel import Transport
 from .runner import RunResult, RunSpec, execute_run_spec
 from .scenario import Scenario
@@ -325,17 +328,45 @@ def _predictions_for(
     names: Sequence[str],
     zeta_targets: Sequence[float],
 ) -> Dict[str, List[AnalysisPoint]]:
-    """Closed-form predictions for the mechanisms that have them."""
-    known = [name for name in names if name in ("SNIP-AT", "SNIP-OPT", "SNIP-RH")]
+    """Closed-form predictions for the mechanisms that have them.
+
+    Fresh lists every call, served from a per-process memo: every study
+    on one profile and budget (each service study, say) asks for the
+    same series.
+    """
+    known = tuple(
+        name for name in names if name in ("SNIP-AT", "SNIP-OPT", "SNIP-RH")
+    )
     if not known:
         return {}
-    return evaluate_schedulers(
-        base.profile,
-        base.model,
-        zeta_targets=zeta_targets,
-        phi_max=base.phi_max,
-        mechanisms=known,
+    series = _memoized_predictions(
+        base.profile, base.model, base.phi_max, known, *zeta_targets
     )
+    return {name: list(points) for name, points in series.items()}
+
+
+@lru_cache(maxsize=16, typed=True)
+def _memoized_predictions(
+    profile: SlotProfile,
+    model: SnipModel,
+    phi_max: float,
+    mechanisms: Tuple[str, ...],
+    *zeta_targets: float,
+) -> Dict[str, Tuple[AnalysisPoint, ...]]:
+    """:func:`evaluate_schedulers` on hashable inputs, memoized per process.
+
+    The targets are separate arguments so ``typed`` tells 16 from 16.0
+    (each point records its target as given).  Points are frozen, so
+    callers share them and copy only the containers.
+    """
+    series = evaluate_schedulers(
+        profile,
+        model,
+        zeta_targets=zeta_targets,
+        phi_max=phi_max,
+        mechanisms=mechanisms,
+    )
+    return {name: tuple(points) for name, points in series.items()}
 
 
 def _assemble_sweep(

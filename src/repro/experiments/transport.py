@@ -419,10 +419,13 @@ class FileQueueTransport(_FallbackTransport):
                 call and removes it afterwards — the single-host
                 convenience mode; point it at a shared filesystem path
                 to fan out across hosts.
-            jobs: parallelism hint: sizes ``batch_size="auto"`` tickets
-                and is the default local *workers* count.
-            batch_size: shards per ticket (``"auto"`` or an int >= 1),
-                same vocabulary and reassembly guarantee as
+            jobs: parallelism hint: ``batch_size="auto"`` cuts
+                ``jobs`` tickets per round, and it is the default local
+                *workers* count.
+            batch_size: shards per ticket: ``"auto"`` (a cheap study
+                ships as one ticket per job, a big one is cut finer)
+                or an int >= 1 (contiguous chunks of that many shards)
+                — same vocabulary, policy and reassembly guarantee as
                 :class:`~repro.experiments.parallel.ParallelExecutor`.
             workers: local worker subprocesses to spawn for the
                 duration of each map (terminated afterwards).  Default
@@ -484,8 +487,10 @@ class FileQueueTransport(_FallbackTransport):
     # ------------------------------------------------------------------
     # the fallback shell's backend
     # ------------------------------------------------------------------
-    def _fan_out(self, fn: Callable, items: List) -> Iterator[Tuple[int, Any]]:
-        """Enqueue *items* as tickets and stream them back as they complete.
+    def _fan_out(
+        self, fn: Callable, batches: List[List[Tuple[int, Any]]]
+    ) -> Iterator[Tuple[int, Any]]:
+        """Enqueue *batches* as tickets and stream them back as they complete.
 
         :attr:`last_map_parallel` ends True when at least one ticket was
         completed by another process (a spawned or external worker) —
@@ -496,9 +501,7 @@ class FileQueueTransport(_FallbackTransport):
         except OSError as exc:
             raise OSError(f"could not set up the queue directory ({exc})") from exc
         try:
-            pending = session.enqueue(
-                fn, items, self._effective_batch_size(len(items))
-            )
+            pending = session.enqueue(fn, batches)
             yield from self._collect(session, fn, pending)
         finally:
             session.close()
@@ -623,14 +626,10 @@ class _QueueSession:
 
     # -- enqueue -------------------------------------------------------
     def enqueue(
-        self, fn: Callable, items: Sequence, ticket_size: int
+        self, fn: Callable, chunks: Sequence[List[Tuple[int, Any]]]
     ) -> Dict[int, List[Tuple[int, Any]]]:
-        """Publish every shard as tickets; returns {ticket: chunk}."""
-        indexed = list(enumerate(items))
-        chunks = [
-            indexed[start : start + ticket_size]
-            for start in range(0, len(indexed), ticket_size)
-        ]
+        """Publish each ``(index, shard)`` chunk as a ticket; returns
+        {ticket: chunk}."""
         pending: Dict[int, List[Tuple[int, Any]]] = {}
         for number, chunk in enumerate(chunks):
             stem = f"{self.run}-{number:05d}"

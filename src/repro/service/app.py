@@ -110,7 +110,7 @@ class StudyService:
         spec = StudySpec.from_dict(dict(payload))
         record, queued = self.store.submit(spec)
         if queued:
-            self.scheduler.submit(record.study_id)
+            self.scheduler.submit(record.study_id, spec)
         body = record.to_dict()
         body["queued"] = queued
         return body, queued

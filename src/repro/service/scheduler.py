@@ -178,6 +178,9 @@ class StudyScheduler:
             dict(cache_options or {}), where="serve --cache-option"
         )
         self._queue: deque = deque()
+        # The spec parsed at submission, per queued id: a study runs
+        # from it without re-reading spec.json.
+        self._specs: Dict[str, StudySpec] = {}
         self._cond = threading.Condition()
         self._stop = False
         self._active: Optional[str] = None
@@ -202,7 +205,7 @@ class StudyScheduler:
         """
         requeued, interrupted = self.store.recover()
         for study_id in requeued:
-            self.submit(study_id)
+            self.submit(study_id, self.store.load_spec(study_id))
         self._thread.start()
         return interrupted
 
@@ -235,11 +238,17 @@ class StudyScheduler:
     # ------------------------------------------------------------------
     # submission side (called from HTTP handler threads)
     # ------------------------------------------------------------------
-    def submit(self, study_id: str) -> None:
-        """Enqueue a store-queued study for FIFO execution."""
+    def submit(self, study_id: str, spec: StudySpec) -> None:
+        """Enqueue a store-queued study for FIFO execution.
+
+        *spec* is the study's spec as the submitter parsed it (or, for a
+        study re-queued by recovery, as the store loaded it); the study
+        runs from it without reading its ``spec.json`` back.
+        """
         with self._cond:
             self._events.setdefault(study_id, EventLog())
             self._cancel_requested.discard(study_id)
+            self._specs[study_id] = spec
             if study_id not in self._queue:
                 self._queue.append(study_id)
             self._cond.notify_all()
@@ -262,6 +271,7 @@ class StudyScheduler:
                     self._queue.remove(study_id)
                 except ValueError:
                     pass
+                self._specs.pop(study_id, None)
                 record = self.store.mark_cancelled(study_id)
                 self._finish_events(
                     study_id, {"event": "cancelled", "study": study_id}
@@ -314,14 +324,15 @@ class StudyScheduler:
                 if self._stop:
                     return
                 study_id = self._queue.popleft()
+                spec = self._specs.pop(study_id)
                 self._active = study_id
             try:
-                self._run_one(study_id)
+                self._run_one(study_id, spec)
             finally:
                 with self._cond:
                     self._active = None
 
-    def _run_one(self, study_id: str) -> None:
+    def _run_one(self, study_id: str, spec: StudySpec) -> None:
         record = self.store.get(study_id)
         if record is None or record.state != "queued":
             return
@@ -336,7 +347,6 @@ class StudyScheduler:
             if log.closed:  # resubmitted id: start a fresh stream
                 log = EventLog()
                 self._events[study_id] = log
-        spec = self.store.load_spec(study_id)
         self.store.mark_running(study_id)
         log.append({
             "event": "started",
@@ -365,7 +375,7 @@ class StudyScheduler:
                 log,
             )
         else:
-            self.store.mark_done(study_id, result)
+            self.store.mark_done(study_id, result, spec)
             self._finish_events(
                 study_id,
                 {

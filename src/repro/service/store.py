@@ -31,6 +31,13 @@ Crash safety is layered:
   study is marked failed as interrupted, and ``queued`` studies are
   handed back for FIFO re-execution.
 
+The guarantee covers a *process* crash (a kill, an exception, the OOM
+killer), not a *machine* crash.  Only the journal is fsynced:
+``_atomic_write`` does not fsync the temp file before
+:func:`os.replace`, so after a power loss or a kernel panic a renamed
+spec, state or result file may be empty or missing even though the
+journal line written after it reached disk.
+
 The store is single-server, multi-thread: one :class:`StudyStore`
 instance serializes mutations behind a lock and is shared by the HTTP
 handler threads and the scheduler thread.  (Two server *processes* on
@@ -239,17 +246,19 @@ class StudyStore:
         """queued → running."""
         return self._transition(study_id, "running", started_at=time.time())
 
-    def mark_done(self, study_id: str, result: StudyResult) -> StudyRecord:
+    def mark_done(
+        self, study_id: str, result: StudyResult, spec: StudySpec
+    ) -> StudyRecord:
         """running → done; the result artifact is persisted *first*.
 
         Write order — result, journal, snapshot — means a journalled
         ``done`` implies the artifact exists, which is exactly the
-        invariant :meth:`recover` leans on for the crash window.
+        invariant :meth:`recover` leans on for the crash window.  *spec*
+        is the study's spec (it says whether a CSV is written too).
         """
         with self._lock:
             text = result.to_json()
             _atomic_write(self.result_path(study_id), text.encode("utf-8"))
-            spec = self.load_spec(study_id)
             if spec.out and spec.out.endswith(".csv"):
                 _atomic_write(
                     self.result_path(study_id, fmt="csv"),

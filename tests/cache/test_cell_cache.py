@@ -10,14 +10,18 @@ directory by age and size without ever affecting correctness.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
+import tempfile
 import threading
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cache.keys import cache_key
+from repro.cache.keys import CACHE_SCHEMA_VERSION, cache_key
 from repro.cache.store import (
     CACHE_OPTION_NAMES,
     CacheCorruptionWarning,
@@ -36,6 +40,18 @@ from repro.experiments.transport import _TEMP_SUFFIX
 KEY_A = "a" * 64
 KEY_B = "b" * 64
 PAYLOAD = {"epochs": [{"probes": 3, "contacts": 1}]}
+
+#: Strict-JSON values, nested: what a payload may hold.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=12,
+)
 
 
 def entry_path(cache: CellCache, key: str) -> str:
@@ -76,6 +92,45 @@ class TestRoundTrip:
         path.write_text("hello")
         with pytest.raises(ConfigurationError):
             CellCache(str(path))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        key=st.text(alphabet="0123456789abcdef", min_size=64, max_size=64),
+        payload=st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=4),
+    )
+    def test_entry_bytes_are_the_compact_entry_encoding(self, key, payload):
+        # put() splices the entry around one payload encoding; the bytes
+        # must be exactly what encoding the whole entry would give.
+        with tempfile.TemporaryDirectory() as root:
+            cache = CellCache(root)
+            cache.put(key, payload)
+            with open(entry_path(cache, key), "rb") as handle:
+                written = handle.read()
+            compact = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            entry = {
+                "format": "repro-cell-cache-v1",
+                "schema": CACHE_SCHEMA_VERSION,
+                "key": key,
+                "payload": payload,
+                "checksum": hashlib.sha256(compact.encode("utf-8")).hexdigest(),
+            }
+            expected = (
+                json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n"
+            )
+            assert written == expected.encode("utf-8")
+            assert cache.get(key) == payload
+
+    @pytest.mark.parametrize("engine", ["fast", "vector"])
+    def test_result_encoding_is_the_dataclass_field_dict(self, engine):
+        scenario = paper_roadside_scenario(
+            phi_max_divisor=100, zeta_target=24.0, epochs=2, seed=3
+        )
+        result = execute_run_spec(
+            RunSpec(scenario=scenario, mechanism="SNIP-RH", engine=engine)
+        )
+        assert encode_result(result) == {
+            "epochs": [dataclasses.asdict(e) for e in result.metrics.epochs]
+        }
 
     def test_result_encoding_round_trips_metrics(self):
         scenario = paper_roadside_scenario(

@@ -46,6 +46,22 @@ class TestRunCommand:
         # A serial run reports the transport it ran on, like any other.
         assert "1 jobs via 'serial' transport, pool used: no" in out
 
+    def test_serial_line_reports_one_job_whatever_the_spec_asks(
+        self, tmp_path, capsys
+    ):
+        path = write_spec(tmp_path, jobs=4)
+        assert main(
+            ["run", "--spec", path, "--transport", "serial", "--no-progress"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "study fan-out: 1 jobs via 'serial' transport, pool used: no" in out
+
+    def test_pool_line_reports_the_jobs_it_fanned_out_on(self, tmp_path, capsys):
+        path = write_spec(tmp_path)
+        assert main(["run", "--spec", path, "--jobs", "2", "--no-progress"]) == 0
+        out = capsys.readouterr().out
+        assert "study fan-out: 2 jobs via 'pool' transport, pool used: yes" in out
+
     def test_streams_progress_by_default(self, tmp_path, capsys):
         path = write_spec(tmp_path)
         assert main(["run", "--spec", path]) == 0

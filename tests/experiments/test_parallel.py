@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 
 import pytest
 
+from repro.cache import wrap_with_cache
 from repro.errors import ConfigurationError
 from repro.experiments.parallel import (
     ParallelExecutor,
@@ -34,7 +35,13 @@ from repro.experiments.engine import resolve_engine
 from repro.experiments.registry import mechanism_factories
 from repro.experiments.runner import RunSpec, execute_run_spec
 from repro.experiments.scenario import paper_roadside_scenario
-from repro.experiments.spec import NetworkSection, StudySpec, run_study
+from repro.experiments.spec import (
+    NetworkSection,
+    StudySpec,
+    _grid_shards,
+    run_study,
+)
+from repro.experiments.transport import FileQueueTransport
 from repro.units import DAY
 
 TARGETS = (16.0, 48.0)
@@ -340,15 +347,55 @@ class TestBatching:
         assert sorted(pairs) == [(n, n * n) for n in range(10)]
 
     def test_auto_heuristic_scales_with_workload(self):
+        # A shard with no scenario counts one cell-epoch: a cheap
+        # workload ships one near-equal contiguous piece per worker, a
+        # big one jobs pieces per AUTO_BATCH_EPOCHS cell-epochs per
+        # worker.
         pool = ParallelExecutor(jobs=2, batch_size="auto")
-        assert pool._effective_batch_size(1) == 1
-        assert pool._effective_batch_size(8) == 1
-        assert (
-            pool._effective_batch_size(80)
-            == 80 // (2 * ParallelExecutor.AUTO_BATCHES_PER_WORKER)
+        assert batch_sizes(pool, list(range(1))) == [1]
+        assert batch_sizes(pool, list(range(7))) == [3, 4]
+        assert batch_sizes(pool, list(range(80))) == [40, 40]
+        assert batch_sizes(pool, list(range(600))) == [100] * 6
+        assert batch_sizes(ParallelExecutor(jobs=3, batch_size="auto"),
+                           list(range(2))) == [1, 1]
+
+    def test_int_batch_size_cuts_contiguous_chunks(self):
+        _, shards = _grid_shards(service_shaped_spec())
+        batches = ParallelExecutor(jobs=2, batch_size=5)._batches(shards)
+        assert [len(batch) for batch in batches] == [5, 5, 2]
+        assert [index for batch in batches for index, _ in batch] == list(
+            range(12)
         )
-        explicit = ParallelExecutor(jobs=2, batch_size=5)
-        assert explicit._effective_batch_size(3) == 5
+
+    def test_auto_ships_a_one_seed_two_budget_study_as_two_tasks(self):
+        _, shards = _grid_shards(service_shaped_spec())
+        assert len(shards) == 12
+        batches = ParallelExecutor(jobs=2, batch_size="auto")._batches(shards)
+        assert [len(batch) for batch in batches] == [6, 6]
+
+    def test_auto_cuts_the_paper_grid_into_full_rounds(self):
+        # 108 cells x 14 epochs = 1,512 cell-epochs: 6 rounds of 2 on 2
+        # jobs, 3 rounds of 4 on 4 jobs, 2 rounds of 8 on 8 jobs, so no
+        # round leaves a worker idle.
+        _, shards = _grid_shards(
+            StudySpec(engines=("vector",), replicates=3, epochs=14)
+        )
+        assert len(shards) == 108
+        for jobs in (2, 4):
+            batches = ParallelExecutor(jobs=jobs, batch_size="auto")._batches(
+                shards
+            )
+            assert [len(batch) for batch in batches] == [9] * 12
+            indices = [index for batch in batches for index, _ in batch]
+            assert indices == list(range(108))
+        sizes = batch_sizes(ParallelExecutor(jobs=8, batch_size="auto"), shards)
+        assert len(sizes) == 16 and set(sizes) == {6, 7}
+        # A 2-epoch grid is cheap: one batch per worker.
+        _, shards = _grid_shards(
+            StudySpec(engines=("vector",), replicates=3, epochs=2)
+        )
+        batches = ParallelExecutor(jobs=2, batch_size="auto")._batches(shards)
+        assert [len(batch) for batch in batches] == [54, 54]
 
     def test_batched_sweep_is_byte_identical(self, reference_sweep):
         sweep = run_sweep(
@@ -373,6 +420,66 @@ class TestBatching:
             ParallelExecutor(batch_size=0)
         with pytest.raises(ConfigurationError):
             ParallelExecutor(batch_size="huge")
+
+
+class TestAutoBatchingEndToEnd:
+    """Auto batching changes task shapes, never a result byte."""
+
+    @staticmethod
+    def spec() -> StudySpec:
+        """2 scenarios (one with options) x 3 seeds x 2 budgets, vector."""
+        return StudySpec(
+            name="auto-batching",
+            zeta_targets=(16.0,),
+            epochs=2,
+            seed=5,
+            engines=("vector",),
+            replicates=3,
+            scenarios=(
+                "paper-roadside",
+                {"name": "diurnal", "options": {"ratio": 12.0}},
+            ),
+            with_predictions=True,
+        )
+
+    def test_every_transport_and_a_warm_cache_give_the_same_bytes(
+        self, tmp_path
+    ):
+        spec = self.spec()
+        reference = run_study(spec, executor=SerialExecutor()).to_json()
+        pool = ParallelExecutor(jobs=2, batch_size="auto")
+        cached = wrap_with_cache(SerialExecutor(), str(tmp_path / "cache"))
+        try:
+            with warnings.catch_warnings():
+                # A batch that did not cross the pool would degrade it
+                # to in-process execution under this warning.
+                warnings.simplefilter("error", ParallelFallbackWarning)
+                pooled = run_study(spec, executor=pool)
+            assert pool.last_map_parallel
+            queued = run_study(
+                spec, executor=FileQueueTransport(workers=0, jobs=2)
+            )
+            cold = run_study(spec, executor=cached)
+            warm = run_study(spec, executor=cached)
+        finally:
+            pool.close()
+        assert warm.cells_cached == spec.total_runs == 36
+        for study in (pooled, queued, cold, warm):
+            assert study.to_json() == reference
+
+
+def batch_sizes(transport, items) -> list:
+    """The shard count of each batch *transport* ships *items* as."""
+    return [len(batch) for batch in transport._batches(items)]
+
+
+def service_shaped_spec(**overrides) -> StudySpec:
+    """12 vector cells: 3 mechanisms x 2 targets x 2 budgets x 1 seed."""
+    kwargs = dict(
+        zeta_targets=(16.0, 24.0), epochs=2, seed=11, engines=("vector",)
+    )
+    kwargs.update(overrides)
+    return StudySpec(**kwargs)
 
 
 def fleet_spec() -> StudySpec:

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.core.analysis import evaluate_schedulers
+from repro.experiments.scenario import paper_roadside_scenario
 from repro.experiments.spec import StudySpec, run_study
+from repro.experiments.sweep import _predictions_for
 from repro.units import DAY
 
 PHI_MAX = DAY / 100
@@ -51,3 +54,37 @@ class TestSweep:
     def test_without_predictions(self):
         sweep = run_sweep(zeta_targets=(16.0,), epochs=1, with_predictions=False)
         assert sweep.points["SNIP-RH"][0].predicted is None
+
+
+class TestPredictionsMemo:
+    """Closed-form predictions come from a per-process memo."""
+
+    @staticmethod
+    def base():
+        return paper_roadside_scenario(phi_max_divisor=100, epochs=2)
+
+    def test_matches_a_direct_evaluation_with_fresh_lists(self):
+        base = self.base()
+        names = ("SNIP-RH", "fast-only", "SNIP-AT")
+        direct = evaluate_schedulers(
+            base.profile,
+            base.model,
+            zeta_targets=(16.0, 48.0),
+            phi_max=base.phi_max,
+            mechanisms=("SNIP-RH", "SNIP-AT"),
+        )
+        first = _predictions_for(base, names, (16.0, 48.0))
+        assert first == direct
+        first["SNIP-RH"].clear()
+        del first["SNIP-AT"]
+        assert _predictions_for(base, names, (16.0, 48.0)) == direct
+
+    def test_memo_keeps_the_target_type(self):
+        base = self.base()
+        as_int = _predictions_for(base, ("SNIP-AT",), (16,))
+        as_float = _predictions_for(base, ("SNIP-AT",), (16.0,))
+        assert type(as_int["SNIP-AT"][0].zeta_target) is int
+        assert type(as_float["SNIP-AT"][0].zeta_target) is float
+
+    def test_no_closed_form_mechanism_gives_no_predictions(self):
+        assert _predictions_for(self.base(), ("fast-only",), (16.0,)) == {}

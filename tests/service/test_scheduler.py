@@ -78,8 +78,9 @@ class TestSchedulerExecution:
         try:
             ids = []
             for seed in (1, 2):
-                record, _ = store.submit(make_tiny_spec(seed=seed))
-                scheduler.submit(record.study_id)
+                spec = make_tiny_spec(seed=seed)
+                record, _ = store.submit(spec)
+                scheduler.submit(record.study_id, spec)
                 ids.append(record.study_id)
             for study_id in ids:
                 log = scheduler.events(study_id)
@@ -99,7 +100,7 @@ class TestSchedulerExecution:
         scheduler.start()
         try:
             record, _ = store.submit(spec)
-            scheduler.submit(record.study_id)
+            scheduler.submit(record.study_id, spec)
             list(scheduler.events(record.study_id).stream())
             assert store.result_text(record.study_id) == run_study(spec).to_json()
             assert store.load_spec(record.study_id).jobs == 2
@@ -122,7 +123,7 @@ class TestSchedulerExecution:
                     jobs=jobs,
                 )
                 record, _ = store.submit(spec)
-                scheduler.submit(record.study_id)
+                scheduler.submit(record.study_id, spec)
                 events = list(scheduler.events(record.study_id).stream())
                 assert events[-1]["event"] == "done"
                 live = set(multiprocessing.active_children()) - before
@@ -153,8 +154,9 @@ class TestCancellation:
     def test_cancel_queued_study_never_runs(self, tmp_path):
         store = StudyStore(str(tmp_path))
         scheduler = StudyScheduler(store)  # thread not started
-        record, _ = store.submit(make_tiny_spec())
-        scheduler.submit(record.study_id)
+        spec = make_tiny_spec()
+        record, _ = store.submit(spec)
+        scheduler.submit(record.study_id, spec)
         cancelled = scheduler.cancel(record.study_id)
         assert cancelled.state == "cancelled"
         assert scheduler.queue_depth == 0
@@ -179,11 +181,12 @@ class TestCancellation:
         monkeypatch.setattr(
             "repro.service.scheduler.run_study", fake_run_study
         )
-        record, _ = store.submit(make_tiny_spec())
+        spec = make_tiny_spec()
+        record, _ = store.submit(spec)
         study_id = record.study_id
         scheduler.start()
         try:
-            scheduler.submit(study_id)
+            scheduler.submit(study_id, spec)
             events = list(scheduler.events(study_id).stream())
             assert [event["event"] for event in events] == [
                 "started", "cell", "cancelled",
@@ -207,9 +210,10 @@ class TestCancellation:
         monkeypatch.setattr(
             "repro.service.scheduler.run_study", slow_run_study
         )
-        record, _ = store.submit(make_tiny_spec())
+        spec = make_tiny_spec()
+        record, _ = store.submit(spec)
         scheduler.start()
-        scheduler.submit(record.study_id)
+        scheduler.submit(record.study_id, spec)
         assert started.wait(timeout=10)
         scheduler.close()
         assert store.get(record.study_id).state == "cancelled"
@@ -235,9 +239,10 @@ class TestCancellation:
         monkeypatch.setattr(
             "repro.service.scheduler.run_study", stuck_run_study
         )
-        record, _ = store.submit(make_tiny_spec())
+        spec = make_tiny_spec()
+        record, _ = store.submit(spec)
         scheduler.start()
-        scheduler.submit(record.study_id)
+        scheduler.submit(record.study_id, spec)
         assert started.wait(timeout=10)
         try:
             scheduler.close(timeout=0.2)
@@ -253,7 +258,7 @@ class TestSchedulerCache:
     def run_one(self, scheduler, store, spec) -> list:
         """Submit *spec*, wait for completion, return its event list."""
         record, _ = store.submit(spec)
-        scheduler.submit(record.study_id)
+        scheduler.submit(record.study_id, spec)
         return list(scheduler.events(record.study_id).stream())
 
     def test_pinned_cache_warms_across_studies(self, tmp_path):
@@ -281,8 +286,9 @@ class TestSchedulerCache:
         scheduler.start()
         try:
             self.run_one(scheduler, store, spec)  # cold
-            record, _ = store.submit(make_tiny_spec(name="svc-warm"))
-            scheduler.submit(record.study_id)
+            spec = make_tiny_spec(name="svc-warm")
+            record, _ = store.submit(spec)
+            scheduler.submit(record.study_id, spec)
             list(scheduler.events(record.study_id).stream())
         finally:
             scheduler.close()
@@ -300,7 +306,7 @@ class TestSchedulerCache:
         scheduler.start()
         try:
             record, _ = store.submit(spec)
-            scheduler.submit(record.study_id)
+            scheduler.submit(record.study_id, spec)
             list(scheduler.events(record.study_id).stream())
         finally:
             scheduler.close()
@@ -318,7 +324,7 @@ class TestSchedulerCache:
         scheduler.start()
         try:
             record, _ = store.submit(spec)
-            scheduler.submit(record.study_id)
+            scheduler.submit(record.study_id, spec)
             list(scheduler.events(record.study_id).stream())
         finally:
             scheduler.close()

@@ -16,9 +16,10 @@ import threading
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.experiments.parallel import SerialExecutor
 from repro.experiments.spec import StudyDocument, run_study
-from repro.service.app import make_server
+from repro.service.app import StudyService, make_server
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.store import StudyStore
 from service_specs import make_tiny_spec
@@ -346,3 +347,73 @@ class TestConcurrentSubmitters:
         for spec, study_id in zip(specs, ids):
             reloaded = store.load_spec(study_id)
             assert reloaded.seed == spec.seed
+
+
+def last_event(service: StudyService, study_id: str) -> dict:
+    """Block until *study_id*'s event stream closes; its final event."""
+    events = [event for event in service.events(study_id) if event is not None]
+    return events[-1]
+
+
+@pytest.fixture
+def spec_reads(monkeypatch) -> list:
+    """Every study id whose ``spec.json`` the store reads back."""
+    reads: list = []
+    load_spec = StudyStore.load_spec
+
+    def counting(store, study_id):
+        reads.append(study_id)
+        return load_spec(store, study_id)
+
+    monkeypatch.setattr(StudyStore, "load_spec", counting)
+    return reads
+
+
+class TestSpecReads:
+    """A study runs from the spec parsed at submission."""
+
+    def test_a_submitted_study_never_reads_its_spec_back(
+        self, tmp_path, spec_reads
+    ):
+        service = StudyService(str(tmp_path / "store"))
+        service.start()
+        try:
+            specs = [
+                make_tiny_spec(seed=1),
+                make_tiny_spec(seed=2, out="cells.csv"),
+            ]
+            ids = [service.submit(spec.to_dict())[0]["id"] for spec in specs]
+            for study_id, spec in zip(ids, specs):
+                assert last_event(service, study_id)["event"] == "done"
+                assert service.result_text(study_id) == run_study(
+                    spec
+                ).to_json()
+            # The submitted spec still decides the extra CSV artifact.
+            assert service.result_text(ids[1], fmt="csv") is not None
+            assert service.result_text(ids[0], fmt="csv") is None
+        finally:
+            service.close()
+        assert spec_reads == []
+
+    def test_recovery_reads_each_requeued_spec_once(
+        self, tmp_path, spec_reads
+    ):
+        store_dir = str(tmp_path / "store")
+        store = StudyStore(store_dir)
+        queued = [store.submit(make_tiny_spec(seed=seed))[0] for seed in (1, 2)]
+        service = StudyService(store_dir)
+        assert service.start() == []
+        try:
+            for record in queued:
+                assert last_event(service, record.study_id)["event"] == "done"
+        finally:
+            service.close()
+        assert sorted(spec_reads) == sorted(r.study_id for r in queued)
+
+    def test_repeated_replicate_seeds_are_refused_at_submit(self, tmp_path):
+        service = StudyService(str(tmp_path / "store"))
+        payload = make_tiny_spec().to_dict()
+        payload["axes"]["replicate_seeds"] = [4, 9, 4]
+        with pytest.raises(ConfigurationError, match=r"repeated: \[4\]"):
+            service.submit(payload)
+        assert service.store.list() == []

@@ -74,7 +74,7 @@ class TestTransitions:
         record, _ = store.submit(spec)
         store.mark_running(record.study_id)
         result = run_study(spec)
-        done = store.mark_done(record.study_id, result)
+        done = store.mark_done(record.study_id, result, spec)
         assert done.state == "done"
         assert done.finished_at is not None
         assert store.result_text(record.study_id) == result.to_json()
@@ -88,7 +88,7 @@ class TestTransitions:
         record, _ = store.submit(spec)
         store.mark_running(record.study_id)
         result = run_study(spec)
-        store.mark_done(record.study_id, result)
+        store.mark_done(record.study_id, result, spec)
         assert store.result_text(record.study_id, fmt="csv") == result.to_csv()
 
     def test_transition_on_unknown_study_raises(self, tmp_path):
@@ -136,7 +136,7 @@ class TestRecovery:
         record, _ = store.submit(spec)
         store.mark_running(record.study_id)
         result = run_study(spec)
-        store.mark_done(record.study_id, result)
+        store.mark_done(record.study_id, result, spec)
         restarted = StudyStore(str(tmp_path))
         assert restarted.recover() == ([], [])
         assert restarted.get(record.study_id).state == "done"
@@ -150,7 +150,7 @@ class TestRecovery:
         record, _ = store.submit(spec)
         store.mark_running(record.study_id)
         result = run_study(spec)
-        store.mark_done(record.study_id, result)
+        store.mark_done(record.study_id, result, spec)
         running = StudyRecord(
             study_id=record.study_id,
             state="running",
