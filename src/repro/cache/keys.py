@@ -60,7 +60,9 @@ __all__ = ["CACHE_SCHEMA_VERSION", "cell_fingerprint", "cache_key"]
 #: ``Scenario.contact_source`` field.
 #: v3: micro's last epoch buffer level includes the data generated in
 #: its final decision period (``buffer_end_level``, ``delivery_ratio``).
-CACHE_SCHEMA_VERSION = 3
+#: v4: vector's ``buffer_end_level`` subtracts the running upload total,
+#: as fast does, not a sum of per-epoch totals.
+CACHE_SCHEMA_VERSION = 4
 
 
 def _canonical(value: Any) -> Any:

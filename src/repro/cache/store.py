@@ -45,7 +45,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from ..errors import ConfigurationError
 from ..experiments.metrics import EpochMetrics, RunMetrics
 from ..experiments.runner import RunResult, RunSpec
-from ..experiments.transport import _atomic_write
+from ..fsio import atomic_write
 from .keys import CACHE_SCHEMA_VERSION
 
 __all__ = [
@@ -212,7 +212,7 @@ class CellCache:
             os.makedirs(self._cells_dir, exist_ok=True)
             meta_path = os.path.join(self.root, "meta.json")
             if not os.path.exists(meta_path):
-                _atomic_write(
+                atomic_write(
                     meta_path,
                     (
                         json.dumps(
@@ -285,7 +285,7 @@ class CellCache:
             f'"payload":{payload_text},'
             f'"schema":{_compact(CACHE_SCHEMA_VERSION)}}}\n'
         )
-        _atomic_write(self._entry_path(key), text.encode("utf-8"))
+        atomic_write(self._entry_path(key), text.encode("utf-8"))
 
     def invalidate(self, key: str) -> None:
         """Drop the entry under *key*, if present (no-op when readonly)."""

@@ -85,6 +85,7 @@ from typing import (
 )
 
 from ..errors import ConfigurationError
+from ..fsio import atomic_write
 from ..units import require_positive
 from .parallel import (
     ParallelExecutor,
@@ -231,38 +232,6 @@ def ensure_queue_layout(queue_dir: str) -> None:
         os.makedirs(os.path.join(queue_dir, subdir), exist_ok=True)
 
 
-#: Suffix of the same-directory temp files :func:`_atomic_write` publishes
-#: through; debris carrying it marks a write that never completed.
-_TEMP_SUFFIX = ".part"
-
-
-def _atomic_write(path: str, data: bytes) -> None:
-    """Write *data* to *path* via a same-directory temp file + rename.
-
-    ``os.replace`` is atomic within one filesystem, so readers polling
-    the directory — and concurrent writers racing on the same path —
-    only ever observe a complete file or no file, never a torn write.
-    The one helper behind queue tickets, cache entries, and the study
-    store.
-    """
-    handle, tmp_path = tempfile.mkstemp(
-        dir=os.path.dirname(path) or ".", prefix=".tmp-", suffix=_TEMP_SUFFIX
-    )
-    try:
-        with os.fdopen(handle, "wb") as tmp:
-            tmp.write(data)
-        os.replace(tmp_path, path)
-    # lint: allow[broad-except] -- cleanup-and-reraise: the temp file
-    # must be removed even on KeyboardInterrupt, then the raise
-    # propagates the original failure untouched
-    except BaseException:
-        try:
-            os.remove(tmp_path)
-        except OSError:
-            pass
-        raise
-
-
 def claim_next_ticket(
     queue_dir: str, *, run: Optional[str] = None
 ) -> Optional[str]:
@@ -329,7 +298,7 @@ def process_claimed_ticket(
         "outcomes": outcomes,
     }
     done_name = os.path.splitext(os.path.basename(claim_path))[0] + ".pkl"
-    _atomic_write(
+    atomic_write(
         os.path.join(queue_dir, "done", done_name),
         pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL),
     )
@@ -634,7 +603,7 @@ class _QueueSession:
         for number, chunk in enumerate(chunks):
             stem = f"{self.run}-{number:05d}"
             payload_rel = os.path.join("payload", stem + ".pkl")
-            _atomic_write(
+            atomic_write(
                 os.path.join(self.queue_dir, payload_rel),
                 pickle.dumps(
                     {"fn": fn, "items": chunk},
@@ -647,7 +616,7 @@ class _QueueSession:
                 "indices": [index for index, _ in chunk],
                 "payload": payload_rel,
             }
-            _atomic_write(
+            atomic_write(
                 os.path.join(self.queue_dir, "enqueue", stem + ".json"),
                 (json.dumps(ticket, indent=None) + "\n").encode("utf-8"),
             )

@@ -161,17 +161,24 @@ class _ProbeBook:
     uploaded_cumulative)``, for the SNIP-RH walk, which learns from each
     probe before it resolves the next; :meth:`probe_all` streams a whole
     batch through it in one call.
+
+    ``uploaded_through[e]`` is the running upload total after epoch
+    ``e``'s last probe — the same sum, in the same order, as the fast
+    runner's buffer keeps — or 0.0 for an epoch without a probe (the
+    total never falls, so a running maximum carries it forward).
     """
 
     def __init__(self, rate: float, link: LinkModel, epochs: int) -> None:
         self.zeta = [0.0] * epochs
         self.uploaded = [0.0] * epochs
+        self.uploaded_through = [0.0] * epochs
         self.probed_n = [0] * epochs
         self.delay_weight = [0.0] * epochs
         self.max_delay = [0.0] * epochs
         fifo = _fifo(
             rate, link.association_overhead, self.zeta, self.uploaded,
-            self.probed_n, self.delay_weight, self.max_delay,
+            self.uploaded_through, self.probed_n, self.delay_weight,
+            self.max_delay,
         )
         next(fifo)
         self.probe = fifo.send
@@ -186,6 +193,7 @@ def _fifo(
     overhead: float,
     zeta: List[float],
     uploaded_per_epoch: List[float],
+    uploaded_through: List[float],
     probed_n: List[int],
     delay_weight: List[float],
     max_delay: List[float],
@@ -218,6 +226,7 @@ def _fifo(
             if delay > max_delay[epoch]:
                 max_delay[epoch] = delay
         cumulative = cumulative + uploaded
+        uploaded_through[epoch] = cumulative
         result = probed_seconds, uploaded, cumulative
 
 
@@ -811,7 +820,7 @@ class VectorEngine:
         )
 
         rate = scenario.data_rate
-        uploads_through = np.cumsum(book.uploaded)
+        uploads_through = np.maximum.accumulate(book.uploaded_through)
         epoch_ends = (np.arange(epochs) + 1.0) * epoch_length
         buffer_end = np.maximum(0.0, rate * epoch_ends - uploads_through)
 

@@ -15,7 +15,10 @@
 +-----------------------------+--------------------------------------------+
 | ``GET /studies/{id}/events``| server-sent per-cell progress (one         |
 |                             | ``data:`` line per completed run, ``:``    |
-|                             | keep-alive comments while idle).           |
+|                             | keep-alive comments while idle).  Live     |
+|                             | studies and the 64 newest finished ones    |
+|                             | replay from the start; older ones stream   |
+|                             | only their terminal event.                 |
 +-----------------------------+--------------------------------------------+
 | ``GET /studies/{id}/result``| the exact persisted artifact bytes         |
 |                             | (``?format=csv`` when the spec asked for   |

@@ -25,6 +25,15 @@ Cancellation is cooperative and per-cell: ``DELETE /studies/{id}``
 flags the study, and the progress callback raises
 :class:`StudyCancelled` at the next completed cell; a queued study is
 simply marked cancelled before it ever starts.
+
+Event logs are kept in memory only while they can still be wanted: a
+study's log lives while it is queued or running, and for the
+:data:`FINISHED_LOG_LIMIT` most recently finished studies after that,
+so a late subscriber still replays every cell.  An older log is
+dropped; its study then streams like one that finished before a
+restart — a pre-closed log holding only the terminal event.  A stream
+already open on a dropped log keeps it and ends normally.  The server's
+memory therefore does not grow with the number of studies it has served.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 from collections import deque
-from typing import Any, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional
 
 from ..cache.store import validate_cache_options
 from ..experiments.parallel import Transport
@@ -41,7 +50,11 @@ from ..experiments.sweep import progress_event
 from ..experiments.transport import validate_transport
 from .store import StudyRecord, StudyStore
 
-__all__ = ["EventLog", "StudyCancelled", "StudyScheduler"]
+__all__ = ["FINISHED_LOG_LIMIT", "EventLog", "StudyCancelled", "StudyScheduler"]
+
+#: How many finished studies keep their full event log in memory (the
+#: most recent ones); an older study streams only its terminal event.
+FINISHED_LOG_LIMIT = 64
 
 
 class StudyCancelled(Exception):
@@ -185,7 +198,10 @@ class StudyScheduler:
         self._stop = False
         self._active: Optional[str] = None
         self._cancel_requested: set = set()
+        # Every queued or running study's log, plus the finished ones
+        # named in _finished (finish order, at most FINISHED_LOG_LIMIT).
         self._events: Dict[str, EventLog] = {}
+        self._finished: deque = deque()
         # The one live inner transport and the execution settings it was
         # built from: (transport name, jobs, batch_size, options).
         self._inner: Optional[Transport] = None
@@ -246,8 +262,11 @@ class StudyScheduler:
         runs from it without reading its ``spec.json`` back.
         """
         with self._cond:
-            self._events.setdefault(study_id, EventLog())
-            self._cancel_requested.discard(study_id)
+            log = self._events.get(study_id)
+            if log is None or log.closed:  # new or resubmitted: fresh stream
+                self._events[study_id] = EventLog()
+                if log is not None:
+                    self._finished.remove(study_id)
             self._specs[study_id] = spec
             if study_id not in self._queue:
                 self._queue.append(study_id)
@@ -256,35 +275,36 @@ class StudyScheduler:
     def cancel(self, study_id: str) -> StudyRecord:
         """Cancel a queued or running study; returns the updated record.
 
-        A queued study is marked cancelled immediately; a running one
-        is flagged and aborts at its next completed cell (the returned
-        record still says ``running`` until the scheduler observes the
-        flag).  Terminal studies are returned unchanged.
+        A study waiting in the queue is marked cancelled immediately;
+        any other live one (running, or just taken off the queue) is
+        flagged and aborts before it starts or at its next completed
+        cell (the returned record keeps its state until the scheduler
+        observes the flag).  Terminal studies are returned unchanged.
         """
         with self._cond:
             record = self.store.get(study_id)
             if record is None or record.is_terminal:
                 return record
             self._cancel_requested.add(study_id)
-            if record.state == "queued":
-                try:
-                    self._queue.remove(study_id)
-                except ValueError:
-                    pass
+            if record.state == "queued" and study_id in self._queue:
+                self._queue.remove(study_id)
                 self._specs.pop(study_id, None)
-                record = self.store.mark_cancelled(study_id)
-                self._finish_events(
-                    study_id, {"event": "cancelled", "study": study_id}
+                record = self._finish(
+                    study_id,
+                    {"event": "cancelled", "study": study_id},
+                    self.store.mark_cancelled,
                 )
             return record
 
     def events(self, study_id: str) -> Optional[EventLog]:
-        """The live event log for *study_id*, synthesizing terminal ones.
+        """The event log for *study_id*, synthesizing terminal ones.
 
         A study known to the store but without an in-memory log (it ran
-        before a restart) gets a pre-closed log carrying its terminal
-        event, so ``GET /studies/{id}/events`` always has something
-        coherent to stream.  Unknown studies return None.
+        before a restart, or finished more than
+        :data:`FINISHED_LOG_LIMIT` studies ago) gets a pre-closed log
+        carrying its terminal event, so ``GET /studies/{id}/events``
+        always has something coherent to stream.  Unknown studies
+        return None.
         """
         with self._cond:
             log = self._events.get(study_id)
@@ -337,16 +357,14 @@ class StudyScheduler:
         if record is None or record.state != "queued":
             return
         if study_id in self._cancel_requested:
-            self.store.mark_cancelled(study_id)
-            self._finish_events(
-                study_id, {"event": "cancelled", "study": study_id}
+            self._finish(
+                study_id,
+                {"event": "cancelled", "study": study_id},
+                self.store.mark_cancelled,
             )
             return
         with self._cond:
-            log = self._events.setdefault(study_id, EventLog())
-            if log.closed:  # resubmitted id: start a fresh stream
-                log = EventLog()
-                self._events[study_id] = log
+            log = self._events[study_id]
         self.store.mark_running(study_id)
         log.append({
             "event": "started",
@@ -359,31 +377,30 @@ class StudyScheduler:
             executor = self._build_executor(spec)
             result = run_study(spec, executor=executor, progress=progress)
         except StudyCancelled:
-            self.store.mark_cancelled(study_id)
-            self._finish_events(
-                study_id, {"event": "cancelled", "study": study_id}, log
+            self._finish(
+                study_id,
+                {"event": "cancelled", "study": study_id},
+                self.store.mark_cancelled,
             )
         # lint: allow[broad-except] -- service boundary: one failing (or
         # mis-specified) study must not take down the server; the error
         # is persisted on the study record and reported to its clients
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
-            self.store.mark_failed(study_id, error)
-            self._finish_events(
+            self._finish(
                 study_id,
                 {"event": "failed", "study": study_id, "error": error},
-                log,
+                lambda study_id: self.store.mark_failed(study_id, error),
             )
         else:
-            self.store.mark_done(study_id, result, spec)
-            self._finish_events(
+            self._finish(
                 study_id,
                 {
                     "event": "done",
                     "study": study_id,
                     "total": spec.total_runs,
                 },
-                log,
+                lambda study_id: self.store.mark_done(study_id, result, spec),
             )
 
     def _progress_callback(self, study_id: str, log: EventLog):
@@ -446,15 +463,29 @@ class StudyScheduler:
         if inner is not None:
             inner.close()
 
-    def _finish_events(
+    def _finish(
         self,
         study_id: str,
         terminal: Dict[str, Any],
-        log: Optional[EventLog] = None,
-    ) -> None:
-        """Append the terminal event and close the study's log."""
-        if log is None:
-            with self._cond:
-                log = self._events.setdefault(study_id, EventLog())
-        log.append(terminal)
-        log.close()
+        mark: Callable[[str], StudyRecord],
+    ) -> StudyRecord:
+        """End the study: *mark* it terminal in the store, close its log.
+
+        Both happen as one step under the scheduler lock (taken before
+        the store's, the one lock order), so a resubmission — which the
+        store accepts only once the study is failed or cancelled —
+        always finds the log closed and gets a fresh one.  The cancel
+        flag goes too.  The log joins the finished window, and the
+        oldest finished log beyond :data:`FINISHED_LOG_LIMIT` is
+        dropped.  Returns the store's updated record.
+        """
+        with self._cond:
+            record = mark(study_id)
+            log = self._events[study_id]
+            log.append(terminal)
+            log.close()
+            self._cancel_requested.discard(study_id)
+            self._finished.append(study_id)
+            if len(self._finished) > FINISHED_LOG_LIMIT:
+                del self._events[self._finished.popleft()]
+            return record

@@ -33,7 +33,7 @@ Crash safety is layered:
 
 The guarantee covers a *process* crash (a kill, an exception, the OOM
 killer), not a *machine* crash.  Only the journal is fsynced:
-``_atomic_write`` does not fsync the temp file before
+:func:`~repro.fsio.atomic_write` does not fsync the temp file before
 :func:`os.replace`, so after a power loss or a kernel panic a renamed
 spec, state or result file may be empty or missing even though the
 journal line written after it reached disk.
@@ -42,6 +42,10 @@ The store is single-server, multi-thread: one :class:`StudyStore`
 instance serializes mutations behind a lock and is shared by the HTTP
 handler threads and the scheduler thread.  (Two server *processes* on
 one store directory are not supported — the journal has one writer.)
+That single writer is also why the per-state study counts behind
+``/healthz`` live in memory: they are scanned from the ``state.json``
+files once, when the store opens, and updated with every snapshot
+write after that, so a health probe reads no study file.
 """
 
 from __future__ import annotations
@@ -51,12 +55,13 @@ import json
 import os
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..experiments.spec import StudyDocument, StudyResult, StudySpec
-from ..experiments.transport import _atomic_write
+from ..fsio import atomic_write
 
 __all__ = [
     "STUDY_STATES",
@@ -143,6 +148,9 @@ class StudyStore:
         self.journal_path = os.path.join(self.root, "journal.jsonl")
         os.makedirs(self.studies_dir, exist_ok=True)
         self._lock = threading.RLock()
+        # Studies per state: scanned once here, then kept current by
+        # _write_state.
+        self._counts = Counter(record.state for record in self.list())
 
     # ------------------------------------------------------------------
     # paths
@@ -223,11 +231,11 @@ class StudyStore:
                         submitted_at=time.time(),
                     )
                     self._journal(study_id, "resubmitted")
-                    self._write_state(record)
+                    self._write_state(record, was=existing.state)
                     return record, True
                 return existing, False
             os.makedirs(self.study_dir(study_id), exist_ok=True)
-            _atomic_write(self.spec_path(study_id), spec.to_json().encode("utf-8"))
+            atomic_write(self.spec_path(study_id), spec.to_json().encode("utf-8"))
             record = StudyRecord(
                 study_id=study_id,
                 state="queued",
@@ -236,7 +244,7 @@ class StudyStore:
                 submitted_at=time.time(),
             )
             self._journal(study_id, "submitted", name=spec.name)
-            self._write_state(record)
+            self._write_state(record, was=None)
             return record, True
 
     # ------------------------------------------------------------------
@@ -258,9 +266,9 @@ class StudyStore:
         """
         with self._lock:
             text = result.to_json()
-            _atomic_write(self.result_path(study_id), text.encode("utf-8"))
+            atomic_write(self.result_path(study_id), text.encode("utf-8"))
             if spec.out and spec.out.endswith(".csv"):
-                _atomic_write(
+                atomic_write(
                     self.result_path(study_id, fmt="csv"),
                     result.to_csv().encode("utf-8"),
                 )
@@ -287,17 +295,21 @@ class StudyStore:
                 study_id, state,
                 **({"error": fields["error"]} if "error" in fields else {}),
             )
-            record.state = state
+            was, record.state = record.state, state
             for key, value in fields.items():
                 setattr(record, key, value)
-            self._write_state(record)
+            self._write_state(record, was=was)
             return record
 
-    def _write_state(self, record: StudyRecord) -> None:
-        _atomic_write(
+    def _write_state(self, record: StudyRecord, *, was: Optional[str]) -> None:
+        """Snapshot *record*, which was in state *was* (None: new study)."""
+        atomic_write(
             self.state_path(record.study_id),
             (json.dumps(record.to_dict(), indent=2) + "\n").encode("utf-8"),
         )
+        if was is not None:
+            self._counts[was] -= 1
+        self._counts[record.state] += 1
 
     # ------------------------------------------------------------------
     # queries
@@ -368,7 +380,7 @@ class StudyStore:
                     ):
                         record.state = "done"
                         record.finished_at = time.time()
-                        self._write_state(record)
+                        self._write_state(record, was="running")
                     else:
                         self.mark_failed(
                             record.study_id,
@@ -382,9 +394,10 @@ class StudyStore:
     # health
     # ------------------------------------------------------------------
     def counts(self) -> Dict[str, int]:
-        """Study counts by state (the ``/healthz`` summary)."""
-        counts = {state: 0 for state in STUDY_STATES}
-        for record in self.list():
-            if record.state in counts:
-                counts[record.state] += 1
-        return counts
+        """Study counts by state (the ``/healthz`` summary).
+
+        Kept in memory: the store scans ``state.json`` files once, when
+        it opens, so a health probe costs nothing per stored study.
+        """
+        with self._lock:
+            return {state: self._counts[state] for state in STUDY_STATES}

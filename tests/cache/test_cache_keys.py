@@ -94,12 +94,12 @@ class TestSchemaVersion:
 
 
 class TestPinnedKeys:
-    """The schema-v3 addresses of two paper cells: a key moves only when
+    """The schema-v4 addresses of two paper cells: a key moves only when
     the schema version does, never by accident of encoding."""
 
     def test_materialized_paper_roadside_key_is_unchanged(self):
         assert cache_key(make_spec()) == (
-            "0d032ba40c0f0e65d7dad0e01f0ec07dd012fee803340edcfbb7a1a1f0984d41"
+            "84837e32c199891fcdf793c12928e00957d8205eddc07c14cff80e938680d524"
         )
 
     def test_named_paper_roadside_key_is_unchanged(self):
@@ -113,7 +113,7 @@ class TestPinnedKeys:
             mechanism="SNIP-RH", scenario=scenario, engine="vector", scenario_ref=ref
         )
         assert cache_key(spec) == (
-            "20dd32e8cafc630c037a565a671162c19fbba4dccdc6e2ca93e74342d3b672f8"
+            "75ebb8b3fd54ae34bb9119353c21ac9de1f250302a251b7a534dc596d75c16ff"
         )
 
 

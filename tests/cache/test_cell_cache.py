@@ -35,7 +35,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.parallel import SerialExecutor
 from repro.experiments.runner import RunResult, RunSpec, execute_run_spec
 from repro.experiments.scenario import paper_roadside_scenario
-from repro.experiments.transport import _TEMP_SUFFIX
+from repro.fsio import TEMP_SUFFIX
 
 KEY_A = "a" * 64
 KEY_B = "b" * 64
@@ -383,7 +383,7 @@ class TestConcurrency:
         debris = [
             name
             for name in os.listdir(os.path.join(cache.root, "cells"))
-            if name.endswith(_TEMP_SUFFIX)
+            if name.endswith(TEMP_SUFFIX)
         ]
         assert debris == []
 

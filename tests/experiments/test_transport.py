@@ -362,7 +362,7 @@ class TestFileQueueSemantics:
         # from what was yielded, not from the enqueue bookkeeping.
         import repro.experiments.transport as transport_module
 
-        real_write = transport_module._atomic_write
+        real_write = transport_module.atomic_write
         calls = {"n": 0}
 
         def failing_write(path, data):
@@ -371,7 +371,7 @@ class TestFileQueueSemantics:
                 raise OSError("disk full mid-enqueue")
             real_write(path, data)
 
-        monkeypatch.setattr(transport_module, "_atomic_write", failing_write)
+        monkeypatch.setattr(transport_module, "atomic_write", failing_write)
         transport = FileQueueTransport(workers=0, jobs=1, batch_size=1)
         with pytest.warns(ParallelFallbackWarning, match="disk full"):
             results = transport.map(_double, [1, 2, 3, 4, 5])

@@ -126,17 +126,18 @@ class TestFastVectorEquivalence:
         vector = execute_run_spec(
             RunSpec(scenario=scenario, mechanism=mechanism, engine="vector")
         )
-        assert vector.mean_zeta == pytest.approx(fast.mean_zeta, abs=1e-9)
-        assert vector.mean_phi == pytest.approx(fast.mean_phi, abs=1e-9)
-        assert vector.metrics.total_probed == fast.metrics.total_probed
-        assert vector.metrics.total_missed == fast.metrics.total_missed
-        for fast_epoch, vector_epoch in zip(
-            fast.metrics.epochs, vector.metrics.epochs
-        ):
-            assert vector_epoch.zeta == pytest.approx(fast_epoch.zeta, abs=1e-9)
-            assert vector_epoch.phi == pytest.approx(fast_epoch.phi, abs=1e-9)
-            assert vector_epoch.missed_contacts == fast_epoch.missed_contacts
-            assert vector_epoch.arrived_contacts == fast_epoch.arrived_contacts
+        assert vector.metrics.epochs == fast.metrics.epochs
+
+    def test_buffer_end_level_subtracts_the_running_upload_total(self):
+        # In this cell the sum of per-epoch upload totals differs from
+        # the running total in the last bit at one epoch end; fast's
+        # buffer level subtracts the running total, so vector must too.
+        scenario = tiny_scenario(epochs=3, seed=2)
+        fast = execute_run_spec(RunSpec(scenario=scenario, mechanism="SNIP-AT"))
+        vector = execute_run_spec(
+            RunSpec(scenario=scenario, mechanism="SNIP-AT", engine="vector")
+        )
+        assert vector.metrics.epochs == fast.metrics.epochs
 
     def test_rh_scheduler_end_state_matches_fast(self):
         # The walk feeds the real scheduler's EWMAs: after a run the

@@ -12,7 +12,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.spec import run_study
 from repro.scenarios import ScenarioRef
-from repro.service.scheduler import EventLog, StudyScheduler
+from repro.service.scheduler import FINISHED_LOG_LIMIT, EventLog, StudyScheduler
 from repro.service.store import StudyStore
 from service_specs import make_tiny_spec
 
@@ -162,6 +162,26 @@ class TestCancellation:
         assert scheduler.queue_depth == 0
         events = list(scheduler.events(record.study_id).stream())
         assert events[-1]["event"] == "cancelled"
+        assert not scheduler._cancel_requested
+
+    def test_cancel_before_the_scheduler_holds_the_study(self, tmp_path):
+        # A DELETE can land after the store queued a study but before the
+        # scheduler holds it: the study still ends cancelled, before it
+        # starts, on a closed stream, with no flag left behind.
+        store = StudyStore(str(tmp_path))
+        scheduler = StudyScheduler(store)
+        spec = make_tiny_spec()
+        study_id = store.submit(spec)[0].study_id
+        assert scheduler.cancel(study_id).state == "queued"
+        scheduler.submit(study_id, spec)
+        scheduler.start()
+        try:
+            events = list(scheduler.events(study_id).stream())
+            assert [event["event"] for event in events] == ["cancelled"]
+            assert store.get(study_id).state == "cancelled"
+            assert not scheduler._cancel_requested
+        finally:
+            scheduler.close()
 
     def test_cancel_running_study_aborts_at_next_cell(
         self, tmp_path, monkeypatch
@@ -192,6 +212,7 @@ class TestCancellation:
                 "started", "cell", "cancelled",
             ]
             assert store.get(study_id).state == "cancelled"
+            assert not scheduler._cancel_requested
         finally:
             scheduler.close()
 
@@ -340,3 +361,201 @@ class TestSchedulerCache:
                 cache=str(tmp_path / "cc"),
                 cache_options={"bogus": 1},
             )
+
+
+def submit(scheduler, store, spec) -> str:
+    """Persist and enqueue *spec*; returns its study id."""
+    record, _ = store.submit(spec)
+    scheduler.submit(record.study_id, spec)
+    return record.study_id
+
+
+def run_studies(scheduler, store, count: int, prefix: str) -> list:
+    """Run *count* distinct one-cell vector studies to completion."""
+    ids = [
+        submit(
+            scheduler, store,
+            make_tiny_spec(name=f"{prefix}-{index}", engines=("vector",)),
+        )
+        for index in range(count)
+    ]
+    assert list(scheduler.events(ids[-1]).stream())[-1]["event"] == "done"
+    return ids
+
+
+def kinds(events) -> list:
+    return [event["event"] for event in events]
+
+
+class TestEventRetention:
+    """Only live logs and the FINISHED_LOG_LIMIT newest finished ones stay."""
+
+    @pytest.fixture
+    def scheduler(self, tmp_path):
+        scheduler = StudyScheduler(
+            StudyStore(str(tmp_path / "store")), cache=str(tmp_path / "cc")
+        )
+        yield scheduler
+        scheduler.close()
+
+    def test_finished_logs_are_bounded(self, scheduler):
+        scheduler.start()
+        run_studies(scheduler, scheduler.store, 300, "many")
+        assert len(scheduler._events) == FINISHED_LOG_LIMIT
+        assert not scheduler._specs and not scheduler._cancel_requested
+
+    def test_recent_finished_study_replays_every_cell(self, scheduler):
+        # A warm study usually finishes before its subscriber arrives:
+        # attaching afterwards must still replay the cached cells.
+        scheduler.start()
+        store = scheduler.store
+        cells = dict(zeta_targets=(16.0, 24.0), engines=("vector",))
+        cold = submit(scheduler, store, make_tiny_spec(name="cold", **cells))
+        list(scheduler.events(cold).stream())
+        warm = submit(scheduler, store, make_tiny_spec(name="warm", **cells))
+        live = list(scheduler.events(warm).stream())
+        run_studies(scheduler, store, FINISHED_LOG_LIMIT - 1, "after")
+        replay = list(scheduler.events(warm).stream())
+        assert replay == live
+        assert kinds(replay) == ["started", "cell", "cell", "done"]
+        assert all(event["cached"] is True for event in replay[1:3])
+
+    def test_evicted_study_streams_like_one_from_before_a_restart(
+        self, scheduler
+    ):
+        scheduler.start()
+        store = scheduler.store
+        (old,) = run_studies(scheduler, store, 1, "old")
+        run_studies(scheduler, store, FINISHED_LOG_LIMIT, "newer")
+        assert old not in scheduler._events
+        evicted = list(scheduler.events(old).stream())
+        assert evicted == list(StudyScheduler(store).events(old).stream())
+        assert evicted == [{"event": "done", "study": old}]
+
+    def test_open_stream_completes_after_eviction(self, scheduler):
+        scheduler.start()
+        store = scheduler.store
+        (study_id,) = run_studies(scheduler, store, 1, "watched")
+        stream = scheduler.events(study_id).stream()
+        assert next(stream)["event"] == "started"
+        run_studies(scheduler, store, FINISHED_LOG_LIMIT + 1, "newer")
+        assert study_id not in scheduler._events
+        assert kinds(stream) == ["cell", "done"]
+
+    def test_queued_and_running_logs_outlive_the_limit(
+        self, scheduler, monkeypatch
+    ):
+        # While one study runs and one waits, more than FINISHED_LOG_LIMIT
+        # others finish (cancelled while queued); neither live log goes.
+        store = scheduler.store
+        started, release = threading.Event(), threading.Event()
+
+        def gated_run_study(spec, **kwargs):
+            if spec.name == "running":
+                started.set()
+                release.wait(timeout=30)
+            return run_study(spec, **kwargs)
+
+        monkeypatch.setattr(
+            "repro.service.scheduler.run_study", gated_run_study
+        )
+        scheduler.start()
+        running = submit(
+            scheduler, store, make_tiny_spec(name="running", engines=("vector",))
+        )
+        assert started.wait(timeout=10)
+        queued = submit(
+            scheduler, store, make_tiny_spec(name="queued", engines=("vector",))
+        )
+        logs = {running: scheduler.events(running), queued: scheduler.events(queued)}
+        for index in range(FINISHED_LOG_LIMIT + 5):
+            scheduler.cancel(
+                submit(scheduler, store, make_tiny_spec(name=f"cancelled-{index}"))
+            )
+        assert len(scheduler._events) == FINISHED_LOG_LIMIT + 2
+        for study_id, log in logs.items():
+            assert scheduler.events(study_id) is log
+        release.set()
+        for study_id in logs:
+            assert kinds(scheduler.events(study_id).stream()) == [
+                "started", "cell", "done",
+            ]
+        assert not scheduler._cancel_requested
+
+    def test_resubmitted_evicted_study_gets_a_fresh_stream(self, scheduler):
+        store = scheduler.store
+        spec = make_tiny_spec(name="retry", engines=("vector",))
+        study_id = submit(scheduler, store, spec)
+        scheduler.cancel(study_id)  # thread not started: cancelled queued
+        for index in range(FINISHED_LOG_LIMIT):
+            scheduler.cancel(
+                submit(scheduler, store, make_tiny_spec(name=f"filler-{index}"))
+            )
+        assert study_id not in scheduler._events
+        scheduler.start()
+        assert submit(scheduler, store, spec) == study_id
+        assert kinds(scheduler.events(study_id).stream()) == [
+            "started", "cell", "done",
+        ]
+        assert store.get(study_id).state == "done"
+
+    def test_resubmitted_recent_study_gets_a_fresh_stream(self, scheduler):
+        store = scheduler.store
+        spec = make_tiny_spec(name="retry", engines=("vector",))
+        study_id = submit(scheduler, store, spec)
+        scheduler.cancel(study_id)
+        assert kinds(scheduler.events(study_id).stream()) == ["cancelled"]
+        scheduler.start()
+        submit(scheduler, store, spec)
+        assert kinds(scheduler.events(study_id).stream()) == [
+            "started", "cell", "done",
+        ]
+        assert list(scheduler._finished).count(study_id) == 1
+
+    def test_resubmission_racing_the_failure_gets_a_fresh_stream(
+        self, scheduler, monkeypatch
+    ):
+        # A resubmission can arrive the moment the store says "failed".
+        # It must wait for the old log to close, get its own stream, and
+        # leave the finished window consistent: the scheduler thread
+        # survives evicting that id later.
+        store = scheduler.store
+        spec = make_tiny_spec(name="flaky", engines=("vector",))
+        attempts = []
+
+        def flaky_run_study(spec, **kwargs):
+            if spec.name == "flaky" and not attempts:
+                attempts.append(spec)
+                raise RuntimeError("first attempt fails")
+            return run_study(spec, **kwargs)
+
+        real_mark_failed = store.mark_failed
+        racers = []
+
+        def racing_mark_failed(study_id, error):
+            record = real_mark_failed(study_id, error)
+            racer = threading.Thread(
+                target=submit, args=(scheduler, store, spec), daemon=True
+            )
+            racer.start()
+            racer.join(timeout=0.5)  # blocks until the old log is closed
+            racers.append(racer)
+            return record
+
+        monkeypatch.setattr(
+            "repro.service.scheduler.run_study", flaky_run_study
+        )
+        monkeypatch.setattr(store, "mark_failed", racing_mark_failed)
+        scheduler.start()
+        study_id = submit(scheduler, store, spec)
+        first = list(scheduler.events(study_id).stream())
+        assert kinds(first) == ["started", "failed"]
+        racers[0].join(timeout=10)
+        assert kinds(scheduler.events(study_id).stream()) == [
+            "started", "cell", "done",
+        ]
+        assert list(scheduler._finished).count(study_id) == 1
+        run_studies(scheduler, store, FINISHED_LOG_LIMIT + 1, "after")
+        assert scheduler.is_alive()
+        assert study_id not in scheduler._events
+        assert store.get(study_id).state == "done"

@@ -9,6 +9,7 @@ and fetch an artifact byte-identical to a direct ``run_study``.
 
 from __future__ import annotations
 
+import builtins
 import json
 import multiprocessing
 import socket
@@ -227,6 +228,22 @@ class TestHealthz:
         assert health["queue_depth"] == 0
         assert health["studies"]["done"] == 1
         assert health["transport"] is None
+
+    def test_healthz_reads_no_study_file(self, client, live_server, monkeypatch):
+        submitted = client.submit(make_tiny_spec())
+        client.wait(submitted["id"])
+        opened = []
+        real_open = builtins.open
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        health = live_server.service.healthz()
+        monkeypatch.undo()
+        assert health["studies"]["done"] == 1
+        assert [path for path in opened if path.endswith("state.json")] == []
 
 
 class TestServerLifetime:

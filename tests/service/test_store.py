@@ -9,7 +9,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.spec import StudyDocument, run_study
-from repro.experiments.transport import _TEMP_SUFFIX
+from repro.fsio import TEMP_SUFFIX
 from repro.service.store import (
     STUDY_STATES,
     TERMINAL_STATES,
@@ -19,6 +19,14 @@ from repro.service.store import (
 )
 
 from service_specs import make_tiny_spec
+
+
+def scanned_counts(store: StudyStore) -> dict:
+    """Study counts by state, read from every ``state.json``."""
+    counts = dict.fromkeys(STUDY_STATES, 0)
+    for record in store.list():
+        counts[record.state] += 1
+    return counts
 
 
 class TestContentAddressing:
@@ -158,11 +166,12 @@ class TestRecovery:
             total_runs=spec.total_runs,
             submitted_at=record.submitted_at,
         )
-        store._write_state(running)  # wind the snapshot back
+        store._write_state(running, was="done")  # wind the snapshot back
         restarted = StudyStore(str(tmp_path))
         requeued, interrupted = restarted.recover()
         assert interrupted == []
         assert restarted.get(record.study_id).state == "done"
+        assert restarted.counts() == scanned_counts(restarted)
 
     def test_corrupt_journal_line_is_skipped(self, tmp_path):
         store = StudyStore(str(tmp_path))
@@ -180,6 +189,32 @@ class TestRecovery:
         assert sum(counts.values()) == 1
         assert set(counts) == set(STUDY_STATES)
 
+    def test_counts_follow_every_transition_and_restart(self, tmp_path):
+        store = StudyStore(str(tmp_path))
+        specs = [make_tiny_spec(seed=seed) for seed in (1, 2, 3, 4)]
+        done, failed, cancelled, interrupted = (
+            store.submit(spec)[0].study_id for spec in specs
+        )
+        assert store.counts() == scanned_counts(store)
+        store.mark_running(done)
+        store.mark_done(done, run_study(specs[0]), specs[0])
+        store.mark_running(failed)
+        store.mark_failed(failed, "boom")
+        store.mark_cancelled(cancelled)
+        store.mark_running(interrupted)
+        assert store.counts() == scanned_counts(store) == {
+            "queued": 0, "running": 1, "done": 1, "failed": 1, "cancelled": 1,
+        }
+        store.submit(specs[1])  # the failed study re-queues
+        store.submit(specs[2])  # so does the cancelled one
+        assert store.counts() == scanned_counts(store)
+        restarted = StudyStore(str(tmp_path))
+        assert restarted.counts() == scanned_counts(restarted)
+        restarted.recover()  # the running study fails as interrupted
+        assert restarted.counts() == scanned_counts(restarted) == {
+            "queued": 2, "running": 0, "done": 1, "failed": 1, "cancelled": 0,
+        }
+
 
 class TestAtomicity:
     def test_no_temp_files_left_behind(self, tmp_path):
@@ -189,6 +224,6 @@ class TestAtomicity:
             name
             for _, _, names in os.walk(str(tmp_path))
             for name in names
-            if name.endswith(_TEMP_SUFFIX)
+            if name.endswith(TEMP_SUFFIX)
         ]
         assert leftovers == []
