@@ -6,8 +6,11 @@ grid.  This bench measures the fix: it runs the identical grid of
 ``engine="fast"`` and once with ``engine="vector"`` through
 :func:`~repro.experiments.runner.execute_run_spec` (the one way a cell
 runs, whatever the transport), reports the wall-clock per engine and
-the vector/fast speedup, and cross-checks the engines' agreement
-metrics cell by cell.
+the vector/fast speedup, and cross-checks the engines cell by cell:
+the largest difference in each agreement metric, and the number of
+``(cell, epoch)`` rows whose :class:`~repro.experiments.metrics.EpochMetrics`
+differ in any field (``epoch_rows_differing``; 0 when the engines
+agree exactly).
 
 The vector engine runs first, so it pays the process-wide scheduler
 solve memos cold (as any fresh study process does) and ``fast`` finds
@@ -31,6 +34,7 @@ import platform
 import subprocess
 import sys
 import time
+from itertools import zip_longest
 
 import numpy as np
 
@@ -81,6 +85,21 @@ def _metric(result, name):
     if name == "probed_per_epoch":
         return result.metrics.total_probed / result.metrics.epoch_count
     return float(getattr(result, name))
+
+
+def _epoch_rows_differing(fast_results, vector_results):
+    """``(cell, epoch)`` rows whose EpochMetrics differ in any field.
+
+    Compared with ``==`` on the dataclasses, so every field counts;
+    an epoch present in one engine's run only counts as differing.
+    """
+    return sum(
+        fast_epoch != vector_epoch
+        for fast, vec in zip(fast_results, vector_results)
+        for fast_epoch, vector_epoch in zip_longest(
+            fast.metrics.epochs, vec.metrics.epochs
+        )
+    )
 
 
 def _warmup(engine):
@@ -154,6 +173,7 @@ def main(argv=None) -> int:
         )
         for name in METRICS
     }
+    rows_differing = _epoch_rows_differing(results["fast"], results["vector"])
     speedup = (
         round(seconds["fast"] / seconds["vector"], 3)
         if seconds["vector"] > 0 else None
@@ -174,6 +194,7 @@ def main(argv=None) -> int:
         "max_abs_delta": {
             name: float(f"{value:.3e}") for name, value in max_abs_delta.items()
         },
+        "epoch_rows_differing": rows_differing,
     }
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(artifact, handle, indent=2)
@@ -182,6 +203,7 @@ def main(argv=None) -> int:
     print(f"vector speedup over fast: {speedup}x")
     for name, value in max_abs_delta.items():
         print(f"max |delta| {name}: {value:.3e}")
+    print(f"epoch rows differing: {rows_differing}")
     return 0
 
 

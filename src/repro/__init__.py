@@ -75,7 +75,6 @@ from .experiments import (
     resolve_engine,
     resolve_transport,
     run_study,
-    transport_factories,
 )
 from .mobility import (
     Contact,
@@ -153,7 +152,6 @@ __all__ = [
     "resolve_engine",
     "resolve_transport",
     "run_study",
-    "transport_factories",
     # mobility
     "Contact",
     "ContactTrace",

@@ -1,7 +1,7 @@
 """Registry/CLI consistency rules: one source of truth for every name.
 
-Four named registries drive the experiment layer (mechanisms, engines,
-transports, scenarios — :mod:`repro.experiments.registry`), and two
+Three named registries drive the experiment layer (mechanisms, engines,
+scenarios — :mod:`repro.experiments.registry`), and two
 other surfaces must stay in lockstep with them: every argparse
 ``choices=`` the CLI exposes, and the shipped ``examples/*.json`` study
 documents.  Each can drift silently: a hand-maintained CLI engine set,
@@ -19,8 +19,8 @@ visible to workers:
   (``engine_factories.names()``, ``available_engines()``, ...);
 * ``spec-example-names`` — every shipped example document must load
   under the strict :meth:`~repro.experiments.spec.StudySpec.from_dict`
-  (which resolves every mechanism/engine/transport/node-factory name
-  against the live registries).
+  (which resolves every mechanism/engine/scenario/node-factory name
+  against the live registries, and builds the named transport).
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .rules import (
 #: ``literal-choices`` rule (all return live registry names).
 REGISTRY_CHOICE_HELPERS = frozenset({
     "available_engines",
-    "transport_names",
     "available_scenarios",
 })
 
@@ -140,7 +139,7 @@ class LiteralChoicesRule(RegistryRule):
                     self, keyword.value,
                     "choices= embeds a literal name set; derive it "
                     "from the registry that owns the names "
-                    "(e.g. available_engines(), transport_names(), "
+                    "(e.g. available_engines(), available_scenarios(), "
                     "mechanism_factories.names()) so the CLI cannot drift",
                 )
 

@@ -40,12 +40,11 @@ CATEGORY_DETERMINISM = "determinism"
 CATEGORY_REGISTRY = "registry"
 CATEGORY_WORKER_SAFETY = "worker-safety"
 
-#: The four named factory registries whose registrations the registry
+#: The three named factory registries whose registrations the registry
 #: rules track (:mod:`repro.experiments.registry`).
 FACTORY_REGISTRY_NAMES = (
     "mechanism_factories",
     "engine_factories",
-    "transport_factories",
     "scenario_factories",
 )
 

@@ -1,7 +1,7 @@
 """The caching transport decorator: hits from disk, misses downstream.
 
-:class:`CachedTransport` wraps any registered transport ("serial",
-"pool", "file-queue", or a runtime registration) and partitions each
+:class:`CachedTransport` wraps any of the three transports ("serial",
+"pool" or "file-queue") and partitions each
 shard list into cache hits and misses: hits are decoded straight from
 the :class:`~repro.cache.store.CellCache` and yielded first, misses
 run over the inner transport with their indices remapped back to the

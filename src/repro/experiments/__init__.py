@@ -26,13 +26,13 @@
   :class:`~repro.experiments.parallel.Transport` base class and
   deterministic process-pool orchestration of grid shards, with
   optional shard batching;
-* :mod:`~repro.experiments.transport` — named
+* :mod:`~repro.experiments.transport` — the three named
   execution backends (``"serial"``, ``"pool"``, ``"file-queue"``),
   including the directory-backed multi-host work queue;
 * :mod:`~repro.experiments.worker` — the ``python -m repro worker``
   loop that serves file-queue tickets from any host;
 * :mod:`~repro.experiments.registry` — named scheduler factories,
-  engines, and transports that resolve across process boundaries;
+  engines, and scenarios that resolve across process boundaries;
 * :mod:`~repro.experiments.reporting` — plain-text tables, series, CSV.
 """
 
@@ -42,7 +42,6 @@ from .registry import (
     PAPER_MECHANISMS,
     engine_factories,
     mechanism_factories,
-    transport_factories,
 )
 from .engine import (
     Engine,
@@ -76,7 +75,6 @@ from .transport import (
     FileQueueTransport,
     Transport,
     resolve_transport,
-    transport_names,
     validate_transport,
 )
 from .sweep import GridResult, SweepResult
@@ -120,8 +118,6 @@ __all__ = [
     "FileQueueTransport",
     "Transport",
     "resolve_transport",
-    "transport_factories",
-    "transport_names",
     "validate_transport",
     "replicate_seed",
     "GridResult",

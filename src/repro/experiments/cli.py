@@ -29,8 +29,8 @@ with dotted-path ``--set section.key=value`` overrides; a spec listing
 two or more engines is a paired agreement grid, and one with a
 ``network`` section is a fleet study.  ``--emit-spec PATH`` writes the
 effective spec instead of running it.  ``--jobs N`` shards over a
-process pool and ``--transport NAME`` picks any registered execution
-backend (``serial``, ``pool``, ``file-queue``;
+process pool and ``--transport NAME`` picks one of the three execution
+backends (``serial``, ``pool``, ``file-queue``;
 :mod:`repro.experiments.transport`); the run reports whether the
 distributed path was actually taken (a serial fallback also emits a
 :class:`~repro.experiments.parallel.ParallelFallbackWarning` to
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--transport", default=None, metavar="NAME",
         help="shorthand for --set execution.transport=NAME "
-             "(serial, pool, file-queue, or any registered transport)",
+             "(serial, pool or file-queue)",
     )
     run.add_argument(
         "--out", default=None, metavar="PATH",
@@ -355,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--transport", default=None, metavar="NAME",
-        help="pin every study to this transport-registry name "
-             "(default: each spec's own execution section)",
+        help="pin every study to this transport: serial, pool or "
+             "file-queue (default: each spec's own execution section)",
     )
     serve.add_argument(
         "--transport-option", dest="transport_options", action="append",

@@ -94,15 +94,13 @@ worker sees the registries as they were at the fork, so a mechanism,
 scenario or engine registered afterwards is not visible to it: register
 plugins before the first pool study (before serving).
 
-Both executors are registered by name
-(:mod:`repro.experiments.transport`): ``"serial"`` and ``"pool"`` in
-:data:`repro.experiments.registry.transport_factories`, next to the
-directory-backed ``"file-queue"`` backend — so a
+Both executors are named in the closed transport table of
+:mod:`repro.experiments.transport` — ``"serial"`` and ``"pool"``, next
+to the directory-backed ``"file-queue"`` backend — so a
 :class:`~repro.experiments.spec.StudySpec` selects its execution
-backend by name exactly like it selects mechanisms and engines.  That
-registry name is a transport's only name: a plain serial spec builds a
-:class:`SerialExecutor` like any other, and whoever builds a transport
-closes it.
+backend by name.  That table name is a transport's only name: a plain
+serial spec builds a :class:`SerialExecutor` like any other, and
+whoever builds a transport closes it.
 
 Because shards are pure (rule 1), their outcomes are also
 **memoizable**: :class:`repro.cache.transport.CachedTransport`
@@ -231,10 +229,10 @@ class Transport(ABC):
     complete, and every consumer slots each result into its index
     (rule 3), so the assembled answer is byte-identical no matter which
     backend ran it.  :meth:`map` is the blocking view over that stream.
-    Transports register by name in
-    :data:`repro.experiments.registry.transport_factories` and are
-    constructed from picklable configuration only, so the *description*
-    of how to execute a study travels inside the study file itself.
+    The three transports are named in the closed table of
+    :mod:`repro.experiments.transport` and are constructed from
+    picklable configuration only, so the *description* of how to
+    execute a study travels inside the study file itself.
     """
 
     #: Optional workload name a backend includes in its fallback

@@ -8,7 +8,7 @@ strings, and the worker re-resolves them against its own copy of the
 registry (populated at import time, or inherited via fork), so the
 factory itself never needs to be picklable.
 
-Four registries exist, one per factory signature:
+Three registries exist, one per factory signature:
 
 * :data:`mechanism_factories` — ``factory(scenario) -> Scheduler``, the
   mechanisms a :class:`~repro.experiments.runner.RunSpec` names (grid
@@ -17,17 +17,17 @@ Four registries exist, one per factory signature:
   backends behind the unified run API (``"fast"``, ``"micro"``,
   ``"vector"``; see :mod:`repro.experiments.engine`, which owns the
   protocol and the lazy-import resolution helper);
-* :data:`transport_factories` — ``factory(jobs=..., batch_size=...,
-  **options) -> Transport``, the execution backends shards run on
-  (``"serial"``, ``"pool"``, ``"file-queue"``; see
-  :mod:`repro.experiments.transport`, which owns the built-in
-  registrations and strict option validation);
 * :data:`scenario_factories` — ``factory(**options) -> Scenario``, the
   named workloads studies sweep as a fifth axis (``"paper-roadside"``,
   ``"diurnal"``, ``"trace-driven"``, ``"mixed-fleet"``,
   ``"flash-crowd"``, ``"dead-zone"``, ``"churn"``; see
   :mod:`repro.scenarios`, which owns the built-in registrations and
   the lazy-import resolution helper).
+
+Execution transports have no registry: they are built in the parent
+process only, so nothing re-resolves them across a process boundary,
+and their set is closed (``"serial"``, ``"pool"``, ``"file-queue"``;
+see :mod:`repro.experiments.transport`).
 
 Registering a custom mechanism at module level (so spawned workers
 re-run the registration when they import the module)::
@@ -48,9 +48,9 @@ pre-registered at import time.
 The registries are also what makes the declarative study layer
 (:mod:`repro.experiments.spec`) portable: a
 :class:`~repro.experiments.spec.StudySpec` references mechanisms,
-engines, transports and scenarios exclusively by these names, so a
-study file validated against the registries here executes identically
-on any host where the same registrations exist.
+engines and scenarios exclusively by these names, so a study file
+validated against the registries here executes identically on any host
+where the same registrations exist.
 """
 
 from __future__ import annotations
@@ -67,7 +67,12 @@ PAPER_MECHANISMS = ("SNIP-AT", "SNIP-OPT", "SNIP-RH")
 
 
 class FactoryRegistry:
-    """A name → scheduler-factory mapping with decorator registration."""
+    """A name → factory mapping with decorator registration.
+
+    The factory is whatever the registry's users call: a scheduler,
+    engine or scenario factory here, a lint rule class in
+    :mod:`repro.analysis.rules`.
+    """
 
     def __init__(self, kind: str) -> None:
         """*kind* labels the registry in error messages and reprs."""
@@ -155,14 +160,6 @@ mechanism_factories = FactoryRegistry("mechanism")
 #: :func:`repro.experiments.engine.resolve_engine`, which imports those
 #: modules lazily for workers that have not loaded them yet.
 engine_factories = FactoryRegistry("engine")
-
-#: Execution backends: ``factory(jobs=..., batch_size=...,
-#: **options) -> Transport``.  Built-ins (``"serial"``, ``"pool"``,
-#: ``"file-queue"``) register in :mod:`repro.experiments.transport`;
-#: resolve through
-#: :func:`repro.experiments.transport.resolve_transport`, which
-#: validates the per-transport options strictly before construction.
-transport_factories = FactoryRegistry("transport")
 
 #: Named workloads: ``factory(**options) -> Scenario`` (the fifth study
 #: axis).  Built-ins register in :mod:`repro.scenarios.builtin`; resolve

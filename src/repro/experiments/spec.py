@@ -205,11 +205,12 @@ class StudySpec:
       ``batch_size`` (shards per pool task or file-queue ticket, or
       ``"auto"``: one near-equal contiguous batch per worker
       per round, see :mod:`~repro.experiments.parallel`),
-      ``transport`` (a transport-registry name — ``"serial"``,
-      ``"pool"``, ``"file-queue"``, or any runtime registration; null
+      ``transport`` (one of the three transport names — ``"serial"``,
+      ``"pool"`` or ``"file-queue"``; null
       derives ``"pool"`` when ``jobs > 1``, else ``"serial"``),
       ``transport_options`` (a strict per-transport options dict, e.g.
-      the file queue's ``queue_dir``/``workers``), and ``cache`` /
+      the file queue's ``queue_dir``/``workers``, whose keys and values
+      are checked at load), and ``cache`` /
       ``cache_options`` (a content-addressed cell-cache directory plus
       its strict options — ``max_bytes``, ``max_age_days``,
       ``readonly``; see :mod:`repro.cache` — decorating whatever
@@ -353,7 +354,7 @@ class StudySpec:
             not isinstance(self.transport, str) or not self.transport
         ):
             raise ConfigurationError(
-                f"transport must be a transport-registry name or null, "
+                f"transport must be a transport name or null, "
                 f"got {self.transport!r}"
             )
         if not isinstance(self.transport_options, Mapping):

@@ -1,12 +1,10 @@
-"""Pluggable execution transports: every backend resolves by name.
+"""Execution transports: three named backends in one closed table.
 
-Execution used to be the one axis of the system that could not be
-named: mechanisms, engines, and scenarios all resolve through
-:mod:`repro.experiments.registry`, but picking *how* shards run meant
-constructing a concrete :class:`~repro.experiments.parallel.SerialExecutor`
-or :class:`~repro.experiments.parallel.ParallelExecutor` in code, so a
-third backend could not exist without editing ``run_study`` and the CLI
-in lockstep.  This module closes that gap:
+Mechanisms, engines and scenarios resolve through
+:mod:`repro.experiments.registry`, because workers re-resolve them by
+name on their side of a process boundary.  Transports are built in the
+parent process only, so they need no registry: the set is closed, and
+a :class:`~repro.experiments.spec.StudySpec` picks one of three names.
 
 * :class:`~repro.experiments.parallel.Transport` — the base class
   every backend inherits, re-exported here: one required method,
@@ -14,15 +12,16 @@ in lockstep.  This module closes that gap:
   results are slotted by shard index, never by completion order), so
   the assembled answer is byte-identical no matter which backend ran
   it.
-* :data:`~repro.experiments.registry.transport_factories` — the named
-  registry.  Built-ins, registered here at import time: ``"serial"``
-  (in-process reference semantics), ``"pool"`` (the process-pool
-  executor), and ``"file-queue"`` (:class:`FileQueueTransport`, a
-  directory-backed work queue that scales past one host).
+* The table (:data:`BUILTIN_TRANSPORTS` lists its names):
+  ``"serial"`` (in-process reference semantics), ``"pool"`` (the
+  process-pool executor), and ``"file-queue"``
+  (:class:`FileQueueTransport`, a directory-backed work queue that
+  scales past one host).  Each entry names its class and the
+  ``transport_options`` keys it takes.
 * :func:`resolve_transport` — name plus picklable config → a live
-  transport; :func:`validate_transport` checks a name and an options
-  dict strictly, so a bad ``transport_options`` key fails at spec-load
-  time, not mid-run on a worker.
+  transport; :func:`validate_transport` builds one and closes it
+  again, so a bad ``transport_options`` key or value fails at
+  spec-load time, not mid-run on a worker.
 
 A :class:`~repro.experiments.spec.StudySpec` names its transport in the
 ``execution`` section (``transport`` / ``transport_options``), so::
@@ -61,7 +60,6 @@ identical result and the duplicate is simply ignored.
 
 from __future__ import annotations
 
-import inspect
 import json
 import os
 import pickle
@@ -96,7 +94,6 @@ from .parallel import (
     _ShardOutcome,
     _guarded_batch,
 )
-from .registry import transport_factories
 
 __all__ = [
     "BUILTIN_TRANSPORTS",
@@ -104,116 +101,8 @@ __all__ = [
     "Transport",
     "release_claimed_ticket",
     "resolve_transport",
-    "transport_names",
-    "transport_option_names",
     "validate_transport",
 ]
-
-#: The built-in transport names, cheapest first.
-BUILTIN_TRANSPORTS = ("serial", "pool", "file-queue")
-
-#: Config keys every transport factory accepts (fed from a StudySpec's
-#: execution section); anything beyond these is a per-transport option.
-_COMMON_CONFIG = ("jobs", "batch_size")
-
-
-@transport_factories.register("serial")
-def serial_transport(*, jobs: int = 1, batch_size=1) -> SerialExecutor:
-    """The in-process reference backend (ignores jobs and batch size).
-
-    Byte-identical to every other transport by the sharding contract;
-    the semantics all of them are tested against.
-    """
-    return SerialExecutor()
-
-
-@transport_factories.register("pool")
-def pool_transport(
-    *, jobs: Optional[int] = None, batch_size="auto"
-) -> ParallelExecutor:
-    """The process-pool backend (the historical ``--jobs N`` path)."""
-    return ParallelExecutor(jobs=jobs, batch_size=batch_size)
-
-
-def transport_names() -> List[str]:
-    """All registered transport names (built-ins register at import)."""
-    return transport_factories.names()
-
-
-def transport_option_names(name: str) -> Optional[Tuple[str, ...]]:
-    """The per-transport option keys *name* accepts, from its signature.
-
-    Everything a factory accepts beyond the common execution config
-    (``jobs``, ``batch_size``) is an option settable through
-    a spec's ``execution.transport_options`` dict; deriving the set
-    from the factory signature means registered third-party transports
-    get strict validation for free.  A factory with a ``**kwargs``
-    catch-all opts out of strictness: this returns None and
-    :func:`validate_transport` accepts any key for it.
-    """
-    factory = transport_factories.resolve(name)
-    parameters = inspect.signature(factory).parameters
-    if any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in parameters.values()
-    ):
-        return None
-    return tuple(
-        parameter
-        for parameter in parameters
-        if parameter not in _COMMON_CONFIG
-    )
-
-
-def validate_transport(
-    name: str,
-    options: Optional[Mapping[str, Any]] = None,
-    *,
-    where: str = "execution.transport_options",
-) -> None:
-    """Fail fast on an unknown transport name or a bad options key.
-
-    The load-time half of the transport contract: a
-    :class:`~repro.experiments.spec.StudySpec` naming a transport is
-    validated here (unknown names raise with the known ones listed;
-    unknown option keys raise naming the offending *where* path) so a
-    bad spec fails before any shard — or any worker host — is touched.
-    """
-    transport_factories.resolve(name)  # unknown names raise, listing known
-    if options:
-        allowed = transport_option_names(name)
-        if allowed is None:
-            return  # the factory takes **kwargs: any key is its business
-        unknown = sorted(set(options) - set(allowed))
-        if unknown:
-            raise ConfigurationError(
-                f"unknown {where} key(s) {unknown} for transport {name!r}; "
-                f"known: {sorted(allowed) if allowed else '(none)'}"
-            )
-
-
-def resolve_transport(
-    name: str,
-    *,
-    jobs: int = 1,
-    batch_size="auto",
-    options: Optional[Mapping[str, Any]] = None,
-) -> Transport:
-    """Build the transport registered under *name* from picklable config.
-
-    *jobs* and *batch_size* are the common execution config
-    (a spec's ``execution`` section); *options* is the per-transport
-    ``transport_options`` dict, validated strictly against the
-    factory's signature before construction.  This is the single
-    resolution path behind :func:`~repro.experiments.spec.run_study`,
-    the service, and the CLI (all through
-    :meth:`~repro.experiments.spec.StudySpec.build_inner_transport`).
-    """
-    validate_transport(name, options)
-    factory = transport_factories.resolve(name)
-    extra = dict(options) if options else {}
-    return factory(jobs=jobs, batch_size=batch_size, **extra)
-
 
 # ----------------------------------------------------------------------
 # file-queue protocol helpers (shared with repro.experiments.worker)
@@ -807,32 +696,97 @@ class _QueueSession:
                         pass
 
 
-@transport_factories.register("file-queue")
-def file_queue_transport(
-    *,
-    jobs: int = 1,
-    batch_size="auto",
-    queue_dir: Optional[str] = None,
-    workers: Optional[int] = None,
-    poll_interval: float = 0.05,
-    reclaim_after: float = 60.0,
-    self_process: bool = True,
-    max_wait: Optional[float] = None,
-) -> FileQueueTransport:
-    """The directory-backed multi-host backend (see the class docs).
+# ----------------------------------------------------------------------
+# the transport table
+# ----------------------------------------------------------------------
+#: Every transport, cheapest first: name → (class, the
+#: ``transport_options`` keys it takes).  ``jobs`` and ``batch_size``
+#: come from the spec's execution section, not from the options.
+_TRANSPORTS: Dict[str, Tuple[type, Tuple[str, ...]]] = {
+    "serial": (SerialExecutor, ()),
+    "pool": (ParallelExecutor, ()),
+    "file-queue": (
+        FileQueueTransport,
+        (
+            "queue_dir",
+            "workers",
+            "poll_interval",
+            "reclaim_after",
+            "self_process",
+            "max_wait",
+        ),
+    ),
+}
 
-    Everything beyond the common execution config is a
-    ``transport_options`` key: ``queue_dir``, ``workers``,
-    ``poll_interval``, ``reclaim_after``, ``self_process``,
-    ``max_wait``.
+#: The transport names, cheapest first.
+BUILTIN_TRANSPORTS = tuple(_TRANSPORTS)
+
+
+def _build(
+    name: str,
+    options: Optional[Mapping[str, Any]],
+    *,
+    jobs: Optional[int],
+    batch_size: int | str,
+    where: str,
+) -> Transport:
+    """Check *name* and the option keys against the table, then construct.
+
+    The constructors check the option values.  None of them has a side
+    effect (nothing forks, no directory is made), so building one is
+    also the cheapest complete check.
     """
-    return FileQueueTransport(
-        queue_dir=queue_dir,
-        jobs=jobs,
-        batch_size=batch_size,
-        workers=workers,
-        poll_interval=poll_interval,
-        reclaim_after=reclaim_after,
-        self_process=self_process,
-        max_wait=max_wait,
+    try:
+        cls, keys = _TRANSPORTS[name]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown transport factory {name!r}; known: {sorted(_TRANSPORTS)}"
+        ) from None
+    options = dict(options or {})
+    unknown = sorted(set(options) - set(keys))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {where} key(s) {unknown} for transport {name!r}; "
+            f"known: {sorted(keys) if keys else '(none)'}"
+        )
+    if cls is SerialExecutor:
+        return SerialExecutor()  # in-process: jobs and batch size do not apply
+    return cls(jobs=jobs, batch_size=batch_size, **options)
+
+
+def validate_transport(
+    name: str,
+    options: Optional[Mapping[str, Any]] = None,
+    *,
+    where: str = "execution.transport_options",
+) -> None:
+    """Fail fast on an unknown transport name or a bad option key or value.
+
+    Builds the transport and closes it again, so a
+    :class:`~repro.experiments.spec.StudySpec` (or a server's pinned
+    transport) fails at load time, before any shard or worker host is
+    touched.  Unknown option keys raise naming the *where* path.
+    """
+    _build(name, options, jobs=1, batch_size="auto", where=where).close()
+
+
+def resolve_transport(
+    name: str,
+    *,
+    jobs: Optional[int] = 1,
+    batch_size: int | str = "auto",
+    options: Optional[Mapping[str, Any]] = None,
+) -> Transport:
+    """Build the transport named *name* from picklable config.
+
+    *jobs* and *batch_size* are the common execution config (a spec's
+    ``execution`` section; ``serial`` ignores both); *options* is the
+    per-transport ``transport_options`` dict.  This is the single
+    construction path behind :func:`~repro.experiments.spec.run_study`,
+    the service, and the CLI (all through
+    :meth:`~repro.experiments.spec.StudySpec.build_inner_transport`).
+    """
+    return _build(
+        name, options, jobs=jobs, batch_size=batch_size,
+        where="execution.transport_options",
     )

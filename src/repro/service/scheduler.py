@@ -142,7 +142,7 @@ class StudyScheduler:
 
     Args:
         store: the persistent :class:`~repro.service.store.StudyStore`.
-        transport: optional transport-registry name pinned by the
+        transport: optional transport name pinned by the
             server (``repro serve --transport NAME``).  When set, every
             study executes on this transport — built with the study's
             own ``jobs``/``batch_size`` — regardless of its spec's
@@ -153,7 +153,7 @@ class StudyScheduler:
             would.
         transport_options: per-transport options for the pinned
             transport (a file queue's ``queue_dir``/``workers``, ...),
-            validated strictly at construction.
+            keys and values validated at construction.
         cache: optional content-addressed cell-cache directory pinned
             by the server (``repro serve --cache DIR``).  When set,
             every study's transport is decorated with
@@ -299,8 +299,11 @@ class StudyScheduler:
     def events(self, study_id: str) -> Optional[EventLog]:
         """The event log for *study_id*, synthesizing terminal ones.
 
-        A study known to the store but without an in-memory log (it ran
-        before a restart, or finished more than
+        A study the store holds as queued but that has not reached
+        :meth:`submit` yet (the service persists before it enqueues)
+        gets an open log now, which :meth:`submit` keeps, so its stream
+        waits for the run.  A terminal study without an in-memory log
+        (it ran before a restart, or finished more than
         :data:`FINISHED_LOG_LIMIT` studies ago) gets a pre-closed log
         carrying its terminal event, so ``GET /studies/{id}/events``
         always has something coherent to stream.  Unknown studies
@@ -308,11 +311,14 @@ class StudyScheduler:
         """
         with self._cond:
             log = self._events.get(study_id)
-        if log is not None:
-            return log
-        record = self.store.get(study_id)
-        if record is None:
-            return None
+            if log is not None:
+                return log
+            record = self.store.get(study_id)
+            if record is None:
+                return None
+            if not record.is_terminal:
+                log = self._events[study_id] = EventLog()
+                return log
         event: Dict[str, Any] = {"event": record.state, "study": study_id}
         if record.error:
             event["error"] = record.error

@@ -54,9 +54,9 @@ class TestWorkerResolvable:
             {
                 "repro/experiments/fast.py": FAST_MODULE,
                 "repro/experiments/direct.py": """\
-                from .registry import transport_factories
+                from .registry import engine_factories
 
-                transport_factories.register("local", object)
+                engine_factories.register("local", object)
                 """,
             },
             rules=[WorkerResolvableRule()],
@@ -110,7 +110,7 @@ class TestLiteralChoices:
                 "repro/experiments/cli_bits.py": """\
                 def add(parser):
                     parser.add_argument("--engine", choices=available_engines())
-                    parser.add_argument("--transport", choices=transport_names())
+                    parser.add_argument("--scenario", choices=available_scenarios())
                     parser.add_argument(
                         "--mech", choices=sorted(mechanism_factories.names())
                     )

@@ -2,9 +2,9 @@
 
 The contract under test:
 
-* execution resolves **by name** through the transport registry, with
-  strict validation (unknown transport names and bad
-  ``transport_options`` keys fail at spec-load time);
+* execution resolves **by name** through the closed transport table,
+  with strict validation (unknown transport names and bad
+  ``transport_options`` keys and values fail at spec-load time);
 * the new ``execution.transport``/``execution.transport_options`` spec
   fields round-trip byte-stably and derive the historical defaults
   (``"pool"`` above one job, ``"serial"`` otherwise);
@@ -22,7 +22,9 @@ The contract under test:
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
+import multiprocessing
 import os
 import pickle
 import subprocess
@@ -37,7 +39,7 @@ from repro.experiments.parallel import (
     ParallelFallbackWarning,
     SerialExecutor,
 )
-from repro.experiments.registry import mechanism_factories, transport_factories
+from repro.experiments.registry import mechanism_factories
 from repro.experiments.runner import RunResult, RunSpec, execute_run_spec
 from repro.experiments.scenario import paper_roadside_scenario
 from repro.experiments.spec import StudySpec, run_study
@@ -45,9 +47,8 @@ from repro.experiments.transport import (
     BUILTIN_TRANSPORTS,
     FileQueueTransport,
     Transport,
+    _TRANSPORTS,
     resolve_transport,
-    transport_names,
-    transport_option_names,
     validate_transport,
 )
 from repro.units import DAY
@@ -84,7 +85,7 @@ def study_bytes(study) -> bytes:
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert set(BUILTIN_TRANSPORTS) <= set(transport_names())
+        assert BUILTIN_TRANSPORTS == ("serial", "pool", "file-queue")
 
     def test_serial_and_pool_resolve_to_legacy_classes(self):
         assert isinstance(resolve_transport("serial"), SerialExecutor)
@@ -126,21 +127,51 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="workers"):
             resolve_transport("serial", options={"workers": 2})
 
-    def test_option_names_come_from_the_factory_signature(self):
-        options = transport_option_names("file-queue")
-        assert "queue_dir" in options and "workers" in options
-        assert "jobs" not in options and "label" not in options
+    def test_option_keys_come_from_the_table(self, tmp_path):
+        validate_transport(
+            "file-queue", {"queue_dir": str(tmp_path / "q"), "workers": 0}
+        )
+        for key in ("jobs", "label"):
+            with pytest.raises(ConfigurationError, match=f"'{key}'"):
+                validate_transport("file-queue", {key: 1})
 
-    def test_runtime_registration_resolves(self):
-        @transport_factories.register("test-inline")
-        def inline_transport(*, jobs=1, batch_size=1):
-            """An inline test transport."""
-            return SerialExecutor()
+    def test_table_keys_match_the_file_queue_constructor(self):
+        # The table is hand-written: it must list exactly the
+        # constructor's keywords beyond the common execution config.
+        _, keys = _TRANSPORTS["file-queue"]
+        parameters = inspect.signature(FileQueueTransport).parameters
+        assert set(keys) == set(parameters) - {"jobs", "batch_size"}
 
-        try:
-            assert isinstance(resolve_transport("test-inline"), SerialExecutor)
-        finally:
-            transport_factories.unregister("test-inline")
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("workers", -1),
+            ("workers", True),
+            ("poll_interval", 0),
+            ("reclaim_after", float("nan")),
+            ("queue_dir", ""),
+            ("self_process", "yes"),
+            ("max_wait", -1.0),
+        ],
+    )
+    def test_bad_option_values_fail_at_spec_load(self, option, value):
+        payload = {
+            "name": "x",
+            "execution": {
+                "transport": "file-queue",
+                "transport_options": {option: value},
+            },
+        }
+        with pytest.raises(ConfigurationError, match=option):
+            StudySpec.from_dict(payload)
+
+    def test_validation_forks_nothing_and_makes_no_directory(self, tmp_path):
+        before = set(multiprocessing.active_children())
+        queue_dir = tmp_path / "q"
+        validate_transport("file-queue", {"queue_dir": str(queue_dir)})
+        validate_transport("pool")
+        assert not queue_dir.exists()
+        assert set(multiprocessing.active_children()) == before
 
     def test_legacy_imports_unchanged(self):
         # The acceptance pin: the historical names keep working.
@@ -376,23 +407,6 @@ class TestFileQueueSemantics:
         with pytest.warns(ParallelFallbackWarning, match="disk full"):
             results = transport.map(_double, [1, 2, 3, 4, 5])
         assert results == [2, 4, 6, 8, 10]
-
-    def test_var_keyword_factory_accepts_any_option(self):
-        @transport_factories.register("test-kwargs")
-        def kwargs_transport(*, jobs=1, batch_size=1, **extras):
-            """A catch-all factory: opts out of strict option checks."""
-            assert extras == {"hosts": ["a", "b"]}
-            return SerialExecutor()
-
-        try:
-            assert transport_option_names("test-kwargs") is None
-            validate_transport("test-kwargs", {"hosts": ["a", "b"]})
-            instance = resolve_transport(
-                "test-kwargs", options={"hosts": ["a", "b"]}
-            )
-            assert isinstance(instance, SerialExecutor)
-        finally:
-            transport_factories.unregister("test-kwargs")
 
     def test_unwritable_queue_dir_falls_back_serially(self, tmp_path):
         blocked = tmp_path / "blocked"

@@ -146,3 +146,18 @@ class TestServeParser:
         ])
         assert code == 2
         assert "no-such-transport" in capsys.readouterr().err
+
+    def test_bad_pinned_option_value_exits_before_binding(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_bind(*args, **kwargs):
+            raise AssertionError("bound a port for an invalid transport")
+
+        monkeypatch.setattr("repro.service.app.StudyServer", no_bind)
+        code = main([
+            "serve", "--store", str(tmp_path / "s"), "--port", "0",
+            "--transport", "file-queue",
+            "--transport-option", "workers=-1",
+        ])
+        assert code == 2
+        assert "workers" in capsys.readouterr().err

@@ -149,6 +149,42 @@ class TestSchedulerExecution:
                 transport_options={"bogus_option": 1},
             )
 
+    def test_bad_transport_option_value_raises_at_construction(self, tmp_path):
+        store = StudyStore(str(tmp_path))
+        with pytest.raises(ConfigurationError, match="workers"):
+            StudyScheduler(
+                store,
+                transport="file-queue",
+                transport_options={"workers": -1},
+            )
+
+    def test_stream_opened_before_the_scheduler_holds_the_study(
+        self, tmp_path
+    ):
+        # The service persists a study before it enqueues it; a
+        # subscriber landing in between must wait for the run, not get
+        # a stream that ends at "queued".
+        store = StudyStore(str(tmp_path))
+        scheduler = StudyScheduler(store)
+        spec = make_tiny_spec(zeta_targets=(16.0, 24.0))
+        record, _ = store.submit(spec)
+        log = scheduler.events(record.study_id)
+        collected = []
+        consumer = threading.Thread(
+            target=lambda: collected.extend(log.stream()), daemon=True
+        )
+        consumer.start()
+        try:
+            scheduler.submit(record.study_id, spec)
+            scheduler.start()
+            consumer.join(timeout=30)
+        finally:
+            scheduler.close()
+        assert not consumer.is_alive()
+        assert [event["event"] for event in collected] == (
+            ["started"] + ["cell"] * spec.total_runs + ["done"]
+        )
+
 
 class TestCancellation:
     def test_cancel_queued_study_never_runs(self, tmp_path):

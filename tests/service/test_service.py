@@ -129,6 +129,26 @@ class TestValidationAndErrors:
         assert client.list_studies() == []
         assert client.healthz()["queue_depth"] == 0
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [("workers", -1), ("poll_interval", 0), ("queue_dir", "")],
+    )
+    def test_bad_transport_option_value_is_400_and_never_queued(
+        self, client, option, value
+    ):
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit({
+                "name": "bad",
+                "execution": {
+                    "transport": "file-queue",
+                    "transport_options": {option: value},
+                },
+            })
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["type"] == "ConfigurationError"
+        assert option in excinfo.value.payload["message"]
+        assert client.list_studies() == []
+
     def test_non_object_body_is_400(self, client):
         with pytest.raises(ServiceError) as excinfo:
             client._request("POST", "/studies", body=None)
@@ -426,6 +446,14 @@ class TestSpecReads:
         finally:
             service.close()
         assert sorted(spec_reads) == sorted(r.study_id for r in queued)
+
+    def test_bad_transport_option_value_is_refused_at_submit(self, tmp_path):
+        service = StudyService(str(tmp_path / "store"))
+        payload = make_tiny_spec(transport="file-queue").to_dict()
+        payload["execution"]["transport_options"] = {"workers": -1}
+        with pytest.raises(ConfigurationError, match="workers"):
+            service.submit(payload)
+        assert service.store.list() == []
 
     def test_repeated_replicate_seeds_are_refused_at_submit(self, tmp_path):
         service = StudyService(str(tmp_path / "store"))
